@@ -1,0 +1,62 @@
+"""Microbenchmarks of the kernel-mixture training loop.
+
+Sizes follow perfbench's ``train_km`` workload: 64 px flair-like phantoms,
+24 training images, batches of 8, T = 1000.  Run from the repository root::
+
+    PYTHONPATH=src python -m pytest bench/bench_train.py
+
+The file name does not match ``test_*.py``, so the plain ``pytest`` run of
+the test suite does not collect it.
+"""
+
+import pytest
+
+from anomap import denoise, iqa, phantom
+from anomap.denoise import KernelMixtureModel, TrainConfig, sample_gradients, train
+from anomap.diffusion import derive_seed, forward_noise, linear_schedule, make_field
+from anomap.imagecore import BinaryMask
+from anomap.iqa import FusionParams, SsimParams
+
+SIZE, N_TRAIN, T = 64, 24, 1000
+
+
+@pytest.fixture(scope="module")
+def setting():
+    ds = phantom.gen_dataset(0, SIZE, phantom.PROFILES["flair_like"], N_TRAIN, 1, 1)
+    images = [s.image for s in ds.train_healthy]
+    sched = linear_schedule(T, 1e-4, 0.02)
+    # a model a few epochs into training, so the clamp is partly active
+    model = train(KernelMixtureModel(T=T), images, sched,
+                  TrainConfig(epochs=3, seed=0)).model
+    x0 = images[0]
+    t = 600
+    x_t = forward_noise(x0, t, make_field("simplex", derive_seed(0, 0), SIZE, SIZE),
+                        sched)
+    return images, sched, model, x0, x_t, t
+
+
+def test_sample_gradients(benchmark, setting):
+    _, _, model, x0, x_t, t = setting
+    resp = model.kernel_responses(x_t.pixels)
+    p, f = SsimParams(), FusionParams()
+    benchmark(sample_gradients, model, x0, x_t, t, p, f, resp)
+
+
+def test_trial_loss(benchmark, setting):
+    # one backtracking trial: mix the held responses, score with fusion_loss
+    _, _, model, x0, x_t, t = setting
+    resp = model.kernel_responses(x_t.pixels)
+    p, f, fg = SsimParams(), FusionParams(), BinaryMask(x0.fg_bits())
+
+    def trial():
+        y = denoise._foreground_prediction(model.mix(resp, t), x0)
+        return iqa.fusion_loss(x0, y, p, f, fg)
+
+    benchmark(trial)
+
+
+def test_train_epoch(benchmark, setting):
+    # includes corrupting the 24 images, which train does once per call
+    images, sched, _, _, _, _ = setting
+    benchmark(lambda: train(KernelMixtureModel(T=T), images, sched,
+                            TrainConfig(epochs=1, seed=0)))

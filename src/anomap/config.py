@@ -87,6 +87,8 @@ class RunConfig:
             raise ValueError("size must be >= 32")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
+        if self.n_thresholds < 2:
+            raise ValueError("n_thresholds must be >= 2")
         return self
 
 

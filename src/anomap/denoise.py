@@ -123,13 +123,16 @@ class KernelMixtureModel:
             out.append(_separable_blur(pixels, k1d))
         return out
 
-    def predict_pre_clamp(self, x_t: Image2D, t: int) -> np.ndarray:
+    def mix(self, resp: Sequence[np.ndarray], t: int) -> np.ndarray:
+        """Pre-clamp prediction from the kernel responses of x_t."""
         b = self.bucket(t)
-        resp = self.kernel_responses(x_t.pixels)
-        out = np.full(x_t.pixels.shape, self.biases[b])
+        out = np.full(resp[0].shape, self.biases[b])
         for k, rk in enumerate(resp):
             out += self.weights[b, k] * rk
         return out
+
+    def predict_pre_clamp(self, x_t: Image2D, t: int) -> np.ndarray:
+        return self.mix(self.kernel_responses(x_t.pixels), t)
 
     def denoise(self, x_t: Image2D, t: int) -> Image2D:
         pred = np.clip(self.predict_pre_clamp(x_t, t), 0.0, 1.0)
@@ -159,26 +162,31 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
 
 
+def _foreground_prediction(pre: np.ndarray, x0: Image2D) -> Image2D:
+    # the clamped prediction with x0's background zeroed, as denoise returns it
+    pred = np.clip(pre, 0.0, 1.0)
+    pred[~x0.fg_bits()] = 0.0
+    return Image2D(pred, x0.foreground)
+
+
 def sample_gradients(m: KernelMixtureModel, x0: Image2D, x_t: Image2D, t: int,
-                     p: SsimParams, f: FusionParams):
+                     p: SsimParams, f: FusionParams,
+                     resp: Optional[Sequence[np.ndarray]] = None):
     """Loss value and parameter gradients of L_FQ(x0, denoise(x_t, t)).
 
-    The clamp is treated as pass-through inside (0, 1) and zero-gradient
-    outside, so the chain rule through the linear prediction is exact away
-    from the clamp boundary.
+    ``resp`` may pass in ``m.kernel_responses(x_t.pixels)`` when the caller
+    already holds it.  The clamp is treated as pass-through inside (0, 1) and
+    zero-gradient outside, so the chain rule through the linear prediction is
+    exact away from the clamp boundary.
     """
     fg = BinaryMask(x0.fg_bits())
     b = m.bucket(t)
-    resp = m.kernel_responses(x_t.pixels)
-    pre = np.full(x_t.pixels.shape, m.biases[b])
-    for k, rk in enumerate(resp):
-        pre += m.weights[b, k] * rk
-    pred = np.clip(pre, 0.0, 1.0)
-    pred[~fg.bits] = 0.0
-    y = Image2D(pred, x0.foreground)
+    if resp is None:
+        resp = m.kernel_responses(x_t.pixels)
+    pre = m.mix(resp, t)
+    y = _foreground_prediction(pre, x0)
 
-    loss = iqa.fusion_loss(x0, y, p, f, fg)
-    g = iqa.fusion_loss_grad(x0, y, p, f, fg)
+    loss, g = iqa.fusion_loss_and_grad(x0, y, p, f, fg)
     passthrough = (pre > 0.0) & (pre < 1.0) & fg.bits
     g = np.where(passthrough, g, 0.0)
 
@@ -216,12 +224,23 @@ def train(m: KernelMixtureModel, data: Sequence[Image2D], sched: DiffusionSchedu
     steps let it grow again.  The trace records the epoch-mean loss over the
     corrupted dataset.  Deterministic given cfg.seed; aborts if the epoch
     loss exceeds 10x its initial value.
+
+    Each batch step blurs every batch sample's x_t once: the prediction is
+    linear in the parameters, so the sample gradients and every backtracking
+    trial mix the same kernel responses, which are dropped when the step
+    ends.  Each gradient call gets its loss and gradient from one
+    :func:`iqa.fusion_loss_and_grad`; each trial loss is one
+    :func:`iqa.fusion_loss`.  The results equal predicting every loss with
+    ``m.denoise``.  Every image needs a non-empty foreground.
     """
     if len(data) == 0:
         raise ValueError("training data is empty")
     shape = data[0].pixels.shape
     if any(im.pixels.shape != shape for im in data):
         raise ValueError("training images must share dimensions")
+    for i, im in enumerate(data):
+        if not im.fg_bits().any():
+            raise ValueError(f"training image {i} has an empty foreground")
 
     rng = np.random.default_rng(cfg.seed)
     n = len(data)
@@ -232,26 +251,34 @@ def train(m: KernelMixtureModel, data: Sequence[Image2D], sched: DiffusionSchedu
                            x0.width, x0.height)
         corrupted.append((x0, forward_noise(x0, t, noise, sched), t))
 
-    def sample_loss(x0: Image2D, x_t: Image2D, t: int) -> float:
-        y = m.denoise(x_t, t)
-        return iqa.fusion_loss(x0, y, p, f, BinaryMask(x0.fg_bits()))
+    masks = [BinaryMask(x0.fg_bits()) for x0 in data]
 
-    def dataset_loss() -> float:
-        return sum(sample_loss(*c) for c in corrupted) / n
+    def sample_loss(i: int, resp: Sequence[np.ndarray]) -> float:
+        x0, _, t = corrupted[i]
+        y = _foreground_prediction(m.mix(resp, t), x0)
+        return iqa.fusion_loss(x0, y, p, f, masks[i])
+
+    def responses(i: int) -> List[np.ndarray]:
+        return m.kernel_responses(corrupted[i][1].pixels)
 
     lr = cfg.learning_rate
-    trace: List[float] = [dataset_loss()] if cfg.epochs == 0 else []
+    trace: List[float] = []
+    if cfg.epochs == 0:
+        trace.append(sum(sample_loss(i, responses(i)) for i in range(n)) / n)
     initial: Optional[float] = None
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_total = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
+            # this step's kernel responses; deleted before the next step
+            # builds its own, so one batch of them is alive at a time
+            resp = [responses(i) for i in batch]
             gw = np.zeros_like(m.weights)
             gb = np.zeros_like(m.biases)
             batch_pre = 0.0
-            for i in batch:
-                li, gwi, gbi = sample_gradients(m, *corrupted[i], p, f)
+            for i, ri in zip(batch, resp):
+                li, gwi, gbi = sample_gradients(m, *corrupted[i], p, f, ri)
                 gw += gwi
                 gb += gbi
                 batch_pre += li
@@ -266,12 +293,14 @@ def train(m: KernelMixtureModel, data: Sequence[Image2D], sched: DiffusionSchedu
             for _ in range(_MAX_HALVINGS):
                 m.weights[:] = w0 - lr * gw
                 m.biases[:] = b0 - lr * gb
-                post = sum(sample_loss(*corrupted[i]) for i in batch) / len(batch)
+                post = sum(sample_loss(i, ri)
+                           for i, ri in zip(batch, resp)) / len(batch)
                 if post <= batch_pre:
                     accepted = True
                     lr = min(lr * _LR_GROW, _LR_MAX)
                     break
                 lr *= 0.5
+            del resp
             if not accepted:
                 m.weights[:] = w0
                 m.biases[:] = b0

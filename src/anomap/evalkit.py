@@ -32,7 +32,7 @@ class EvalConfig:
     fusion: FusionParams = field(default_factory=FusionParams)
     median_k: int = 5
     erosion_iters: int = 3
-    threshold_grid: Optional[np.ndarray] = None  # None: 200 values over [0, max]
+    n_thresholds: int = DEFAULT_GRID_SIZE        # grid points over [0, max]
     patch: Optional[PatchSpec] = None            # None: default half-size patches
     noise_kind: str = "simplex"
 
@@ -168,8 +168,7 @@ def evaluate_fold(model, val: Sequence[LabeledSample],
     val_maps = [fn(model, s, cfg, sched, seed) for s in val]
     val_regions = [eval_region(s, cfg) for s in val]
     val_gts = [s.anomaly_gt for s in val]
-    grid = (cfg.threshold_grid if cfg.threshold_grid is not None
-            else default_grid(val_maps))
+    grid = default_grid(val_maps, cfg.n_thresholds)
     thr = greedy_threshold(val_maps, val_gts, val_regions, grid)
 
     test_maps = [fn(model, s, cfg, sched, seed) for s in test]

@@ -10,9 +10,11 @@ replicate-edge padding, so the quality map has the same shape as the input::
 
 The scalar SSIM loss is (1 - mean SSIM over masked window centers) / 2 and
 the fusion loss blends it with the masked mean absolute error:
-``alpha * ssim_loss + (1 - alpha) * l1``.  ``fusion_loss_grad`` provides the
-exact derivative of that scalar with respect to the reconstruction, including
-the contribution of replicated border pixels.
+``alpha * ssim_loss + (1 - alpha) * l1``.  ``fusion_loss_and_grad`` returns
+that scalar together with its exact derivative with respect to the
+reconstruction, including the contribution of replicated border pixels,
+from one computation of the window moments; training calls it once per
+sample gradient.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .imagecore import AnomalyMap, BinaryMask, Image2D
 __all__ = [
     "SsimParams", "FusionParams", "AnomalyMap",
     "ssim_map", "ssim_loss", "l1_loss", "fusion_loss",
-    "fusion_anomaly_map", "fusion_loss_grad",
+    "fusion_anomaly_map", "fusion_loss_and_grad", "fusion_loss_grad",
 ]
 
 
@@ -157,20 +159,72 @@ def fusion_anomaly_map(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
 def fusion_loss_grad(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
                      f: FusionParams = FusionParams(),
                      mask: BinaryMask | None = None) -> np.ndarray:
-    """Exact gradient of :func:`fusion_loss` with respect to y, per pixel.
+    """Exact gradient of :func:`fusion_loss` with respect to y, per pixel."""
+    return fusion_loss_and_grad(x, y, p, f, mask)[1]
 
-    The SSIM part differentiates the two-factor formula through each window's
+
+def _fold_groups(n: int, r: int):
+    """(target, source) slice pairs folding a replicate-padded axis back.
+
+    Padded index i of an axis of length n padded by r on each side copies
+    pixel clip(i - r, 0, n - 1): target 0 collects the first r + 1 padded
+    positions, target n - 1 the last r + 1, and every target in between has
+    exactly one source.  A length-1 axis collects all 2r + 1 positions.
+    """
+    if n == 1:
+        return [(slice(0, 1), slice(0, 2 * r + 1))]
+    groups = [(slice(0, 1), slice(0, r + 1))]
+    if n > 2:
+        groups.append((slice(1, n - 1), slice(r + 1, r + n - 1)))
+    groups.append((slice(n - 1, n), slice(r + n - 1, n + 2 * r)))
+    return groups
+
+
+def _fold_replicated(g_pad: np.ndarray, H: int, Wd: int, r: int) -> np.ndarray:
+    """Sum a padded-image gradient onto the pixels the padding replicated.
+
+    Each pixel receives its padded positions in row-major order, one after
+    another, as an unbuffered scatter-add over the padded raster would add
+    them: the edge strips are summed along their depth and each corner's
+    (r + 1) x (r + 1) block as one flattened run.  A cumulative sum adds
+    strictly in sequence, so the result equals ``np.add.at`` bit for bit.
+    """
+    grad = np.zeros((H, Wd))
+    for tr, sr in _fold_groups(H, r):
+        for tc, sc in _fold_groups(Wd, r):
+            block = g_pad[sr, sc]
+            nr, nc = tr.stop - tr.start, tc.stop - tc.start
+            kr, kc = block.shape[0] // nr, block.shape[1] // nc
+            if kr * kc == 1:
+                grad[tr, tc] += block
+                continue
+            runs = block.reshape(nr, kr, nc, kc).transpose(0, 2, 1, 3)
+            grad[tr, tc] += np.cumsum(runs.reshape(nr, nc, kr * kc), axis=2)[..., -1]
+    return grad
+
+
+def fusion_loss_and_grad(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
+                         f: FusionParams = FusionParams(),
+                         mask: BinaryMask | None = None) -> tuple[float, np.ndarray]:
+    """:func:`fusion_loss` and its exact gradient with respect to y, per pixel.
+
+    Both come from one computation of the window moments; the loss is
+    bit-identical to :func:`fusion_loss`.  The SSIM part of the gradient
+    differentiates the two-factor formula through each window's
     y-statistics (mean, variance, covariance) and accumulates over every
     window containing the pixel.  Border pixels enter multiple windows via
     replicate padding; those contributions are folded back onto their source
     pixels so the result matches finite differences of the actual loss.
-    The gradient of |t| at t = 0 is taken to be 0.
+    The gradient of |t| at t = 0 is taken to be 0.  Returns
+    ``(loss, grad)`` with ``grad`` shaped like the image.
     """
     if mask is None:
         mask = BinaryMask(np.ones(x.pixels.shape, dtype=bool))
     bits = _require_mask(x, mask)
     if x.pixels.shape != y.pixels.shape:
         raise ValueError("image dimensions do not match")
+    if p.S != 1:
+        raise ValueError("the fusion loss gradient needs SSIM stride 1")
 
     xa, ya = x.pixels, y.pixels
     H, Wd = xa.shape
@@ -185,6 +239,11 @@ def fusion_loss_grad(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
     B1 = mx * mx + my * my + p.C1
     B2 = vx + vy + p.C2
 
+    # the same operations, in the same order, as ssim_loss and l1_loss
+    smap = A1 * A2 / (B1 * B2)
+    loss = (f.alpha * float((1.0 - smap[bits].mean()) / 2.0)
+            + (1.0 - f.alpha) * float(np.abs(xa - ya)[bits].mean()))
+
     # dSSIM / d(window y-statistics), one value per window center
     d_mu = 2.0 * A2 * (mx * B1 - my * A1) / (B1 * B1 * B2)
     d_var = -A1 * A2 / (B1 * B2 * B2)
@@ -196,28 +255,22 @@ def fusion_loss_grad(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
     c_var = np.where(bits, scale * d_var, 0.0)
     c_cov = np.where(bits, scale * d_cov, 0.0)
 
-    # box-sum each center map over the windows containing every padded pixel
-    def center_boxsum(c: np.ndarray) -> np.ndarray:
-        emb = np.zeros((H + 2 * r, Wd + 2 * r))
-        emb[r:r + H, r:r + Wd] = c
-        return ndimage.uniform_filter(emb, size=W, mode="constant", cval=0.0) * n
-
-    s_mu = center_boxsum(c_mu)
-    s_var = center_boxsum(c_var)
-    s_var_my = center_boxsum(c_var * my)
-    s_cov = center_boxsum(c_cov)
-    s_cov_mx = center_boxsum(c_cov * mx)
+    # box-sum each center map over the windows containing every padded
+    # pixel: the five maps, zero-embedded, filtered as one stack
+    centers = np.zeros((5, H + 2 * r, Wd + 2 * r))
+    inner = centers[:, r:r + H, r:r + Wd]
+    inner[0] = c_mu
+    inner[1] = c_var
+    inner[2] = c_var * my
+    inner[3] = c_cov
+    inner[4] = c_cov * mx
+    s_mu, s_var, s_var_my, s_cov, s_cov_mx = ndimage.uniform_filter(
+        centers, size=(1, W, W), mode="constant", cval=0.0) * n
 
     xp = np.pad(xa, r, mode="edge")
     yp = np.pad(ya, r, mode="edge")
     g_pad = (s_mu + 2.0 * (yp * s_var - s_var_my) + (xp * s_cov - s_cov_mx)) / n
-
-    # fold replicate-padded positions back onto their source pixels
-    src_r = np.clip(np.arange(H + 2 * r) - r, 0, H - 1)
-    src_c = np.clip(np.arange(Wd + 2 * r) - r, 0, Wd - 1)
-    grad = np.zeros((H, Wd))
-    rr, cc = np.meshgrid(src_r, src_c, indexing="ij")
-    np.add.at(grad, (rr, cc), g_pad)
+    grad = _fold_replicated(g_pad, H, Wd, r)
 
     grad[bits] += (1.0 - f.alpha) * np.sign(ya - xa)[bits] / K
-    return grad
+    return loss, grad

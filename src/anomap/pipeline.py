@@ -93,6 +93,7 @@ def eval_config(cfg: RunConfig) -> EvalConfig:
         fusion=FusionParams(alpha=cfg.resolved_alpha()),
         median_k=cfg.median_k,
         erosion_iters=cfg.erosion_iters,
+        n_thresholds=cfg.n_thresholds,
         patch=patch_spec(cfg),
         noise_kind=cfg.noise,
     )

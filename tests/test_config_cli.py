@@ -69,6 +69,10 @@ def test_validation_errors():
         config.RunConfig(size=16).validate()
     with pytest.raises(ValueError):
         config.RunConfig(lesion_gap=-0.1).validate()
+    with pytest.raises(ValueError, match="n_thresholds"):
+        config.RunConfig(n_thresholds=1).validate()
+    with pytest.raises(config.ConfigError, match="n_thresholds"):
+        config.parse("[eval]\nn_thresholds = 1\n")
 
 
 def test_render_parse_roundtrip():

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from anomap import fileio, phantom
+from anomap import fileio, iqa, phantom
 from anomap.denoise import (ExternalReconstructor, KernelMixtureModel,
                             OracleDenoiser, TrainConfig, blur_denoiser,
                             gaussian_kernel_1d, sample_gradients, train)
-from anomap.diffusion import forward_noise, gaussian_field, linear_schedule
+from anomap.diffusion import (derive_seed, forward_noise, gaussian_field,
+                              linear_schedule, make_field)
 from anomap.imagecore import BinaryMask, Image2D
 from anomap.iqa import FusionParams, SsimParams
 
@@ -161,6 +162,101 @@ def test_train_is_deterministic():
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1], runs[1][1])
     assert runs[0][2] == runs[1][2]
+
+
+def test_train_rejects_empty_foreground():
+    sched = linear_schedule(100, 1e-3, 0.02)
+    imgs = _phantom_images(4, 3, size=32)
+    imgs[2] = Image2D(imgs[2].pixels * 0.0, BinaryMask(np.zeros((32, 32), bool)))
+    with pytest.raises(ValueError, match="training image 2 has an empty foreground"):
+        train(KernelMixtureModel(T=100), imgs, sched, TrainConfig(epochs=1))
+
+
+def _reference_train(m, data, sched, cfg, p, f):
+    """The training loop predicting every loss with ``m.denoise``, with the
+    loss and its gradient from separate calls; returns the trace and the
+    number of rejected backtracking trials."""
+    rng = np.random.default_rng(cfg.seed)
+    corrupted = []
+    for i, x0 in enumerate(data):
+        t = int(rng.integers(1, sched.T + 1))
+        noise = make_field(cfg.noise_kind, derive_seed(cfg.seed, i),
+                           x0.width, x0.height)
+        corrupted.append((x0, forward_noise(x0, t, noise, sched), t))
+
+    def sample_loss(x0, x_t, t):
+        return iqa.fusion_loss(x0, m.denoise(x_t, t), p, f,
+                               BinaryMask(x0.fg_bits()))
+
+    def gradients(x0, x_t, t):
+        fg = BinaryMask(x0.fg_bits())
+        b = m.bucket(t)
+        resp = m.kernel_responses(x_t.pixels)
+        pre = np.full(x_t.pixels.shape, m.biases[b])
+        for k, rk in enumerate(resp):
+            pre += m.weights[b, k] * rk
+        y = m.denoise(x_t, t)
+        loss = iqa.fusion_loss(x0, y, p, f, fg)
+        g = iqa.fusion_loss_grad(x0, y, p, f, fg)
+        g = np.where((pre > 0.0) & (pre < 1.0) & fg.bits, g, 0.0)
+        gw = np.zeros_like(m.weights)
+        gb = np.zeros_like(m.biases)
+        for k, rk in enumerate(resp):
+            gw[b, k] = float((g * rk).sum())
+        gb[b] = float(g.sum())
+        return loss, gw, gb
+
+    n = len(data)
+    lr = cfg.learning_rate
+    trace, rejected = [], 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        epoch_total = 0.0
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            gw = np.zeros_like(m.weights)
+            gb = np.zeros_like(m.biases)
+            batch_pre = 0.0
+            for i in batch:
+                li, gwi, gbi = gradients(*corrupted[i])
+                gw += gwi
+                gb += gbi
+                batch_pre += li
+            gw /= len(batch)
+            gb /= len(batch)
+            batch_pre /= len(batch)
+            epoch_total += batch_pre * len(batch)
+            w0, b0 = m.weights.copy(), m.biases.copy()
+            accepted = False
+            for _ in range(8):
+                m.weights[:] = w0 - lr * gw
+                m.biases[:] = b0 - lr * gb
+                post = sum(sample_loss(*corrupted[i]) for i in batch) / len(batch)
+                if post <= batch_pre:
+                    accepted = True
+                    lr = min(lr * 1.2, 2.0)
+                    break
+                rejected += 1
+                lr *= 0.5
+            if not accepted:
+                m.weights[:] = w0
+                m.biases[:] = b0
+        trace.append(epoch_total / n)
+    return trace, rejected
+
+
+def test_train_matches_the_reference_loop_exactly():
+    sched = linear_schedule(1000, 1e-4, 0.02)
+    imgs = _phantom_images(6, 5, size=32)
+    p, f = SsimParams(), FusionParams()
+    cfg = TrainConfig(epochs=6, learning_rate=1.0, batch_size=2, seed=7)
+    ref = KernelMixtureModel(T=1000)
+    ref_trace, rejected = _reference_train(ref, imgs, sched, cfg, p, f)
+    assert rejected > 0  # the comparison covers backtracking
+    res = train(KernelMixtureModel(T=1000), imgs, sched, cfg, p, f)
+    assert res.loss_trace == ref_trace
+    assert np.array_equal(res.model.weights, ref.weights)
+    assert np.array_equal(res.model.biases, ref.biases)
 
 
 def test_train_fits_constant_images():

@@ -192,3 +192,30 @@ def test_evaluate_fold_returns_maps_and_accepts_score_fn():
                            cfg, sched, 5)
     assert direct.dice == result.dice
     assert direct.threshold == result.threshold
+
+
+def test_n_thresholds_sets_the_grid_the_threshold_comes_from():
+    from dataclasses import replace
+    from anomap import config, pipeline
+    sched = linear_schedule(1000, 1e-4, 0.02)
+    ds = phantom.gen_dataset(1, 64, phantom.PROFILES["flair_like"], 1, 3, 2)
+    model = blur_denoiser(2.0)
+    cfg = _blur_cfg(t=50)
+    maps = {s.id: score_sample(model, s, cfg, sched, 5)
+            for s in [*ds.val_abnormal, *ds.test_abnormal]}
+    val_maps = [maps[s.id] for s in ds.val_abnormal]
+
+    def cached(_model, sample, _cfg, _sched, _seed):
+        return maps[sample.id]
+
+    chosen = {}
+    for n in (200, 4):
+        result = evaluate_fold(model, ds.val_abnormal, ds.test_abnormal,
+                               replace(cfg, n_thresholds=n), sched, 5,
+                               score_fn=cached)
+        assert result.threshold in default_grid(val_maps, n)
+        chosen[n] = result.threshold
+    assert chosen[200] != chosen[4]
+    assert pipeline.eval_config(
+        config.RunConfig(n_thresholds=4).validate()).n_thresholds == 4
+    assert EvalConfig().n_thresholds == 200

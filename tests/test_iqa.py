@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
+from anomap import iqa
 from anomap.imagecore import BinaryMask, Image2D, window_stats
 from anomap.iqa import (FusionParams, SsimParams, fusion_anomaly_map,
-                        fusion_loss, fusion_loss_grad, l1_loss, ssim_components,
-                        ssim_loss, ssim_map)
+                        fusion_loss, fusion_loss_and_grad, fusion_loss_grad,
+                        l1_loss, ssim_components, ssim_loss, ssim_map)
 from anomap.simplex import octave_grid
 
 
@@ -160,3 +164,106 @@ def test_gradient_zero_at_identity():
     # at y = x the SSIM term is at its maximum and |x - y| is at its kink;
     # both contribute zero gradient under the stated conventions
     assert np.all(np.abs(g) < 1e-10)
+
+
+# --- exactness of the one-pass loss and gradient -------------------------
+
+def _add_at_fold(g_pad, H, Wd, r):
+    """Reference fold: unbuffered scatter-add of every padded position."""
+    src_r = np.clip(np.arange(H + 2 * r) - r, 0, H - 1)
+    src_c = np.clip(np.arange(Wd + 2 * r) - r, 0, Wd - 1)
+    grad = np.zeros((H, Wd))
+    rr, cc = np.meshgrid(src_r, src_c, indexing="ij")
+    np.add.at(grad, (rr, cc), g_pad)
+    return grad
+
+
+def _reference_grad(x, y, p, f, bits):
+    """The gradient computed map by map, with the scatter-add fold."""
+    xa, ya = x.pixels, y.pixels
+    H, Wd = xa.shape
+    W = p.W
+    r = W // 2
+    n = W * W
+    K = int(bits.sum())
+    mx, my, vx, vy, cov = iqa._window_moments(xa, ya, W)
+    A1 = 2.0 * mx * my + p.C1
+    A2 = 2.0 * cov + p.C2
+    B1 = mx * mx + my * my + p.C1
+    B2 = vx + vy + p.C2
+    d_mu = 2.0 * A2 * (mx * B1 - my * A1) / (B1 * B1 * B2)
+    d_var = -A1 * A2 / (B1 * B2 * B2)
+    d_cov = 2.0 * A1 / (B1 * B2)
+    scale = -f.alpha / (2.0 * K)
+    c_mu = np.where(bits, scale * d_mu, 0.0)
+    c_var = np.where(bits, scale * d_var, 0.0)
+    c_cov = np.where(bits, scale * d_cov, 0.0)
+
+    def center_boxsum(c):
+        emb = np.zeros((H + 2 * r, Wd + 2 * r))
+        emb[r:r + H, r:r + Wd] = c
+        return ndimage.uniform_filter(emb, size=W, mode="constant", cval=0.0) * n
+
+    xp = np.pad(xa, r, mode="edge")
+    yp = np.pad(ya, r, mode="edge")
+    g_pad = (center_boxsum(c_mu)
+             + 2.0 * (yp * center_boxsum(c_var) - center_boxsum(c_var * my))
+             + (xp * center_boxsum(c_cov) - center_boxsum(c_cov * mx))) / n
+    grad = _add_at_fold(g_pad, H, Wd, r)
+    grad[bits] += (1.0 - f.alpha) * np.sign(ya - xa)[bits] / K
+    return grad
+
+
+@st.composite
+def _loss_inputs(draw):
+    H = draw(st.integers(1, 12))
+    Wd = draw(st.integers(1, 12))
+    W = draw(st.sampled_from([1, 3, 5, 7, 9, 11]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    bits = rng.uniform(size=(H, Wd)) < draw(st.floats(0.05, 1.0))
+    bits.flat[draw(st.integers(0, H * Wd - 1))] = True
+    x = rng.uniform(0, 1, (H, Wd))
+    y = rng.uniform(0, 1, (H, Wd))
+    if draw(st.booleans()):  # ties, where the L1 kink has zero gradient
+        same = rng.uniform(size=(H, Wd)) < 0.3
+        y[same] = x[same]
+    return (Image2D(x), Image2D(y), SsimParams(W=W),
+            FusionParams(draw(st.sampled_from([0.0, 0.84, 1.0]))), BinaryMask(bits))
+
+
+@settings(max_examples=200, deadline=None)
+@given(H=st.integers(1, 12), Wd=st.integers(1, 12),
+       W=st.sampled_from([1, 3, 5, 7, 9, 11]), seed=st.integers(0, 2 ** 32 - 1))
+def test_fold_equals_scatter_add(H, Wd, W, seed):
+    r = W // 2
+    g_pad = np.random.default_rng(seed).normal(size=(H + 2 * r, Wd + 2 * r))
+    assert np.array_equal(iqa._fold_replicated(g_pad, H, Wd, r),
+                          _add_at_fold(g_pad, H, Wd, r))
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (9, 1), (2, 2), (1, 1), (2, 7)])
+@pytest.mark.parametrize("W", [1, 3, 5, 7, 9, 11])
+def test_fold_on_thin_images_and_wide_windows(shape, W):
+    H, Wd = shape
+    r = W // 2
+    g_pad = np.random.default_rng(H * 100 + Wd * 10 + W).normal(
+        size=(H + 2 * r, Wd + 2 * r))
+    assert np.array_equal(iqa._fold_replicated(g_pad, H, Wd, r),
+                          _add_at_fold(g_pad, H, Wd, r))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_loss_inputs())
+def test_loss_and_grad_equal_the_separate_computations(args):
+    x, y, p, f, mask = args
+    loss, grad = fusion_loss_and_grad(x, y, p, f, mask)
+    assert loss == fusion_loss(x, y, p, f, mask)
+    assert np.array_equal(grad, _reference_grad(x, y, p, f, mask.bits))
+    assert np.array_equal(fusion_loss_grad(x, y, p, f, mask), grad)
+
+
+def test_loss_and_grad_reject_strided_ssim():
+    x, y = _rand_pair(18)
+    with pytest.raises(ValueError, match="stride"):
+        fusion_loss_and_grad(x, y, SsimParams(S=2))
