@@ -89,6 +89,14 @@ class RunConfig:
             raise ValueError("alpha must lie in [0, 1]")
         if self.n_thresholds < 2:
             raise ValueError("n_thresholds must be >= 2")
+        for name in ("patch_h", "patch_w"):
+            v = getattr(self, name)
+            if v is not None and not 1 <= v <= self.size:
+                raise ValueError(f"{name} = {v} outside [1, size = {self.size}]")
+        for name in ("stride_h", "stride_w"):
+            v = getattr(self, name)
+            if v is not None and v < 1:
+                raise ValueError(f"{name} must be >= 1")
         return self
 
 

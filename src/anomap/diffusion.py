@@ -12,8 +12,8 @@ conditioning context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -99,29 +99,31 @@ def derive_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=(int(seed), int(index))).generate_state(1)[0])
 
 
-def simplex_field(seed: int, width: int, height: int,
-                  octaves: int = DEFAULT_OCTAVES,
-                  persistence: float = DEFAULT_PERSISTENCE,
-                  base_scale: float | None = None) -> NoiseField:
-    """Multi-octave simplex noise, standardized; deterministic in seed."""
-    if base_scale is None:
-        base_scale = float(width)
-    raw = simplex.octave_grid(seed, width, height, octaves, persistence, base_scale)
-    return NoiseField(_standardize(raw), seed=seed, kind="simplex")
+def make_fields(kind: str, seeds: Sequence[int], width: int,
+                height: int) -> List[NoiseField]:
+    """One standardized ``height`` x ``width`` noise field per seed, in order.
 
-
-def gaussian_field(seed: int, width: int, height: int) -> NoiseField:
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((height, width))
-    return NoiseField(_standardize(raw), seed=seed, kind="gaussian")
-
-
-def make_field(kind: str, seed: int, width: int, height: int, **kwargs) -> NoiseField:
+    Field k depends on ``seeds[k]`` alone, never on the other seeds.
+    ``"simplex"`` is multi-octave simplex noise (``DEFAULT_OCTAVES`` octaves,
+    ``DEFAULT_PERSISTENCE``, base scale ``width``) whose lattice geometry is
+    computed once per octave for all seeds; ``"gaussian"`` is white noise
+    from one generator per seed.  Each field is standardized on its own.
+    """
     if kind == "simplex":
-        return simplex_field(seed, width, height, **kwargs)
-    if kind == "gaussian":
-        return gaussian_field(seed, width, height)
-    raise ValueError(f"unknown noise kind {kind!r}")
+        raw = simplex.octave_grids(seeds, width, height, DEFAULT_OCTAVES,
+                                   DEFAULT_PERSISTENCE, float(width))
+    elif kind == "gaussian":
+        raw = [np.random.default_rng(s).standard_normal((height, width))
+               for s in seeds]
+    else:
+        raise ValueError(f"unknown noise kind {kind!r}")
+    return [NoiseField(_standardize(v), seed=s, kind=kind)
+            for s, v in zip(seeds, raw)]
+
+
+def make_field(kind: str, seed: int, width: int, height: int) -> NoiseField:
+    """Standardized noise field of the given kind; deterministic in seed."""
+    return make_fields(kind, [seed], width, height)[0]
 
 
 def forward_noise(x0: Image2D, t: int, noise: NoiseField,
@@ -185,21 +187,24 @@ def reconstruct_patched(model, x: Image2D, t_test: int, sched: DiffusionSchedule
                         noise_kind: str = "simplex") -> Image2D:
     """Noise one patch at a time, condition on the clean remainder, merge.
 
-    Each placement gets its own counter-based noise field, the model sees the
-    image with only that patch corrupted, and its prediction is kept inside
-    the patch.  Overlaps are averaged with uniform weights via a running mean
-    in fixed placement order (bit-identical merge when predictions agree).
+    Each placement gets its own counter-based noise field, seeded by
+    ``derive_seed(seed, index)``; all of them are drawn in one
+    :func:`make_fields` call before the first denoiser call.  The model sees
+    the image with only that patch corrupted, and its prediction is kept
+    inside the patch.  Overlaps are averaged with uniform weights via a
+    running mean in fixed placement order (bit-identical merge when
+    predictions agree).
     """
     plist = placements(spec, x.height, x.width)
     fg = x.fg_bits()
     ab = sched.alpha_bar(t_test)
+    seeds = [derive_seed(seed, idx) for idx in range(len(plist))]
+    noises = make_fields(noise_kind, seeds, spec.patch_w, spec.patch_h)
 
     mean = np.zeros_like(x.pixels)
     count = np.zeros(x.pixels.shape, dtype=np.int64)
-    for idx, (r0, c0) in enumerate(plist):
+    for (r0, c0), noise in zip(plist, noises):
         r1, c1 = r0 + spec.patch_h, c0 + spec.patch_w
-        noise = make_field(noise_kind, derive_seed(seed, idx),
-                           spec.patch_w, spec.patch_h)
         noisy = x.pixels.copy()
         patch_fg = fg[r0:r1, c0:c1]
         patch = noisy[r0:r1, c0:c1]

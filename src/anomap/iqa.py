@@ -119,9 +119,16 @@ def _require_mask(x: Image2D, mask: BinaryMask) -> np.ndarray:
     return mask.bits
 
 
+def _require_stride1(p: SsimParams, what: str) -> None:
+    # the losses and the anomaly map pair each SSIM value with its pixel
+    if p.S != 1:
+        raise ValueError(f"{what} needs SSIM stride 1, got S = {p.S}")
+
+
 def ssim_loss(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
               mask: BinaryMask | None = None) -> float:
     """(1 - mean SSIM over masked window centers) / 2; lies in [0, 1]."""
+    _require_stride1(p, "the SSIM loss")
     if mask is None:
         mask = BinaryMask(np.ones(x.pixels.shape, dtype=bool))
     bits = _require_mask(x, mask)
@@ -149,6 +156,7 @@ def fusion_anomaly_map(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
     """Per-pixel anomaly score: alpha * (1 - SSIM)/2 + (1 - alpha) * |x - y|."""
     if x.pixels.shape != y.pixels.shape:
         raise ValueError("image dimensions do not match")
+    _require_stride1(p, "the fusion anomaly map")
     ssim_err = (1.0 - ssim_map(x, y, p)) / 2.0
     scores = f.alpha * ssim_err + (1.0 - f.alpha) * np.abs(x.pixels - y.pixels)
     # SSIM lies in [-1, 1] so the blend is nonnegative; guard rounding only
@@ -223,8 +231,7 @@ def fusion_loss_and_grad(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
     bits = _require_mask(x, mask)
     if x.pixels.shape != y.pixels.shape:
         raise ValueError("image dimensions do not match")
-    if p.S != 1:
-        raise ValueError("the fusion loss gradient needs SSIM stride 1")
+    _require_stride1(p, "the fusion loss gradient")
 
     xa, ya = x.pixels, y.pixels
     H, Wd = xa.shape

@@ -14,7 +14,7 @@ from anomap.airprep import DatasetStats, verify_air_monotone
 from anomap.denoise import (KernelMixtureModel, OracleDenoiser, TrainConfig,
                             blur_denoiser, train)
 from anomap.diffusion import (PatchSpec, derive_seed, forward_noise,
-                              gaussian_field, linear_schedule, make_field,
+                              linear_schedule, make_field,
                               reconstruct_patched)
 from anomap.evalkit import EvalConfig
 from anomap.imagecore import AnomalyMap, BinaryMask, Image2D, window_stats
@@ -111,7 +111,7 @@ def test_05_forward_corruption_statistics():
     n = 10000
     samples = np.empty(n)
     for i in range(n):
-        noise = gaussian_field(derive_seed(3, i), 32, 32)
+        noise = make_field("gaussian", derive_seed(3, i), 32, 32)
         samples[i] = forward_noise(x0, 1, noise, sched).pixels[16, 16]
     target_mean = 0.8 * x0_val
     mean_tol = 3.0 * 0.6 / np.sqrt(n)

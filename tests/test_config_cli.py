@@ -73,6 +73,16 @@ def test_validation_errors():
         config.RunConfig(n_thresholds=1).validate()
     with pytest.raises(config.ConfigError, match="n_thresholds"):
         config.parse("[eval]\nn_thresholds = 1\n")
+    for key, bad in (("patch_h", 65), ("patch_w", 100), ("patch_h", 0),
+                     ("patch_w", -1)):
+        with pytest.raises(ValueError, match=key):
+            config.RunConfig(size=64, **{key: bad}).validate()
+    for key in ("stride_h", "stride_w"):
+        with pytest.raises(ValueError, match=key):
+            config.RunConfig(**{key: 0}).validate()
+    with pytest.raises(config.ConfigError, match="patch_h"):
+        config.parse("[diffusion]\npatch_h = 100\n")
+    config.RunConfig(size=64, patch_h=64, patch_w=1, stride_h=1).validate()
 
 
 def test_render_parse_roundtrip():

@@ -5,8 +5,8 @@ from anomap import fileio, iqa, phantom
 from anomap.denoise import (ExternalReconstructor, KernelMixtureModel,
                             OracleDenoiser, TrainConfig, blur_denoiser,
                             gaussian_kernel_1d, sample_gradients, train)
-from anomap.diffusion import (derive_seed, forward_noise, gaussian_field,
-                              linear_schedule, make_field)
+from anomap.diffusion import (derive_seed, forward_noise, linear_schedule,
+                              make_field)
 from anomap.imagecore import BinaryMask, Image2D
 from anomap.iqa import FusionParams, SsimParams
 
@@ -83,7 +83,7 @@ def test_sample_gradients_match_finite_differences():
     sched = linear_schedule(100, 1e-3, 0.02)
     sample = phantom.gen_healthy(2, 32, phantom.PROFILES["flair_like"])
     x0 = sample.image
-    x_t = forward_noise(x0, 40, gaussian_field(3, 32, 32), sched)
+    x_t = forward_noise(x0, 40, make_field("gaussian", 3, 32, 32), sched)
     m = KernelMixtureModel(T=100)  # fresh model: pre-clamp output strictly interior
     p, f = SsimParams(), FusionParams()
     loss, gw, gb = sample_gradients(m, x0, x_t, 40, p, f)

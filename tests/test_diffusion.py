@@ -4,9 +4,9 @@ import pytest
 from anomap import phantom
 from anomap.denoise import OracleDenoiser, blur_denoiser
 from anomap.diffusion import (DiffusionSchedule, PatchSpec, derive_seed,
-                              forward_noise, gaussian_field, linear_schedule,
-                              make_field, placements, reconstruct_full,
-                              reconstruct_patched, simplex_field)
+                              forward_noise, linear_schedule, make_field,
+                              make_fields, placements, reconstruct_full,
+                              reconstruct_patched)
 from anomap.imagecore import BinaryMask, Image2D
 
 
@@ -49,7 +49,8 @@ def test_derive_seed_is_stable_and_spreads():
 
 
 def test_noise_fields_are_standardized():
-    for field in (simplex_field(3, 48, 32), gaussian_field(3, 48, 32)):
+    for kind in ("simplex", "gaussian"):
+        field = make_field(kind, 3, 48, 32)
         assert field.values.shape == (32, 48)
         assert abs(field.values.mean()) < 1e-12
         assert field.values.std() == pytest.approx(1.0, abs=1e-12)
@@ -65,7 +66,7 @@ def test_make_field_dispatch():
 def test_forward_noise_formula_and_background():
     s = linear_schedule(100, 1e-3, 0.02)
     sample = phantom.gen_healthy(0, 32, phantom.PROFILES["flair_like"])
-    noise = gaussian_field(5, 32, 32)
+    noise = make_field("gaussian", 5, 32, 32)
     t = 60
     out = forward_noise(sample.image, t, noise, s)
     ab = s.alpha_bar(t)
@@ -79,7 +80,7 @@ def test_forward_noise_formula_and_background():
 def test_forward_noise_shape_mismatch():
     s = linear_schedule(10, 1e-3, 0.02)
     with pytest.raises(ValueError):
-        forward_noise(Image2D(np.zeros((8, 8))), 5, gaussian_field(0, 4, 4), s)
+        forward_noise(Image2D(np.zeros((8, 8))), 5, make_field("gaussian", 0, 4, 4), s)
 
 
 def test_placements_cover_and_match_enumeration():
@@ -148,3 +149,55 @@ def test_oracle_patched_reconstruction_is_bit_identical_to_input():
     out = reconstruct_patched(model, sample.image, 750, s,
                               PatchSpec(32, 32, 16, 16), 11)
     assert np.array_equal(out.pixels, sample.image.pixels)
+
+
+def _reference_patched(model, x, t_test, sched, spec, seed, noise_kind):
+    # the loop as first written: one make_field call per placement, drawn
+    # just before that placement's denoiser call
+    fg = x.fg_bits()
+    ab = sched.alpha_bar(t_test)
+    mean = np.zeros_like(x.pixels)
+    count = np.zeros(x.pixels.shape, dtype=np.int64)
+    for idx, (r0, c0) in enumerate(placements(spec, x.height, x.width)):
+        r1, c1 = r0 + spec.patch_h, c0 + spec.patch_w
+        noise = make_field(noise_kind, derive_seed(seed, idx),
+                           spec.patch_w, spec.patch_h)
+        noisy = x.pixels.copy()
+        patch_fg = fg[r0:r1, c0:c1]
+        patch = noisy[r0:r1, c0:c1]
+        patch[patch_fg] = (np.sqrt(ab) * patch[patch_fg]
+                           + np.sqrt(1.0 - ab) * noise.values[patch_fg])
+        patch[~patch_fg] = 0.0
+        pred = model.denoise(Image2D(noisy, x.foreground), t_test)
+        count[r0:r1, c0:c1] += 1
+        k = count[r0:r1, c0:c1]
+        mslice = mean[r0:r1, c0:c1]
+        mean[r0:r1, c0:c1] = mslice + (pred.pixels[r0:r1, c0:c1] - mslice) / k
+    mean[~fg] = 0.0
+    return mean
+
+
+@pytest.mark.parametrize("noise_kind", ["simplex", "gaussian"])
+@pytest.mark.parametrize("spec", [PatchSpec(32, 32, 16, 16),
+                                  PatchSpec(20, 27, 11, 9)])
+def test_patched_reconstruction_equals_per_placement_loop(noise_kind, spec):
+    sample = phantom.gen_abnormal(5, 64, phantom.PROFILES["flair_like"])
+    model = blur_denoiser(4.0)
+    s = linear_schedule(1000, 1e-4, 0.02)
+    for seed in (0, 13, 2**40 + 7):
+        out = reconstruct_patched(model, sample.image, 750, s, spec, seed,
+                                  noise_kind)
+        ref = _reference_patched(model, sample.image, 750, s, spec, seed,
+                                 noise_kind)
+        assert np.array_equal(out.pixels, ref)
+        assert np.array_equal(np.signbit(out.pixels), np.signbit(ref))
+
+
+def test_make_fields_match_make_field():
+    seeds = [derive_seed(3, i) for i in range(9)]
+    for kind in ("simplex", "gaussian"):
+        fields = make_fields(kind, seeds, 27, 20)
+        for seed, field in zip(seeds, fields):
+            one = make_field(kind, seed, 27, 20)
+            assert (field.seed, field.kind) == (seed, kind)
+            assert np.array_equal(field.values, one.values)

@@ -267,3 +267,11 @@ def test_loss_and_grad_reject_strided_ssim():
     x, y = _rand_pair(18)
     with pytest.raises(ValueError, match="stride"):
         fusion_loss_and_grad(x, y, SsimParams(S=2))
+
+
+@pytest.mark.parametrize("fn", [ssim_loss, fusion_loss, fusion_anomaly_map])
+def test_losses_and_map_reject_strided_ssim(fn):
+    # a strided SSIM map no longer lines up with the pixels and the mask
+    x, y = _rand_pair(19, (8, 8))
+    with pytest.raises(ValueError, match="stride 1"):
+        fn(x, y, SsimParams(S=2))

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anomap.simplex import octave_grid, simplex2d, _perm_table
+from anomap.simplex import (_F2, _G2, _GRAD, _perm_table, octave_grid,
+                            octave_grids, simplex2d)
 
 
 def test_same_seed_is_bit_identical():
@@ -48,3 +51,85 @@ def test_parameter_validation():
         octave_grid(0, 8, 8, 2, 0.0, 8.0)
     with pytest.raises(ValueError):
         octave_grid(0, 8, 8, 2, 0.5, 0.0)
+
+
+# The per-seed implementation the shared-geometry one replaced, kept as the
+# oracle: one field per call, gradients picked with a 2-D gather.
+def _oracle_simplex2d(xs, ys, perm):
+    s = (xs + ys) * _F2
+    i = np.floor(xs + s).astype(np.int64)
+    j = np.floor(ys + s).astype(np.int64)
+    t = (i + j) * _G2
+    x0 = xs - (i - t)
+    y0 = ys - (j - t)
+    i1 = (x0 > y0).astype(np.int64)
+    j1 = 1 - i1
+    x1 = x0 - i1 + _G2
+    y1 = y0 - j1 + _G2
+    x2 = x0 - 1.0 + 2.0 * _G2
+    y2 = y0 - 1.0 + 2.0 * _G2
+    ii = i & 255
+    jj = j & 255
+    gi0 = perm[ii + perm[jj]] % 8
+    gi1 = perm[ii + i1 + perm[jj + j1]] % 8
+    gi2 = perm[ii + 1 + perm[jj + 1]] % 8
+
+    def corner(gx, cx, cy):
+        tt = 0.5 - cx * cx - cy * cy
+        g = _GRAD[gx]
+        val = tt * tt * tt * tt * (g[..., 0] * cx + g[..., 1] * cy)
+        return np.where(tt > 0.0, val, 0.0)
+
+    return 70.0 * (corner(gi0, x0, y0) + corner(gi1, x1, y1) + corner(gi2, x2, y2))
+
+
+def _oracle_octave_grid(seed, width, height, octaves, persistence, base_scale):
+    perm = _perm_table(seed)
+    cols, rows = np.meshgrid(np.arange(width, dtype=np.float64),
+                             np.arange(height, dtype=np.float64))
+    out = np.zeros((height, width))
+    for o in range(octaves):
+        scale = base_scale / (2.0 ** o)
+        off = 31.0 * (o + 1)
+        out += (persistence ** o) * _oracle_simplex2d(cols / scale + off,
+                                                      rows / scale + off, perm)
+    return out
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=9),
+       width=st.integers(1, 48), height=st.integers(1, 17),
+       octaves=st.integers(1, 6),
+       persistence=st.floats(0.0, 1.0, exclude_min=True),
+       base_scale=st.floats(0.25, 80.0))
+def test_octave_grids_match_per_seed_fields_and_oracle(
+        seeds, width, height, octaves, persistence, base_scale):
+    grids = octave_grids(seeds, width, height, octaves, persistence, base_scale)
+    assert grids.shape == (len(seeds), height, width)
+    for k, seed in enumerate(seeds):
+        one = octave_grid(seed, width, height, octaves, persistence, base_scale)
+        ref = _oracle_octave_grid(seed, width, height, octaves, persistence,
+                                  base_scale)
+        assert _same_bits(grids[k], one)
+        assert _same_bits(grids[k], ref)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
+       n=st.integers(1, 300),
+       lo=st.floats(-1e3, 1e3), span=st.floats(0.0, 500.0))
+def test_simplex2d_stack_matches_oracle_per_table(seeds, n, lo, span):
+    # coordinates well off the pixel grid, negative ones included
+    xs = np.linspace(lo, lo + span, n)
+    ys = np.linspace(lo + span, lo - 0.5 * span, n)
+    perms = np.stack([_perm_table(s) for s in seeds])
+    stack = simplex2d(xs, ys, perms)
+    assert stack.shape == (len(seeds), n)
+    for k, perm in enumerate(perms):
+        assert _same_bits(stack[k], _oracle_simplex2d(xs, ys, perm))
+        assert _same_bits(simplex2d(xs, ys, perm), stack[k])
+
