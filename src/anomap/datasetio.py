@@ -6,6 +6,9 @@ Layout::
     <root>/<split>/<id>.f32r    # image
     <root>/<split>/<id>.fg.pgm  # foreground mask
     <root>/<split>/<id>.gt.pgm  # anomaly ground truth
+
+Both masks must have their image's dimensions; :func:`load_dataset` names
+the file that does not.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from . import fileio
-from .imagecore import Image2D
+from .imagecore import BinaryMask, Image2D
 from .phantom import Dataset, LabeledSample
 
 SPLITS = ("train", "val", "test")
@@ -32,6 +35,14 @@ def save_dataset(ds: Dataset, root) -> None:
             rows.append(f"{s.id}\t{split}\t{s.profile}\n")
     with open(root / "dataset.tsv", "w", encoding="utf-8") as f:
         f.writelines(rows)
+
+
+def _read_mask(path, shape) -> BinaryMask:
+    mask = fileio.read_pgm_mask(path)
+    if mask.bits.shape != shape:
+        raise ValueError(f"{path}: mask is {mask.width}x{mask.height}, its "
+                         f"image is {shape[1]}x{shape[0]}")
+    return mask
 
 
 def load_dataset(root) -> Dataset:
@@ -53,8 +64,8 @@ def load_dataset(root) -> Dataset:
                 raise ValueError(f"{manifest}:{lineno}: unknown split {split!r}")
             d = root / split
             img = fileio.read_f32r(d / f"{sid}.f32r")
-            fg = fileio.read_pgm_mask(d / f"{sid}.fg.pgm")
-            gt = fileio.read_pgm_mask(d / f"{sid}.gt.pgm")
+            fg = _read_mask(d / f"{sid}.fg.pgm", img.shape)
+            gt = _read_mask(d / f"{sid}.gt.pgm", img.shape)
             by_split[split].append(
                 LabeledSample(sid, Image2D(img, fg), fg, gt, profile))
     return Dataset(by_split["train"], by_split["val"], by_split["test"])

@@ -6,6 +6,13 @@ output dimensions equal input dimensions, values are finite, and background
 pixels stay 0.  The kernel mixture is linear in its parameters (per-t-bucket
 weights over fixed blur kernels plus a bias) so its training gradients under
 the fusion loss are exact.
+
+Every model also declares a ``receptive_radius``: the Chebyshev distance
+beyond which an input pixel cannot change an output pixel, with image edges
+replicated.  The blur and the kernel mixture are local (the radius of their
+widest kernel), so :func:`diffusion.reconstruct_patched` hands them only a
+patch plus that halo, clipped to the image; the oracle and the external
+reconstructor declare ``None`` (global) and always see the whole image.
 """
 
 from __future__ import annotations
@@ -24,6 +31,18 @@ from .iqa import FusionParams, SsimParams
 
 
 class Denoiser(Protocol):
+    """``denoise(x_t, t)`` returns an x0 estimate of x_t's dimensions.
+
+    ``receptive_radius`` is the Chebyshev distance beyond which an input
+    pixel cannot change an output pixel, with replicate edges (``None``:
+    any pixel may, or the model needs the whole image).  A local model must
+    give every pixel farther than that radius from a crop's cut edges the
+    same value on the crop as on the whole image; patched reconstruction
+    then denoises each patch within a halo of that radius only.
+    """
+
+    receptive_radius: Optional[int]
+
     def denoise(self, x_t: Image2D, t: int) -> Image2D: ...
 
 
@@ -54,6 +73,7 @@ class BlurDenoiser:
     def __init__(self, sigma: float):
         self.sigma = float(sigma)
         self._k1d = gaussian_kernel_1d(sigma)
+        self.receptive_radius = len(self._k1d) // 2
 
     def denoise(self, x_t: Image2D, t: int) -> Image2D:
         return _mask_background(_separable_blur(x_t.pixels, self._k1d), x_t)
@@ -65,6 +85,8 @@ def blur_denoiser(sigma: float) -> BlurDenoiser:
 
 class OracleDenoiser:
     """Returns a stored clean image regardless of input; test instrumentation."""
+
+    receptive_radius = None  # its output is the stored image, so whole images only
 
     def __init__(self, original: Image2D):
         self.original = original
@@ -110,6 +132,11 @@ class KernelMixtureModel:
     @property
     def n_kernels(self) -> int:
         return 1 + len(self.sigmas)
+
+    @property
+    def receptive_radius(self) -> int:
+        """Radius of the widest Gaussian kernel; 0 for the identity alone."""
+        return max((len(k1d) // 2 for k1d in self._k1ds[1:]), default=0)
 
     def bucket(self, t: int) -> int:
         if not 1 <= t <= self.T:
@@ -322,7 +349,10 @@ class ExternalReconstructor:
 
     The denoiser ignores its noisy input; the evaluation loop announces the
     current sample via :meth:`set_current` before each reconstruction call.
+    Stored reconstructions have the whole image's shape, so it is global.
     """
+
+    receptive_radius = None
 
     def __init__(self, directory, manifest_path=None):
         self.directory = Path(directory)

@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import simplex
-from .imagecore import Image2D
+from .imagecore import BinaryMask, Image2D
 
 DEFAULT_T = 1000
 DEFAULT_BETA_1 = 1e-4
@@ -194,28 +194,42 @@ def reconstruct_patched(model, x: Image2D, t_test: int, sched: DiffusionSchedule
     inside the patch.  Overlaps are averaged with uniform weights via a
     running mean in fixed placement order (bit-identical merge when
     predictions agree).
+
+    The model is shown only a window: the patch widened by the model's
+    ``receptive_radius`` on every side and clipped to the image, or the
+    whole image when the radius is ``None``.  Each cut window edge lies more
+    than the radius from every patch pixel and each clipped one is the image
+    edge, whose replicate padding the window repeats, so a local model
+    predicts the patch exactly as it would on the whole image.
     """
     plist = placements(spec, x.height, x.width)
     fg = x.fg_bits()
     ab = sched.alpha_bar(t_test)
     seeds = [derive_seed(seed, idx) for idx in range(len(plist))]
     noises = make_fields(noise_kind, seeds, spec.patch_w, spec.patch_h)
+    halo = getattr(model, "receptive_radius", None)
+    if halo is None:
+        halo = max(x.height, x.width)
 
     mean = np.zeros_like(x.pixels)
     count = np.zeros(x.pixels.shape, dtype=np.int64)
     for (r0, c0), noise in zip(plist, noises):
         r1, c1 = r0 + spec.patch_h, c0 + spec.patch_w
-        noisy = x.pixels.copy()
+        wr0, wc0 = max(r0 - halo, 0), max(c0 - halo, 0)
+        wr1, wc1 = min(r1 + halo, x.height), min(c1 + halo, x.width)
+        window = (slice(wr0, wr1), slice(wc0, wc1))
+        inner = (slice(r0 - wr0, r1 - wr0), slice(c0 - wc0, c1 - wc0))
+        noisy = x.pixels[window].copy()
         patch_fg = fg[r0:r1, c0:c1]
-        patch = noisy[r0:r1, c0:c1]
+        patch = noisy[inner]
         patch[patch_fg] = (np.sqrt(ab) * patch[patch_fg]
                            + np.sqrt(1.0 - ab) * noise.values[patch_fg])
         patch[~patch_fg] = 0.0
-        pred = model.denoise(Image2D(noisy, x.foreground), t_test)
+        pred = model.denoise(Image2D(noisy, BinaryMask(fg[window])), t_test)
         count[r0:r1, c0:c1] += 1
         k = count[r0:r1, c0:c1]
         mslice = mean[r0:r1, c0:c1]
-        mean[r0:r1, c0:c1] = mslice + (pred.pixels[r0:r1, c0:c1] - mslice) / k
+        mean[r0:r1, c0:c1] = mslice + (pred.pixels[inner] - mslice) / k
     if np.any(count == 0):
         raise ValueError("patch grid does not cover image")
     mean[~fg] = 0.0

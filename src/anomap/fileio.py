@@ -2,8 +2,9 @@
 
 F32R is the repo-wide raster format: one ASCII header line
 ``F32R <width> <height>\\n`` followed by width*height little-endian 32-bit
-floats in row-major order.  Masks are binary PGM (P5, maxval 255) with 0 for
-background and 255 for foreground.
+floats in row-major order, all finite.  Masks are binary PGM (P5, maxval 255)
+with 0 for background and 255 for foreground and no other byte.  Readers
+reject anything else with an error that names the file.
 """
 
 from __future__ import annotations
@@ -37,7 +38,13 @@ def read_f32r(path) -> np.ndarray:
     expected = w * h * 4
     if len(raw) != expected:
         raise ValueError(f"{path}: expected {expected} payload bytes, got {len(raw)}")
-    return np.frombuffer(raw, dtype="<f4").reshape(h, w).astype(np.float64)
+    arr = np.frombuffer(raw, dtype="<f4").reshape(h, w)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise ValueError(f"{path}: non-finite pixel {arr[r, c]} at row {r}, "
+                         f"column {c}")
+    return arr.astype(np.float64)
 
 
 def write_pgm_mask(path, mask: BinaryMask) -> None:
@@ -72,7 +79,13 @@ def read_pgm_mask(path) -> BinaryMask:
     raw = data[pos:pos + w * h]
     if len(raw) != w * h:
         raise ValueError(f"{path}: truncated PGM payload")
-    bits = np.frombuffer(raw, dtype=np.uint8).reshape(h, w) >= 128
+    arr = np.frombuffer(raw, dtype=np.uint8).reshape(h, w)
+    bits = arr == 255
+    stray = ~bits & (arr != 0)
+    if stray.any():
+        r, c = np.argwhere(stray)[0]
+        raise ValueError(f"{path}: mask byte {arr[r, c]} at row {r}, column {c} "
+                         f"is neither 0 nor 255")
     return BinaryMask(bits)
 
 

@@ -165,11 +165,33 @@ def window_stats(x: Image2D, y: Image2D, center_row: int, center_col: int,
     return WindowStats(mx, my, vx, vy, cov)
 
 
+_MEDIAN_STRIP_ROWS = 16  # rows whose windows are copied and partitioned at once
+
+
 def median_filter(amap: AnomalyMap, K: int = 5) -> AnomalyMap:
-    """K x K median filter with replicate-edge padding (paper default K=5)."""
+    """K x K median filter with replicate-edge padding (paper default K=5).
+
+    Equals ``scipy.ndimage.median_filter(size=K, mode="nearest")``: the
+    median of an odd count is one of the window's own values, found here by
+    ``np.partition`` on strips of at most ``_MEDIAN_STRIP_ROWS`` rows of
+    windows, so the transient memory does not grow with the image height.
+    """
     if K % 2 != 1:
         raise ValueError("kernel size must be odd")
-    return AnomalyMap(ndimage.median_filter(amap.scores, size=K, mode="nearest"))
+    H, W = amap.scores.shape
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(amap.scores, K // 2, mode="edge"), (K, K))
+    mid = K * K // 2
+    buf = np.empty((min(_MEDIAN_STRIP_ROWS, H), W, K, K))
+    out = np.empty((H, W))
+    for r0 in range(0, H, _MEDIAN_STRIP_ROWS):
+        n = min(_MEDIAN_STRIP_ROWS, H - r0)
+        strip = buf[:n]
+        strip[...] = windows[r0:r0 + n]
+        flat = strip.reshape(n, W, K * K)
+        flat.partition(mid, axis=-1)
+        out[r0:r0 + n] = flat[..., mid]
+    return AnomalyMap(out)
 
 
 _ERODE_STRUCTURE = np.ones((3, 3), dtype=bool)  # 8-connected full neighborhood

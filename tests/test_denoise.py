@@ -315,3 +315,58 @@ def test_external_reconstructor_errors(tmp_path):
     model.set_current("known")
     with pytest.raises(ValueError):
         model.denoise(noisy, 1)
+
+
+def _mixture_on_widest(sigmas, seed=0):
+    # non-zero weight on every kernel, the widest included; weights and bias
+    # keep the pre-clamp prediction inside (0, 1) for inputs in [0.3, 0.7]
+    m = KernelMixtureModel(T=1000, sigmas=sigmas)
+    rng = np.random.default_rng(seed)
+    m.weights[:] = rng.uniform(0.05, 0.2, m.weights.shape)
+    m.biases[:] = 0.1
+    return m
+
+
+_LOCAL_MODELS = {
+    "blur_r1": lambda: blur_denoiser(0.3),
+    "blur_r3": lambda: blur_denoiser(1.0),
+    "blur_r12": lambda: blur_denoiser(4.0),
+    "mixture_default": lambda: _mixture_on_widest((0.5, 1.0, 2.0, 4.0)),
+    "mixture_narrow": lambda: _mixture_on_widest((0.5,)),
+    "mixture_identity": lambda: _mixture_on_widest(()),
+}
+
+
+def test_receptive_radii():
+    assert blur_denoiser(4.0).receptive_radius == 12
+    assert blur_denoiser(0.3).receptive_radius == 1
+    assert KernelMixtureModel(T=10).receptive_radius == 12
+    assert KernelMixtureModel(T=10, sigmas=(0.5,)).receptive_radius == 2
+    assert KernelMixtureModel(T=10, sigmas=()).receptive_radius == 0
+    assert OracleDenoiser(Image2D(np.zeros((2, 2)))).receptive_radius is None
+    assert ExternalReconstructor.receptive_radius is None
+
+
+@pytest.mark.parametrize("name", sorted(_LOCAL_MODELS))
+def test_receptive_radius_is_tight(name):
+    """A pixel farther than the radius cannot change the output; one at the
+    radius does."""
+    model = _LOCAL_MODELS[name]()
+    R = model.receptive_radius
+    n = 2 * R + 7
+    c = n // 2
+    px = np.random.default_rng(R).uniform(0.3, 0.6, (n, n))
+    t = 700
+    base = model.denoise(Image2D(px), t).pixels[c, c]
+
+    def output_after_bump(dr, dc):
+        bumped = px.copy()
+        bumped[c + dr, c + dc] += 0.1
+        return model.denoise(Image2D(bumped), t).pixels[c, c]
+
+    far = R + 1
+    for dr, dc in [(far, 0), (-far, 0), (0, far), (0, -far), (far, far),
+                   (-far, far), (far, -R), (R, -far), (-far, -far)]:
+        assert output_after_bump(dr, dc) == base
+    for dr, dc in [(R, 0), (-R, 0), (0, R), (0, -R), (R, R), (-R, -R)]:
+        assert output_after_bump(dr, dc) != base

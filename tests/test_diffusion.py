@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anomap import phantom
-from anomap.denoise import OracleDenoiser, blur_denoiser
+from anomap.denoise import KernelMixtureModel, OracleDenoiser, blur_denoiser
 from anomap.diffusion import (DiffusionSchedule, PatchSpec, derive_seed,
                               forward_noise, linear_schedule, make_field,
                               make_fields, placements, reconstruct_full,
@@ -201,3 +203,66 @@ def test_make_fields_match_make_field():
             one = make_field(kind, seed, 27, 20)
             assert (field.seed, field.kind) == (seed, kind)
             assert np.array_equal(field.values, one.values)
+
+
+class _WholeImage:
+    """Hides a model's receptive_radius, so it denoises whole images."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def denoise(self, x_t, t):
+        return self.model.denoise(x_t, t)
+
+
+def _recon_or_error(model, *args):
+    try:
+        return reconstruct_patched(model, *args).pixels
+    except ValueError as exc:  # e.g. a constant noise field on a tiny patch
+        return str(exc)
+
+
+@st.composite
+def _patched_setting(draw):
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    ph = draw(st.one_of(st.just(h), st.integers(1, h)))
+    pw = draw(st.one_of(st.just(w), st.integers(1, w)))
+    # strides up to the patch size, so that the grid covers the image
+    spec = PatchSpec(ph, pw, draw(st.integers(1, ph)), draw(st.integers(1, pw)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    px = rng.uniform(0.0, 1.0, (h, w))
+    fg = None
+    if draw(st.booleans()):
+        fg = BinaryMask(rng.uniform(size=(h, w)) < draw(st.floats(0.2, 1.0)))
+        px[~fg.bits] = 0.0
+    image = Image2D(px, fg)
+    kind = draw(st.sampled_from(["blur_r1", "blur_wide", "mixture"]))
+    if kind == "blur_r1":
+        model = blur_denoiser(0.3)
+    elif kind == "blur_wide":
+        model = blur_denoiser(14.0)  # radius 42, above every image side
+    else:
+        sigmas = draw(st.sampled_from([(0.5, 1.0, 2.0, 4.0), (0.7,), (1.3, 3.0)]))
+        model = KernelMixtureModel(T=1000, sigmas=sigmas)
+        sign = rng.choice([-1.0, 1.0], model.weights.shape)
+        model.weights[:] = sign * rng.uniform(0.05, 0.6, model.weights.shape)
+        model.biases[:] = rng.uniform(-0.2, 0.5, model.biases.shape)
+    noise_kind = draw(st.sampled_from(["simplex", "gaussian"]))
+    t = draw(st.integers(1, 1000))
+    return model, image, t, spec, draw(st.integers(0, 2**40)), noise_kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(_patched_setting())
+def test_halo_crop_equals_whole_image_reconstruction(setting):
+    model, image, t, spec, seed, noise_kind = setting
+    sched = linear_schedule(1000, 1e-4, 0.02)
+    args = (image, t, sched, spec, seed, noise_kind)
+    out = _recon_or_error(model, *args)
+    ref = _recon_or_error(_WholeImage(model), *args)
+    if isinstance(ref, str):
+        assert out == ref
+        return
+    assert np.array_equal(out, ref)
+    assert np.array_equal(np.signbit(out), np.signbit(ref))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -97,4 +99,59 @@ def test_dataset_roundtrip(tmp_path):
 
 def test_load_dataset_requires_manifest(tmp_path):
     with pytest.raises(FileNotFoundError):
+        datasetio.load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_f32r_rejects_non_finite_pixel(tmp_path, bad):
+    a = np.zeros((3, 4), dtype=np.float32)
+    a[2, 1] = bad
+    path = tmp_path / "nf.f32r"
+    fileio.write_f32r(path, a)
+    with pytest.raises(ValueError, match=r"nf\.f32r: non-finite pixel .* row 2, column 1"):
+        fileio.read_f32r(path)
+
+
+def test_pgm_reader_rejects_non_binary_byte(tmp_path):
+    path = tmp_path / "gray.pgm"
+    path.write_bytes(b"P5\n3 2\n255\n" + bytes([0, 255, 0, 255, 128, 0]))
+    with pytest.raises(ValueError, match=r"gray\.pgm: mask byte 128 at row 1, column 1"):
+        fileio.read_pgm_mask(path)
+
+
+def _saved_dataset(tmp_path):
+    ds = phantom.gen_dataset(4, 32, phantom.PROFILES["t2_like"], 1, 1, 1)
+    datasetio.save_dataset(ds, tmp_path)
+    return ds.val_abnormal[0]
+
+
+@pytest.mark.parametrize("suffix", ["fg", "gt"])
+def test_load_dataset_rejects_mask_shape_mismatch(tmp_path, suffix):
+    s = _saved_dataset(tmp_path)
+    path = tmp_path / "val" / f"{s.id}.{suffix}.pgm"
+    fileio.write_pgm_mask(path, BinaryMask(np.ones((32, 31), dtype=bool)))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{s.id}.{suffix}.pgm: mask is 31x32, its image is 32x32")):
+        datasetio.load_dataset(tmp_path)
+
+
+def test_load_dataset_rejects_non_binary_mask(tmp_path):
+    s = _saved_dataset(tmp_path)
+    path = tmp_path / "val" / f"{s.id}.gt.pgm"
+    raw = bytearray(path.read_bytes())
+    raw[-1] = 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{s.id}.gt.pgm: mask byte 1 at row 31, column 31 is neither 0 nor 255")):
+        datasetio.load_dataset(tmp_path)
+
+
+def test_load_dataset_rejects_non_finite_image(tmp_path):
+    s = _saved_dataset(tmp_path)
+    path = tmp_path / "val" / f"{s.id}.f32r"
+    px = s.image.pixels.copy()
+    px[0, 3] = np.nan
+    fileio.write_f32r(path, px)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{s.id}.f32r: non-finite pixel nan at row 0, column 3")):
         datasetio.load_dataset(tmp_path)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from anomap.imagecore import (AnomalyMap, BinaryMask, Image2D, erode,
                               median_filter, normalize_foreground, window_stats)
@@ -109,6 +112,38 @@ def test_median_filter_matches_brute_force():
 def test_median_filter_requires_odd_kernel():
     with pytest.raises(ValueError):
         median_filter(AnomalyMap(np.zeros((4, 4))), 4)
+    with pytest.raises(ValueError):
+        median_filter(AnomalyMap(np.zeros((4, 4))), 2)
+
+
+def _assert_scipy_median(a, K):
+    out = median_filter(AnomalyMap(a), K).scores
+    ref = ndimage.median_filter(a, size=K, mode="nearest")
+    assert out.shape == a.shape
+    assert np.array_equal(out, ref)
+    assert np.array_equal(np.signbit(out), np.signbit(ref))
+
+
+@settings(max_examples=150, deadline=None)
+@given(K=st.sampled_from([1, 3, 5, 7]), h=st.integers(1, 40),
+       w=st.integers(1, 40), levels=st.sampled_from([0, 2, 3, 7]),
+       seed=st.integers(0, 2**32 - 1))
+def test_median_filter_equals_scipy(K, h, w, levels, seed):
+    # levels > 0 quantises the scores, so most windows hold ties
+    a = np.random.default_rng(seed).uniform(0.0, 2.0, (h, w))
+    if levels:
+        a = np.round(a * levels) / levels
+    _assert_scipy_median(a, K)
+
+
+@pytest.mark.parametrize("K", [1, 3, 5, 7])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (6, 2), (15, 40), (16, 5),
+                                   (17, 23), (33, 3), (40, 40)])
+def test_median_filter_equals_scipy_at_strip_and_kernel_edges(K, shape):
+    # heights around multiples of the 16-row strip, sides below K
+    rng = np.random.default_rng(K * 100 + shape[0])
+    _assert_scipy_median(rng.uniform(0.0, 1.0, shape), K)
+    _assert_scipy_median(np.floor(rng.uniform(0.0, 3.0, shape)), K)
 
 
 def test_erode_zero_iterations_is_identity():
