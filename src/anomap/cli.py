@@ -107,6 +107,13 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _workers(text: str) -> int:
+    try:
+        return pipeline.require_workers(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="anomap",
                                  description="Reconstruction-based anomaly "
@@ -117,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="configuration file")
         p.add_argument("--seed", type=int, default=None, help="override seed")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for per-sample scoring")
+        p.add_argument("--workers", type=_workers, default=1,
+                       help="worker processes for per-sample scoring (>= 1)")
         p.add_argument("--dump-maps", action="store_true",
                        help="write test anomaly maps as F32R")
 

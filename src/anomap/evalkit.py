@@ -6,19 +6,25 @@ zeroing outside the 3x-eroded foreground.  The binarization threshold is
 picked by a greedy grid search maximizing pooled Dice on the unhealthy
 validation set and then applied unchanged to the test set; AUPRC is computed
 threshold-free over all pooled in-region pixels.
+
+:func:`score_sample` is that chain for one sample: :func:`reconstruct`, then
+:func:`anomaly_map` inside :func:`eval_region`.  A caller scoring one
+reconstruction under several fusion blends holds the reconstruction and the
+region and calls :func:`anomaly_map` once per blend; :func:`evaluate_fold`
+takes the finished maps and regions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 from zlib import crc32
 
 import numpy as np
 
 from . import diffusion, imagecore, iqa
 from .diffusion import DiffusionSchedule, PatchSpec
-from .imagecore import AnomalyMap, BinaryMask
+from .imagecore import AnomalyMap, BinaryMask, Image2D
 from .iqa import FusionParams, SsimParams
 from .phantom import LabeledSample
 
@@ -41,25 +47,38 @@ def sample_seed(seed: int, sample_id: str) -> int:
     return diffusion.derive_seed(seed, crc32(sample_id.encode("utf-8")))
 
 
-def score_sample(model, sample: LabeledSample, cfg: EvalConfig,
-                 sched: DiffusionSchedule, seed: int) -> AnomalyMap:
-    """Reconstruct, score, smooth, and restrict to the eroded brain mask."""
+def reconstruct(model, sample: LabeledSample, cfg: EvalConfig,
+                sched: DiffusionSchedule, seed: int) -> Image2D:
+    """The model's patched reconstruction of a sample, seeded by its id."""
     if hasattr(model, "set_current"):
         model.set_current(sample.id)
     img = sample.image
     spec = cfg.patch or PatchSpec.default_for(img.height, img.width)
-    recon = diffusion.reconstruct_patched(
+    return diffusion.reconstruct_patched(
         model, img, cfg.t_test, sched, spec,
         sample_seed(seed, sample.id), noise_kind=cfg.noise_kind)
+
+
+def anomaly_map(img: Image2D, recon: Image2D, region: BinaryMask,
+                cfg: EvalConfig) -> AnomalyMap:
+    """Fusion map of an image against its reconstruction, median-filtered
+    and zeroed outside the region."""
     amap = iqa.fusion_anomaly_map(img, recon, cfg.ssim, cfg.fusion)
-    amap = imagecore.median_filter(amap, cfg.median_k)
-    region = imagecore.erode(sample.foreground, cfg.erosion_iters)
-    scores = amap.scores.copy()
+    scores = imagecore.median_filter(amap, cfg.median_k).scores
     scores[~region.bits] = 0.0
     return AnomalyMap(scores)
 
 
+def score_sample(model, sample: LabeledSample, cfg: EvalConfig,
+                 sched: DiffusionSchedule, seed: int) -> AnomalyMap:
+    """Reconstruct, score, smooth, and restrict to the eroded brain mask."""
+    return anomaly_map(sample.image, reconstruct(model, sample, cfg, sched, seed),
+                       eval_region(sample, cfg), cfg)
+
+
 def eval_region(sample: LabeledSample, cfg: EvalConfig) -> BinaryMask:
+    """The sample's foreground eroded by ``cfg.erosion_iters``; maps are
+    scored and metrics pooled only inside it."""
     return imagecore.erode(sample.foreground, cfg.erosion_iters)
 
 
@@ -150,29 +169,28 @@ class FoldResult:
     per_sample_ids: List[str]
 
 
-def evaluate_fold(model, val: Sequence[LabeledSample],
-                  test: Sequence[LabeledSample], cfg: EvalConfig,
-                  sched: DiffusionSchedule, seed: int,
-                  score_fn=None, return_maps: bool = False):
+def evaluate_fold(val: Sequence[LabeledSample], test: Sequence[LabeledSample],
+                  maps: Mapping[str, AnomalyMap],
+                  regions: Mapping[str, BinaryMask],
+                  n_thresholds: int = DEFAULT_GRID_SIZE) -> FoldResult:
     """Threshold from validation, metrics on test; splits must not share ids.
 
-    ``score_fn(model, sample, cfg, sched, seed) -> AnomalyMap`` may be
-    injected to parallelize or stub the scoring step.
+    ``maps`` and ``regions`` hold every sample's anomaly map and eroded
+    region by sample id (see :func:`anomaly_map` and :func:`eval_region`).
     """
     val_ids = {s.id for s in val}
     test_ids = {s.id for s in test}
     if val_ids & test_ids:
         raise ValueError("validation/test leakage")
-    fn = score_fn or score_sample
 
-    val_maps = [fn(model, s, cfg, sched, seed) for s in val]
-    val_regions = [eval_region(s, cfg) for s in val]
+    val_maps = [maps[s.id] for s in val]
+    val_regions = [regions[s.id] for s in val]
     val_gts = [s.anomaly_gt for s in val]
-    grid = default_grid(val_maps, cfg.n_thresholds)
+    grid = default_grid(val_maps, n_thresholds)
     thr = greedy_threshold(val_maps, val_gts, val_regions, grid)
 
-    test_maps = [fn(model, s, cfg, sched, seed) for s in test]
-    test_regions = [eval_region(s, cfg) for s in test]
+    test_maps = [maps[s.id] for s in test]
+    test_regions = [regions[s.id] for s in test]
     test_gts = [s.anomaly_gt for s in test]
 
     tp = pred_n = pos_n = 0
@@ -186,7 +204,4 @@ def evaluate_fold(model, val: Sequence[LabeledSample],
         pos_n += gt_in.count()
     pooled = 1.0 if pred_n + pos_n == 0 else 2.0 * tp / (pred_n + pos_n)
     area = auprc(test_maps, test_gts, test_regions)
-    result = FoldResult(pooled, area, thr, per_sample, [s.id for s in test])
-    if return_maps:
-        return result, test_maps
-    return result
+    return FoldResult(pooled, area, thr, per_sample, [s.id for s in test])

@@ -7,6 +7,9 @@ healthy split under the variant's loss blend, picks the binarization
 threshold on validation, and evaluates on test.  All randomness is derived
 from (config, seed), so reports are byte-identical across runs and worker
 counts.
+
+:func:`run` and :func:`ablate` share one fold loop, :func:`run_fold`, which
+takes every variant of the call at once; a run is the one-variant case.
 """
 
 from __future__ import annotations
@@ -16,18 +19,18 @@ import io
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import airprep, datasetio, denoise, diffusion, evalkit, fileio, phantom
-from .config import RunConfig, render
+from .config import VARIANTS, RunConfig, render
 from .denoise import KernelMixtureModel, TrainConfig
 from .diffusion import PatchSpec
 from .evalkit import EvalConfig, FoldResult
-from .imagecore import Image2D
 from .iqa import FusionParams, SsimParams
 from .phantom import Dataset, LabeledSample
 
@@ -107,89 +110,178 @@ def _apply_decision(samples, decision) -> List[LabeledSample]:
     return out
 
 
-def _score_one(args):
-    model, sample, ecfg, sched, seed = args
-    amap = evalkit.score_sample(model, sample, ecfg, sched, seed)
-    return amap
+def require_workers(workers: int) -> int:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return workers
 
 
-def _score_all(model, samples, ecfg, sched, seed, workers: int):
-    """Score samples in order; parallelism never changes the results."""
-    if workers <= 1:
-        return [evalkit.score_sample(model, s, ecfg, sched, seed)
-                for s in samples]
-    args = [(model, s, ecfg, sched, seed) for s in samples]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_score_one, args))
+def _reconstruct_and_map(args):
+    """A sample's reconstruction (``None`` unless ``keep``) and its map."""
+    model, sample, ecfg, sched, seed, region, keep = args
+    recon = evalkit.reconstruct(model, sample, ecfg, sched, seed)
+    return (recon if keep else None,
+            evalkit.anomaly_map(sample.image, recon, region, ecfg))
 
 
-def run_fold(cfg: RunConfig, fold: int, workers: int = 1,
-             dump_dir=None) -> FoldOutcome:
-    """Execute one fold end to end; stage errors are captured, not raised."""
+def _anomaly_map(args):
+    return evalkit.anomaly_map(*args)
+
+
+def _in_order(pool, fn, args) -> list:
+    """``fn`` over ``args`` in order, in the pool's workers when there is one;
+    parallelism never changes the results."""
+    if pool is None:
+        return [fn(a) for a in args]
+    return list(pool.map(fn, args))
+
+
+def _emptying(items: list):
+    """The list's items in order, each removed from the list as it is
+    yielded, so that it is freed once the consumer drops it."""
+    items.reverse()
+    while items:
+        yield items.pop()
+
+
+def _failed(fold: int, exc: Exception) -> FoldOutcome:
+    log.error("fold %d failed: %s", fold, exc)
+    return FoldOutcome(fold, None, str(exc), None, False, [])
+
+
+def _model(cfg: RunConfig, ecfg: EvalConfig, train_set, fold_seed: int, sched):
+    """The reconstruction model and its training loss trace: the blur
+    baseline, or a kernel mixture trained under the variant's loss blend."""
+    if cfg.blur_sigma is not None:
+        return denoise.blur_denoiser(cfg.blur_sigma), []
+    tcfg = TrainConfig(epochs=cfg.epochs, learning_rate=cfg.learning_rate,
+                       batch_size=cfg.batch_size, seed=fold_seed,
+                       noise_kind=cfg.noise)
+    trained = denoise.train(KernelMixtureModel(T=cfg.T),
+                            [s.image for s in train_set], sched, tcfg,
+                            ecfg.ssim, ecfg.fusion)
+    return trained.model, trained.loss_trace
+
+
+def run_fold(cfgs: Sequence[RunConfig], fold: int, workers: int = 1,
+             dump_maps: bool = False,
+             dataset: Optional[Dataset] = None) -> List[FoldOutcome]:
+    """One fold of every variant in ``cfgs``, which differ only in
+    ``variant`` and ``out``; stage errors are captured, not raised.
+
+    The variants share the fold's dataset (``dataset`` if given, else
+    built from the first config), its AIR statistics and flip decision, and
+    each scored sample's eroded region.  Variants whose reconstructions
+    cannot differ form a group: the same images after the flip decision and
+    the same model, which for a trained model means the same loss ``alpha``
+    (the blur baseline does not depend on the variant at all).  A group
+    trains once and reconstructs each sample once, building its first
+    variant's maps in the same pass; its other variants then build theirs
+    from the held reconstructions.  The variants are evaluated one at a
+    time, each dropping its maps before the next.  With ``dump_maps`` each
+    variant's test maps go to ``<out>/maps/fold<k>/<id>.f32r``.
+    """
+    cfg = cfgs[0]
     try:
-        ds = load_fold_dataset(cfg, fold)
-        fold_seed = diffusion.derive_seed(cfg.seed, 100 + fold)
-        sched = diffusion.linear_schedule(cfg.T, cfg.beta_1, cfg.beta_T)
-
+        ds = dataset if dataset is not None else load_fold_dataset(cfg, fold)
         stats = airprep.dataset_stats(ds.val_abnormal)
-        flipped = False
-        train_set, val_set, test_set = (ds.train_healthy, ds.val_abnormal,
-                                        ds.test_abnormal)
-        if cfg.uses_air():
-            decision = airprep.decide(stats)
-            flipped = decision.flip
-            if flipped:
-                train_set = _apply_decision(train_set, decision)
-                val_set = _apply_decision(val_set, decision)
-                test_set = _apply_decision(test_set, decision)
-
-        ecfg = eval_config(cfg)
-        alpha = cfg.resolved_alpha()
-        loss_trace: List[float] = []
-        if cfg.blur_sigma is not None:
-            model = denoise.blur_denoiser(cfg.blur_sigma)
-        else:
-            model = KernelMixtureModel(T=cfg.T)
-            tcfg = TrainConfig(epochs=cfg.epochs, learning_rate=cfg.learning_rate,
-                               batch_size=cfg.batch_size, seed=fold_seed,
-                               noise_kind=cfg.noise)
-            trained = denoise.train(model, [s.image for s in train_set], sched,
-                                    tcfg, ecfg.ssim, FusionParams(alpha=alpha))
-            model = trained.model
-            loss_trace = trained.loss_trace
-
-        cache = dict(zip(
-            (s.id for s in [*val_set, *test_set]),
-            _score_all(model, [*val_set, *test_set], ecfg, sched, fold_seed,
-                       workers)))
-
-        def cached(_model, sample, _ecfg, _sched, _seed):
-            return cache[sample.id]
-
-        result, test_maps = evalkit.evaluate_fold(
-            model, val_set, test_set, ecfg, sched, fold_seed,
-            score_fn=cached, return_maps=True)
-
-        if dump_dir is not None:
-            d = fileio.ensure_dir(Path(dump_dir) / f"fold{fold}")
-            for s, amap in zip(test_set, test_maps):
-                fileio.write_f32r(d / f"{s.id}.f32r", amap.scores)
-
-        return FoldOutcome(fold, result, None, stats, flipped, loss_trace)
+        scored = [*ds.val_abnormal, *ds.test_abnormal]
+        regions = {s.id: evalkit.eval_region(s, eval_config(cfg)) for s in scored}
     except Exception as exc:  # fold failures are reported, not fatal
-        log.error("fold %d failed: %s", fold, exc)
-        return FoldOutcome(fold, None, str(exc), None, False, [])
+        return [_failed(fold, exc) for _ in cfgs]
+
+    flip = False
+    if any(c.uses_air() for c in cfgs):
+        decision = airprep.decide(stats)
+        flip = decision.flip
+    groups = {}
+    for i, c in enumerate(cfgs):
+        alpha = None if c.blur_sigma is not None else c.resolved_alpha()
+        groups.setdefault((c.uses_air() and flip, alpha), []).append(i)
+    log.info("fold %d: %d variant(s) in %d reconstruction group(s)",
+             fold, len(cfgs), len(groups))
+
+    fold_seed = diffusion.derive_seed(cfg.seed, 100 + fold)
+    sched = diffusion.linear_schedule(cfg.T, cfg.beta_1, cfg.beta_T)
+    outcomes: List[Optional[FoldOutcome]] = [None] * len(cfgs)
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for (flipped, _), members in groups.items():
+            first = cfgs[members[0]]
+            try:
+                splits = (ds.train_healthy, ds.val_abnormal, ds.test_abnormal)
+                if flipped:
+                    splits = tuple(_apply_decision(s, decision) for s in splits)
+                train_set, val_set, test_set = splits
+                samples = [*val_set, *test_set]
+                ecfg = eval_config(first)
+                model, loss_trace = _model(first, ecfg, train_set, fold_seed,
+                                           sched)
+                # the first variant's maps come with the reconstructions;
+                # these are kept only for the group's other variants
+                keep = len(members) > 1
+                done = _in_order(pool, _reconstruct_and_map,
+                                 [(model, s, ecfg, sched, fold_seed,
+                                   regions[s.id], keep) for s in samples])
+                recons = [recon for recon, _ in done]
+                maps = {s.id: amap for s, (_, amap) in zip(samples, done)}
+                del done
+            except Exception as exc:
+                for i in members:
+                    outcomes[i] = _failed(fold, exc)
+                continue
+            for k, i in enumerate(members):
+                c = cfgs[i]
+                try:
+                    if k > 0:
+                        ecfg = eval_config(c)
+                        # the last variant lets each reconstruction go as
+                        # soon as its map is built
+                        held = (_emptying(recons) if k == len(members) - 1
+                                else recons)
+                        built = _in_order(pool, _anomaly_map,
+                                          ((s.image, recon, regions[s.id], ecfg)
+                                           for s, recon in zip(samples, held)))
+                        maps = {s.id: amap for s, amap in zip(samples, built)}
+                        del built
+                    result = evalkit.evaluate_fold(val_set, test_set, maps,
+                                                   regions, ecfg.n_thresholds)
+                    if dump_maps:
+                        d = fileio.ensure_dir(Path(c.out) / "maps" / f"fold{fold}")
+                        for s in test_set:
+                            fileio.write_f32r(d / f"{s.id}.f32r", maps[s.id].scores)
+                    outcomes[i] = FoldOutcome(fold, result, None, stats, flipped,
+                                              loss_trace)
+                except Exception as exc:
+                    outcomes[i] = _failed(fold, exc)
+                maps = None  # dropped before the next variant builds its own
+    return outcomes
+
+
+def _run_variants(cfgs: Sequence[RunConfig], workers: int,
+                  dump_maps: bool = False) -> List[RunReport]:
+    """Every fold of every variant in ``cfgs`` through :func:`run_fold`; writes
+    each variant's reports to its own ``out``."""
+    require_workers(workers)
+    start = time.monotonic()
+    outs = [fileio.ensure_dir(c.out) for c in cfgs]
+    cfg = cfgs[0]
+    # a disk dataset does not depend on the fold: read it once per run
+    dataset = (datasetio.load_dataset(cfg.dataset_path)
+               if cfg.dataset_kind == "disk" else None)
+    by_fold = [run_fold(cfgs, fold, workers, dump_maps, dataset)
+               for fold in range(cfg.folds)]
+    wall = time.monotonic() - start
+    reports = []
+    for c, out, outcomes in zip(cfgs, outs, zip(*by_fold)):
+        report = RunReport(render(c), list(outcomes), wall)
+        write_report(report, out)
+        reports.append(report)
+    return reports
 
 
 def run(cfg: RunConfig, workers: int = 1, dump_maps: bool = False) -> RunReport:
-    start = time.monotonic()
-    out = fileio.ensure_dir(cfg.out)
-    dump_dir = out / "maps" if dump_maps else None
-    outcomes = [run_fold(cfg, fold, workers, dump_dir)
-                for fold in range(cfg.folds)]
-    report = RunReport(render(cfg), outcomes, time.monotonic() - start)
-    write_report(report, out)
-    return report
+    """Every fold of ``cfg``'s variant; reports go to ``cfg.out``."""
+    return _run_variants([cfg], workers, dump_maps)[0]
 
 
 def write_report(report: RunReport, out_dir) -> None:
@@ -222,15 +314,14 @@ def write_report(report: RunReport, out_dir) -> None:
 
 
 def ablate(cfg: RunConfig, workers: int = 1) -> dict:
-    """Run the four loss/pre-processing variants with shared seeds and folds."""
-    from dataclasses import replace
+    """Run the four loss/pre-processing variants with shared seeds and folds.
 
-    out = fileio.ensure_dir(cfg.out)
-    reports = {}
-    for variant in ("l1", "ssim", "fq", "fq_air"):
-        vcfg = replace(cfg, variant=variant, out=str(Path(cfg.out) / variant))
-        log.info("ablation variant %s", variant)
-        reports[variant] = run(vcfg, workers=workers)
+    One pass over the folds serves all four (see :func:`run_fold` for what
+    they share); each variant's directory under ``cfg.out`` holds exactly
+    the reports a separate :func:`run` of that variant writes.
+    """
+    cfgs = [replace(cfg, variant=v, out=str(Path(cfg.out) / v)) for v in VARIANTS]
+    reports = dict(zip(VARIANTS, _run_variants(cfgs, workers)))
 
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -238,5 +329,5 @@ def ablate(cfg: RunConfig, workers: int = 1) -> dict:
     for variant, report in reports.items():
         dm, dsd, am, asd = report.mean_std()
         w.writerow([variant, f"{dm:.6f}", f"{dsd:.6f}", f"{am:.6f}", f"{asd:.6f}"])
-    (out / "ablate.csv").write_text(buf.getvalue(), encoding="utf-8")
+    (Path(cfg.out) / "ablate.csv").write_text(buf.getvalue(), encoding="utf-8")
     return reports

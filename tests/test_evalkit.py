@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anomap import phantom
 from anomap.denoise import OracleDenoiser, blur_denoiser
 from anomap.diffusion import PatchSpec, linear_schedule
-from anomap.evalkit import (EvalConfig, auprc, dice, default_grid,
-                            evaluate_fold, greedy_threshold, pooled_dice_curve,
-                            sample_seed, score_sample)
+from anomap.evalkit import (EvalConfig, anomaly_map, auprc, dice, default_grid,
+                            eval_region, evaluate_fold, greedy_threshold,
+                            pooled_dice_curve, reconstruct, sample_seed,
+                            score_sample)
 from anomap.imagecore import AnomalyMap, BinaryMask
 from anomap.iqa import FusionParams, SsimParams
 
@@ -87,6 +90,53 @@ def test_threshold_search_matches_brute_force():
         assert best == grid[np.nonzero(brute == brute.max())[0][-1]]
 
 
+@st.composite
+def _tied_maps(draw):
+    """Maps whose scores are rounded to one decimal, so most pixels tie."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    maps, gts, regions = [], [], []
+    for _ in range(draw(st.integers(1, 4))):
+        shape = (draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+        maps.append(AnomalyMap(np.round(rng.uniform(0, 1, shape), 1)))
+        gts.append(_mask(rng.uniform(size=shape) < draw(st.floats(0, 1))))
+        regions.append(_mask(rng.uniform(size=shape) < draw(st.floats(0, 1))))
+    return maps, gts, regions
+
+
+def _brute_force_auprc(maps, gts, regions):
+    """Precision and recall at every distinct in-region score, taken as a
+    threshold from the highest down, summed as recall steps x precision."""
+    scores = np.concatenate([m.scores[r.bits] for m, r in zip(maps, regions)])
+    labels = np.concatenate([g.bits[r.bits] for g, r in zip(gts, regions)])
+    n_pos = int(labels.sum())
+    precision, recall = [], []
+    for thr in sorted(set(scores.tolist()), reverse=True):
+        pred = scores >= thr
+        tp = int((pred & labels).sum())
+        precision.append(tp / int(pred.sum()))
+        recall.append(tp / n_pos)
+    recall = np.array(recall)
+    prev = np.concatenate([[0.0], recall[:-1]])
+    return float(np.sum((recall - prev) * np.array(precision)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_maps(), st.lists(st.sampled_from(np.round(np.linspace(-0.1, 1.1, 13), 2)
+                                             .tolist()), min_size=1, max_size=8))
+def test_pooled_dice_and_auprc_equal_brute_force_on_ties(data, grid):
+    maps, gts, regions = data
+    grid = np.array(sorted(grid))   # includes the score levels themselves
+    curve = pooled_dice_curve(maps, gts, regions, grid)
+    brute = [_brute_force_pooled_dice(maps, gts, regions, t) for t in grid]
+    assert curve.tolist() == brute
+    in_region = sum(int((g.bits & r.bits).sum()) for g, r in zip(gts, regions))
+    if in_region == 0:
+        with pytest.raises(ValueError):
+            auprc(maps, gts, regions)
+    else:
+        assert auprc(maps, gts, regions) == _brute_force_auprc(maps, gts, regions)
+
+
 def test_default_grid_spans_score_range():
     maps = [AnomalyMap(np.full((2, 2), 0.6)), AnomalyMap(np.full((2, 2), 0.2))]
     grid = default_grid(maps, size=10)
@@ -154,18 +204,28 @@ def test_reconstruction_map_favors_lesion_for_all_samples():
         assert amap.scores[gt].mean() > amap.scores[~gt].mean()
 
 
+def _maps_and_regions(model, samples, cfg, sched, seed):
+    maps = {s.id: score_sample(model, s, cfg, sched, seed) for s in samples}
+    regions = {s.id: eval_region(s, cfg) for s in samples}
+    return maps, regions
+
+
 def test_evaluate_fold_rejects_split_leakage():
     sched = linear_schedule(100, 1e-3, 0.02)
     s = phantom.gen_abnormal(0, 64, phantom.PROFILES["flair_like"], "shared")
+    maps, regions = _maps_and_regions(blur_denoiser(1.0), [s], _blur_cfg(t=10),
+                                      sched, 0)
     with pytest.raises(ValueError):
-        evaluate_fold(blur_denoiser(1.0), [s], [s], _blur_cfg(t=10), sched, 0)
+        evaluate_fold([s], [s], maps, regions)
 
 
 def test_evaluate_fold_end_to_end():
     sched = linear_schedule(1000, 1e-4, 0.02)
     ds = phantom.gen_dataset(0, 64, phantom.PROFILES["flair_like"], 1, 3, 4)
-    result = evaluate_fold(blur_denoiser(2.0), ds.val_abnormal,
-                           ds.test_abnormal, _blur_cfg(t=50), sched, 5)
+    maps, regions = _maps_and_regions(
+        blur_denoiser(2.0), [*ds.val_abnormal, *ds.test_abnormal],
+        _blur_cfg(t=50), sched, 5)
+    result = evaluate_fold(ds.val_abnormal, ds.test_abnormal, maps, regions)
     assert 0.0 <= result.dice <= 1.0
     assert 0.0 <= result.auprc <= 1.0
     assert len(result.per_sample_dice) == 4
@@ -173,46 +233,49 @@ def test_evaluate_fold_end_to_end():
     assert result.threshold >= 0.0
 
 
-def test_evaluate_fold_returns_maps_and_accepts_score_fn():
+def test_evaluate_fold_scores_the_given_maps():
     sched = linear_schedule(1000, 1e-4, 0.02)
     ds = phantom.gen_dataset(1, 64, phantom.PROFILES["flair_like"], 1, 2, 2)
+    samples = [*ds.val_abnormal, *ds.test_abnormal]
     cfg = _blur_cfg(t=50)
     model = blur_denoiser(2.0)
+    maps, regions = _maps_and_regions(model, samples, cfg, sched, 5)
     calls = []
 
-    def spy(model_, sample, cfg_, sched_, seed_):
-        calls.append(sample.id)
-        return score_sample(model_, sample, cfg_, sched_, seed_)
+    class Spy(dict):
+        def __getitem__(self, key):
+            calls.append(key)
+            return super().__getitem__(key)
 
-    result, maps = evaluate_fold(model, ds.val_abnormal, ds.test_abnormal,
-                                 cfg, sched, 5, score_fn=spy, return_maps=True)
-    assert len(maps) == 2
-    assert set(calls) == {s.id for s in [*ds.val_abnormal, *ds.test_abnormal]}
-    direct = evaluate_fold(model, ds.val_abnormal, ds.test_abnormal,
-                           cfg, sched, 5)
+    result = evaluate_fold(ds.val_abnormal, ds.test_abnormal, Spy(maps), regions)
+    test_ids = {s.id for s in ds.test_abnormal}
+    assert len([c for c in calls if c in test_ids]) == 2
+    assert set(calls) == {s.id for s in samples}
+    # holding a reconstruction and building its map later gives the same
+    # maps as score_sample, and so the same result
+    held = {s.id: anomaly_map(s.image, reconstruct(model, s, cfg, sched, 5),
+                              regions[s.id], cfg)
+            for s in samples}
+    assert all(np.array_equal(held[k].scores, maps[k].scores) for k in maps)
+    direct = evaluate_fold(ds.val_abnormal, ds.test_abnormal, held, regions)
     assert direct.dice == result.dice
     assert direct.threshold == result.threshold
 
 
 def test_n_thresholds_sets_the_grid_the_threshold_comes_from():
-    from dataclasses import replace
     from anomap import config, pipeline
     sched = linear_schedule(1000, 1e-4, 0.02)
     ds = phantom.gen_dataset(1, 64, phantom.PROFILES["flair_like"], 1, 3, 2)
     model = blur_denoiser(2.0)
     cfg = _blur_cfg(t=50)
-    maps = {s.id: score_sample(model, s, cfg, sched, 5)
-            for s in [*ds.val_abnormal, *ds.test_abnormal]}
+    maps, regions = _maps_and_regions(
+        model, [*ds.val_abnormal, *ds.test_abnormal], cfg, sched, 5)
     val_maps = [maps[s.id] for s in ds.val_abnormal]
-
-    def cached(_model, sample, _cfg, _sched, _seed):
-        return maps[sample.id]
 
     chosen = {}
     for n in (200, 4):
-        result = evaluate_fold(model, ds.val_abnormal, ds.test_abnormal,
-                               replace(cfg, n_thresholds=n), sched, 5,
-                               score_fn=cached)
+        result = evaluate_fold(ds.val_abnormal, ds.test_abnormal, maps, regions,
+                               n_thresholds=n)
         assert result.threshold in default_grid(val_maps, n)
         chosen[n] = result.threshold
     assert chosen[200] != chosen[4]

@@ -275,3 +275,31 @@ def test_losses_and_map_reject_strided_ssim(fn):
     x, y = _rand_pair(19, (8, 8))
     with pytest.raises(ValueError, match="stride 1"):
         fn(x, y, SsimParams(S=2))
+
+
+@st.composite
+def _map_inputs(draw):
+    H, Wd = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "constant", "binary", "equal"]))
+    x = rng.uniform(0, 1, (H, Wd))
+    y = rng.uniform(0, 1, (H, Wd))
+    if kind == "constant":      # zero variance in every window
+        x[:], y[:] = x[0, 0], y[0, 0]
+    elif kind == "binary":      # extreme contrast: SSIM near -1
+        x, y = np.round(x), 1.0 - np.round(x)
+    elif kind == "equal":       # SSIM exactly 1 up to rounding
+        y = x.copy()
+    return (Image2D(x), Image2D(y),
+            SsimParams(W=draw(st.sampled_from([1, 3, 5, 7, 11, 21]))),
+            FusionParams(draw(st.sampled_from([0.0, 0.3, 0.84, 1.0]))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_map_inputs())
+def test_fusion_anomaly_map_is_never_negative(args):
+    x, y, p, f = args
+    scores = fusion_anomaly_map(x, y, p, f).scores
+    assert scores.shape == x.pixels.shape
+    assert np.all(scores >= 0.0)
+    assert not np.any(np.signbit(scores))   # not even -0.0
