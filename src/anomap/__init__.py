@@ -2,10 +2,10 @@
 
 Core pieces: an SSIM+L1 fusion quality loss with exact gradients (iqa),
 simplex-noise diffusion corruption and patch-conditioned reconstruction
-(diffusion), pluggable denoisers including a trainable kernel mixture
-(denoise), intensity-ratio pre-processing (airprep), synthetic phantoms
-(phantom), and the thresholding/metrics evaluation chain (evalkit), all
-wired together by a deterministic CLI (cli, pipeline).
+(diffusion), a Gaussian-blur baseline and a trainable kernel-mixture
+denoiser (denoise), intensity-ratio pre-processing (airprep), synthetic
+phantoms (phantom), and the thresholding/metrics evaluation chain (evalkit),
+all wired together by a deterministic CLI (cli, pipeline).
 """
 
 from .imagecore import AnomalyMap, BinaryMask, Image2D

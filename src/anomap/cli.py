@@ -20,8 +20,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import airprep, config, datasetio, fileio, iqa, phantom, pipeline
 from .imagecore import Image2D
 
@@ -66,7 +64,7 @@ def cmd_run(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load_config(args)
-    reports = pipeline.ablate(cfg, workers=args.workers)
+    reports = pipeline.ablate(cfg, workers=args.workers, dump_maps=args.dump_maps)
     ok = True
     for variant, report in reports.items():
         dm, dsd, am, asd = report.mean_std()
@@ -124,6 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="configuration file")
         p.add_argument("--seed", type=int, default=None, help="override seed")
         p.add_argument("--out", default=None, help="override output directory")
+
+    def scoring(p):
+        common(p)
         p.add_argument("--workers", type=_workers, default=1,
                        help="worker processes for per-sample scoring (>= 1)")
         p.add_argument("--dump-maps", action="store_true",
@@ -134,11 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_phantom)
 
     p = sub.add_parser("run", help="train and evaluate one variant")
-    common(p)
+    scoring(p)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("ablate", help="run all four variants")
-    common(p)
+    scoring(p)
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("iqa", help="compare two F32R rasters")

@@ -7,7 +7,7 @@ number.  A parsed :class:`RunConfig` can be serialized back with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -89,6 +89,12 @@ class RunConfig:
             raise ValueError("alpha must lie in [0, 1]")
         if self.n_thresholds < 2:
             raise ValueError("n_thresholds must be >= 2")
+        for name in ("median_k", "ssim_window"):
+            v = getattr(self, name)
+            if v < 1 or v % 2 != 1:
+                raise ValueError(f"{name} = {v} must be odd and >= 1")
+        if self.erosion_iters < 0:
+            raise ValueError("erosion_iters must be >= 0")
         for name in ("patch_h", "patch_w"):
             v = getattr(self, name)
             if v is not None and not 1 <= v <= self.size:
@@ -103,14 +109,6 @@ class RunConfig:
 # section -> key -> (field name, parser)
 def _opt(parser):
     return lambda v: None if v.lower() == "none" else parser(v)
-
-
-def _bool(v: str) -> bool:
-    if v.lower() in ("1", "true", "yes"):
-        return True
-    if v.lower() in ("0", "false", "no"):
-        return False
-    raise ValueError(f"not a boolean: {v!r}")
 
 
 _SCHEMA = {

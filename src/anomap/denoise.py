@@ -1,5 +1,5 @@
-"""Reconstruction models: analytic references, a trainable kernel mixture,
-and a loader for externally produced reconstructions.
+"""Reconstruction models: a Gaussian-blur baseline, a test oracle, and a
+trainable kernel mixture.
 
 Every model implements ``denoise(x_t, t) -> Image2D`` with the same contract:
 output dimensions equal input dimensions, values are finite, and background
@@ -11,20 +11,19 @@ Every model also declares a ``receptive_radius``: the Chebyshev distance
 beyond which an input pixel cannot change an output pixel, with image edges
 replicated.  The blur and the kernel mixture are local (the radius of their
 widest kernel), so :func:`diffusion.reconstruct_patched` hands them only a
-patch plus that halo, clipped to the image; the oracle and the external
-reconstructor declare ``None`` (global) and always see the whole image.
+patch plus that halo, clipped to the image; the oracle declares ``None``
+(global) and always sees the whole image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import List, Optional, Protocol, Sequence
 
 import numpy as np
 from scipy import ndimage
 
-from . import fileio, iqa
+from . import iqa
 from .diffusion import DiffusionSchedule, derive_seed, forward_noise, make_field
 from .imagecore import BinaryMask, Image2D
 from .iqa import FusionParams, SsimParams
@@ -158,16 +157,9 @@ class KernelMixtureModel:
             out += self.weights[b, k] * rk
         return out
 
-    def predict_pre_clamp(self, x_t: Image2D, t: int) -> np.ndarray:
-        return self.mix(self.kernel_responses(x_t.pixels), t)
-
     def denoise(self, x_t: Image2D, t: int) -> Image2D:
-        pred = np.clip(self.predict_pre_clamp(x_t, t), 0.0, 1.0)
+        pred = np.clip(self.mix(self.kernel_responses(x_t.pixels), t), 0.0, 1.0)
         return _mask_background(pred, x_t)
-
-
-def kernel_mixture_predict(m: KernelMixtureModel, x_t: Image2D, t: int) -> Image2D:
-    return m.denoise(x_t, t)
 
 
 @dataclass(frozen=True)
@@ -342,43 +334,3 @@ def train(m: KernelMixtureModel, data: Sequence[Image2D], sched: DiffusionSchedu
                 f"training diverged: epoch {epoch} loss {epoch_loss:.4g} "
                 f"exceeds 10x initial {initial:.4g}")
     return TrainResult(m, trace)
-
-
-class ExternalReconstructor:
-    """Serves stored reconstructions keyed by sample identifier.
-
-    The denoiser ignores its noisy input; the evaluation loop announces the
-    current sample via :meth:`set_current` before each reconstruction call.
-    Stored reconstructions have the whole image's shape, so it is global.
-    """
-
-    receptive_radius = None
-
-    def __init__(self, directory, manifest_path=None):
-        self.directory = Path(directory)
-        manifest_path = manifest_path or self.directory / "manifest.tsv"
-        self.manifest = fileio.read_manifest_tsv(manifest_path)
-        self.current_id: Optional[str] = None
-
-    def set_current(self, sample_id: str) -> None:
-        self.current_id = sample_id
-
-    def denoise(self, x_t: Image2D, t: int) -> Image2D:
-        if self.current_id is None:
-            raise RuntimeError("no current sample id set")
-        rel = self.manifest.get(self.current_id)
-        if rel is None:
-            raise KeyError(f"no reconstruction for {self.current_id}")
-        path = self.directory / rel
-        if not path.exists():
-            raise FileNotFoundError(f"no reconstruction for {self.current_id}")
-        arr = fileio.read_f32r(path)
-        if arr.shape != x_t.pixels.shape:
-            raise ValueError(
-                f"reconstruction for {self.current_id} has shape "
-                f"{arr.shape}, expected {x_t.pixels.shape}")
-        return _mask_background(arr, x_t)
-
-
-def external_reconstructor(directory, manifest_path=None) -> ExternalReconstructor:
-    return ExternalReconstructor(directory, manifest_path)

@@ -5,9 +5,9 @@ The forward corruption is the single-shot ``x_t = sqrt(abar_t) * x0 +
 sqrt(1 - abar_t) * eps`` with ``eps`` drawn either as Gaussian white noise or
 as a multi-octave simplex field; either kind is standardized to zero mean and
 unit variance over the field so the signal-to-noise schedule is preserved.
-Reconstruction is a single denoiser call at a fixed step (no iterative
-sampling), optionally patch by patch with the rest of the image left clean as
-conditioning context.
+Reconstruction is one denoiser call per patch at a fixed step (no iterative
+sampling), patch by patch with the rest of the image left clean as
+conditioning context; a single patch covering the image reconstructs it whole.
 """
 
 from __future__ import annotations
@@ -172,14 +172,6 @@ def placements(spec: PatchSpec, height: int, width: int) -> List[Tuple[int, int]
     return [(r, c)
             for r in _axis_starts(height, spec.patch_h, spec.stride_h)
             for c in _axis_starts(width, spec.patch_w, spec.stride_w)]
-
-
-def reconstruct_full(model, x: Image2D, t_test: int, sched: DiffusionSchedule,
-                     seed: int, noise_kind: str = "simplex") -> Image2D:
-    """Corrupt the whole image at t_test and return the model's x0 estimate."""
-    noise = make_field(noise_kind, derive_seed(seed, 0), x.width, x.height)
-    x_t = forward_noise(x, t_test, noise, sched)
-    return model.denoise(x_t, t_test)
 
 
 def reconstruct_patched(model, x: Image2D, t_test: int, sched: DiffusionSchedule,

@@ -50,8 +50,6 @@ def sample_seed(seed: int, sample_id: str) -> int:
 def reconstruct(model, sample: LabeledSample, cfg: EvalConfig,
                 sched: DiffusionSchedule, seed: int) -> Image2D:
     """The model's patched reconstruction of a sample, seeded by its id."""
-    if hasattr(model, "set_current"):
-        model.set_current(sample.id)
     img = sample.image
     spec = cfg.patch or PatchSpec.default_for(img.height, img.width)
     return diffusion.reconstruct_patched(

@@ -89,21 +89,6 @@ def read_pgm_mask(path) -> BinaryMask:
     return BinaryMask(bits)
 
 
-def read_manifest_tsv(path) -> dict:
-    """Parse ``manifest.tsv`` lines ``<sample_id>\\t<relative_path>``."""
-    entries = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected <id>\\t<path>")
-            entries[parts[0]] = parts[1]
-    return entries
-
-
 def ensure_dir(path) -> Path:
     p = Path(path)
     os.makedirs(p, exist_ok=True)

@@ -1,9 +1,9 @@
-"""Raster containers, normalization, windowed statistics, and morphology.
+"""Raster containers, windowed statistics, median filter, and morphology.
 
-Everything downstream (losses, diffusion, evaluation) works on the two
-containers defined here: ``Image2D`` for normalized grayscale rasters and
-``BinaryMask`` for foreground / ground-truth masks.  All operations are pure
-functions; inputs are never mutated.
+Everything downstream (losses, diffusion, evaluation) works on the
+containers defined here: ``Image2D`` for grayscale rasters, ``BinaryMask``
+for foreground / ground-truth masks and ``AnomalyMap`` for score rasters.
+All operations are pure functions; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -41,11 +41,12 @@ class BinaryMask:
 
 @dataclass(frozen=True)
 class Image2D:
-    """Normalized grayscale raster with an optional foreground mask.
+    """Grayscale raster with an optional foreground mask.
 
-    Pixel values are dimensionless intensities; after
-    :func:`normalize_foreground` every foreground pixel lies in [0, 1] and
-    every background pixel is exactly 0.
+    Pixel values are dimensionless, finite intensities.  Phantoms put every
+    foreground pixel in [0, 1] and every background pixel at exactly 0, and
+    the intensity flip (``airprep.apply``) requires foreground values in
+    [0, 1]; nothing rescales an image to that range.
     """
 
     pixels: np.ndarray  # float64, shape (height, width)
@@ -107,38 +108,6 @@ class WindowStats(NamedTuple):
     var_x: float
     var_y: float
     cov_xy: float
-
-
-class NormalizeResult(NamedTuple):
-    image: Image2D
-    degenerate: bool
-
-
-def normalize_foreground(img: Image2D, mask: BinaryMask,
-                         lo_pct: float = 0.0, hi_pct: float = 0.99) -> NormalizeResult:
-    """Affinely map foreground percentiles [lo_pct, hi_pct] onto [0, 1].
-
-    Output is clamped to [0, 1] on the foreground; background is set to 0.
-    An all-equal foreground cannot be stretched; it maps to constant 0.5 and
-    is flagged via ``degenerate``.
-    """
-    if mask.bits.shape != img.pixels.shape:
-        raise ValueError("mask dimensions do not match image")
-    if mask.count() == 0:
-        raise ValueError("empty foreground")
-    if not (0.0 <= lo_pct < hi_pct <= 1.0):
-        raise ValueError("require 0 <= lo_pct < hi_pct <= 1")
-
-    vals = img.pixels[mask.bits]
-    lo = float(np.quantile(vals, lo_pct))
-    hi = float(np.quantile(vals, hi_pct))
-    out = np.zeros_like(img.pixels)
-    if hi - lo <= 0.0:
-        out[mask.bits] = 0.5
-        return NormalizeResult(Image2D(out, mask), True)
-    scaled = np.clip((vals - lo) / (hi - lo), 0.0, 1.0)
-    out[mask.bits] = scaled
-    return NormalizeResult(Image2D(out, mask), False)
 
 
 def window_stats(x: Image2D, y: Image2D, center_row: int, center_col: int,

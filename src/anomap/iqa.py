@@ -35,28 +35,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SsimParams:
-    """Window geometry, stability constants, and component exponents.
+    """Window size and the two stability constants of the two-factor SSIM.
 
-    Defaults: W=5, S=1, C1=(0.01*L)^2, C2=(0.03*L)^2 with data range L=1,
-    C3=C2/2, and unit exponents, which collapses the three-component product
-    to the simplified two-factor form used throughout.
+    Defaults: W=5, C1=(0.01*L)^2, C2=(0.03*L)^2 with data range L=1.
     """
 
     W: int = 5
-    S: int = 1
     C1: float = 1e-4
     C2: float = 9e-4
-    C3: float = 4.5e-4
-    exp_l: float = 1.0
-    exp_c: float = 1.0
-    exp_s: float = 1.0
 
     def __post_init__(self):
         if self.W % 2 != 1 or self.W < 1:
             raise ValueError("window size must be odd and positive")
-        if self.S < 1:
-            raise ValueError("stride must be >= 1")
-        if min(self.C1, self.C2, self.C3) <= 0:
+        if min(self.C1, self.C2) <= 0:
             raise ValueError("stability constants must be positive")
 
 
@@ -94,43 +85,25 @@ def ssim_map(x: Image2D, y: Image2D, p: SsimParams = SsimParams()) -> np.ndarray
     mx, my, vx, vy, cov = _window_moments(x.pixels, y.pixels, p.W)
     num = (2.0 * mx * my + p.C1) * (2.0 * cov + p.C2)
     den = (mx * mx + my * my + p.C1) * (vx + vy + p.C2)
-    out = num / den
-    return out[::p.S, ::p.S] if p.S != 1 else out
+    return num / den
 
 
-def ssim_components(x: Image2D, y: Image2D, p: SsimParams = SsimParams()) -> np.ndarray:
-    """Three-component SSIM l^a * c^b * s^g; equals :func:`ssim_map` for the defaults."""
-    if x.pixels.shape != y.pixels.shape:
-        raise ValueError("image dimensions do not match")
-    mx, my, vx, vy, cov = _window_moments(x.pixels, y.pixels, p.W)
-    sx = np.sqrt(vx)
-    sy = np.sqrt(vy)
-    lum = (2.0 * mx * my + p.C1) / (mx * mx + my * my + p.C1)
-    con = (2.0 * sx * sy + p.C2) / (vx + vy + p.C2)
-    struct = (cov + p.C3) / (sx * sy + p.C3)
-    return lum ** p.exp_l * con ** p.exp_c * struct ** p.exp_s
-
-
-def _require_mask(x: Image2D, mask: BinaryMask) -> np.ndarray:
-    if mask.bits.shape != x.pixels.shape:
+def _require_mask(x: Image2D, mask: BinaryMask | None) -> np.ndarray:
+    """The mask's bits, all-true when there is no mask; never empty."""
+    if mask is None:
+        bits = np.ones(x.pixels.shape, dtype=bool)
+    elif mask.bits.shape != x.pixels.shape:
         raise ValueError("mask dimensions do not match image")
-    if mask.count() == 0:
+    else:
+        bits = mask.bits
+    if not bits.any():
         raise ValueError("no windows")
-    return mask.bits
-
-
-def _require_stride1(p: SsimParams, what: str) -> None:
-    # the losses and the anomaly map pair each SSIM value with its pixel
-    if p.S != 1:
-        raise ValueError(f"{what} needs SSIM stride 1, got S = {p.S}")
+    return bits
 
 
 def ssim_loss(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
               mask: BinaryMask | None = None) -> float:
     """(1 - mean SSIM over masked window centers) / 2; lies in [0, 1]."""
-    _require_stride1(p, "the SSIM loss")
-    if mask is None:
-        mask = BinaryMask(np.ones(x.pixels.shape, dtype=bool))
     bits = _require_mask(x, mask)
     smap = ssim_map(x, y, p)
     return float((1.0 - smap[bits].mean()) / 2.0)
@@ -138,8 +111,6 @@ def ssim_loss(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
 
 def l1_loss(x: Image2D, y: Image2D, mask: BinaryMask | None = None) -> float:
     """Mean absolute error over the masked pixels."""
-    if mask is None:
-        mask = BinaryMask(np.ones(x.pixels.shape, dtype=bool))
     bits = _require_mask(x, mask)
     return float(np.abs(x.pixels - y.pixels)[bits].mean())
 
@@ -156,7 +127,6 @@ def fusion_anomaly_map(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
     """Per-pixel anomaly score: alpha * (1 - SSIM)/2 + (1 - alpha) * |x - y|."""
     if x.pixels.shape != y.pixels.shape:
         raise ValueError("image dimensions do not match")
-    _require_stride1(p, "the fusion anomaly map")
     ssim_err = (1.0 - ssim_map(x, y, p)) / 2.0
     scores = f.alpha * ssim_err + (1.0 - f.alpha) * np.abs(x.pixels - y.pixels)
     # SSIM lies in [-1, 1] so the blend is nonnegative; guard rounding only
@@ -226,12 +196,9 @@ def fusion_loss_and_grad(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
     The gradient of |t| at t = 0 is taken to be 0.  Returns
     ``(loss, grad)`` with ``grad`` shaped like the image.
     """
-    if mask is None:
-        mask = BinaryMask(np.ones(x.pixels.shape, dtype=bool))
     bits = _require_mask(x, mask)
     if x.pixels.shape != y.pixels.shape:
         raise ValueError("image dimensions do not match")
-    _require_stride1(p, "the fusion loss gradient")
 
     xa, ya = x.pixels, y.pixels
     H, Wd = xa.shape

@@ -313,15 +313,16 @@ def write_report(report: RunReport, out_dir) -> None:
     (out_dir / "config_echo.cfg").write_text(report.config_echo, encoding="utf-8")
 
 
-def ablate(cfg: RunConfig, workers: int = 1) -> dict:
+def ablate(cfg: RunConfig, workers: int = 1, dump_maps: bool = False) -> dict:
     """Run the four loss/pre-processing variants with shared seeds and folds.
 
     One pass over the folds serves all four (see :func:`run_fold` for what
     they share); each variant's directory under ``cfg.out`` holds exactly
-    the reports a separate :func:`run` of that variant writes.
+    the reports, and with ``dump_maps`` the maps, that a separate
+    :func:`run` of that variant writes.
     """
     cfgs = [replace(cfg, variant=v, out=str(Path(cfg.out) / v)) for v in VARIANTS]
-    reports = dict(zip(VARIANTS, _run_variants(cfgs, workers)))
+    reports = dict(zip(VARIANTS, _run_variants(cfgs, workers, dump_maps)))
 
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")

@@ -85,6 +85,15 @@ def test_validation_errors():
     config.RunConfig(size=64, patch_h=64, patch_w=1, stride_h=1).validate()
 
 
+@pytest.mark.parametrize("line", ["median_k = 4", "median_k = 0",
+                                  "ssim_window = 6", "ssim_window = -1",
+                                  "erosion_iters = -1"])
+def test_parse_rejects_kernel_sizes_and_erosion_that_fail_every_fold(line):
+    key = line.split()[0]
+    with pytest.raises(config.ConfigError, match=key):
+        config.parse(f"[eval]\n{line}\n")
+
+
 def test_render_parse_roundtrip():
     cfg = config.RunConfig(profile="t2_like", n_train=3, lesion_gap=0.2,
                            epochs=11, blur_sigma=2.5, variant="fq_air",
@@ -150,6 +159,32 @@ def test_cli_dump_maps(tmp_path):
     assert rc == 0
     dumped = sorted((out / "maps" / "fold0").glob("*.f32r"))
     assert len(dumped) == 2
+
+
+def test_cli_ablate_dump_maps_match_separate_runs(tmp_path):
+    blur = TINY + "[eval]\nblur_sigma = 1.0\n"
+    cfgp = _write_cfg(tmp_path, blur)
+    out = tmp_path / "ablate_out"
+    assert cli.main(["ablate", "--config", cfgp, "--out", str(out),
+                     "--dump-maps"]) == 0
+    for variant in config.VARIANTS:
+        dumped = sorted((out / variant / "maps" / "fold0").glob("*.f32r"))
+        assert len(dumped) == 2
+        single = tmp_path / f"run_{variant}"
+        vcfg = _write_cfg(tmp_path, blur + f"[run]\nvariant = {variant}\n")
+        assert cli.main(["run", "--config", vcfg, "--out", str(single),
+                         "--dump-maps"]) == 0
+        for path in dumped:
+            alone = single / "maps" / "fold0" / path.name
+            assert path.read_bytes() == alone.read_bytes()
+
+
+@pytest.mark.parametrize("flag", [["--workers", "2"], ["--dump-maps"]],
+                         ids=["workers", "dump-maps"])
+def test_cli_phantom_rejects_scoring_flags(flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["phantom", *flag])
+    assert exc.value.code == 2
 
 
 def test_cli_iqa_compares_rasters(tmp_path, capsys):

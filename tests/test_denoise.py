@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from anomap import fileio, iqa, phantom
-from anomap.denoise import (ExternalReconstructor, KernelMixtureModel,
-                            OracleDenoiser, TrainConfig, blur_denoiser,
-                            gaussian_kernel_1d, sample_gradients, train)
+from anomap import iqa, phantom
+from anomap.denoise import (KernelMixtureModel, OracleDenoiser, TrainConfig,
+                            blur_denoiser, gaussian_kernel_1d,
+                            sample_gradients, train)
 from anomap.diffusion import (derive_seed, forward_noise, linear_schedule,
                               make_field)
 from anomap.imagecore import BinaryMask, Image2D
@@ -281,42 +281,6 @@ def test_train_loss_decreases_on_phantoms():
     assert all(np.isfinite(v) for v in res.loss_trace)
 
 
-def test_external_reconstructor_roundtrip(tmp_path):
-    sample = phantom.gen_healthy(5, 32, phantom.PROFILES["t2_like"])
-    stored = sample.image.pixels.astype(np.float32).astype(np.float64)
-    fileio.write_f32r(tmp_path / "a.f32r", stored)
-    (tmp_path / "manifest.tsv").write_text("sample-a\ta.f32r\n", encoding="utf-8")
-    model = ExternalReconstructor(tmp_path)
-    model.set_current("sample-a")
-    noisy = Image2D(np.zeros((32, 32)), sample.foreground)
-    out = model.denoise(noisy, 10)
-    expect = stored.copy()
-    expect[~sample.foreground.bits] = 0.0
-    assert np.array_equal(out.pixels, expect)
-
-
-def test_external_reconstructor_errors(tmp_path):
-    (tmp_path / "manifest.tsv").write_text("known\tmissing.f32r\n",
-                                           encoding="utf-8")
-    model = ExternalReconstructor(tmp_path)
-    noisy = Image2D(np.zeros((8, 8)))
-    with pytest.raises(RuntimeError):
-        model.denoise(noisy, 1)  # no current id set
-    model.set_current("unknown")
-    with pytest.raises(KeyError):
-        model.denoise(noisy, 1)
-    model.set_current("known")
-    with pytest.raises(FileNotFoundError):
-        model.denoise(noisy, 1)
-    fileio.write_f32r(tmp_path / "wrong.f32r", np.zeros((4, 4)))
-    (tmp_path / "manifest.tsv").write_text("known\twrong.f32r\n",
-                                           encoding="utf-8")
-    model = ExternalReconstructor(tmp_path)
-    model.set_current("known")
-    with pytest.raises(ValueError):
-        model.denoise(noisy, 1)
-
-
 def _mixture_on_widest(sigmas, seed=0):
     # non-zero weight on every kernel, the widest included; weights and bias
     # keep the pre-clamp prediction inside (0, 1) for inputs in [0.3, 0.7]
@@ -344,7 +308,6 @@ def test_receptive_radii():
     assert KernelMixtureModel(T=10, sigmas=(0.5,)).receptive_radius == 2
     assert KernelMixtureModel(T=10, sigmas=()).receptive_radius == 0
     assert OracleDenoiser(Image2D(np.zeros((2, 2)))).receptive_radius is None
-    assert ExternalReconstructor.receptive_radius is None
 
 
 @pytest.mark.parametrize("name", sorted(_LOCAL_MODELS))

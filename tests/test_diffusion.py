@@ -7,8 +7,7 @@ from anomap import phantom
 from anomap.denoise import KernelMixtureModel, OracleDenoiser, blur_denoiser
 from anomap.diffusion import (DiffusionSchedule, PatchSpec, derive_seed,
                               forward_noise, linear_schedule, make_field,
-                              make_fields, placements, reconstruct_full,
-                              reconstruct_patched)
+                              make_fields, placements, reconstruct_patched)
 from anomap.imagecore import BinaryMask, Image2D
 
 
@@ -128,8 +127,11 @@ def test_whole_image_patch_equals_full_reconstruction():
     sample = phantom.gen_healthy(2, 64, phantom.PROFILES["flair_like"])
     model = blur_denoiser(1.5)
     s = linear_schedule(1000, 1e-4, 0.02)
-    full = reconstruct_full(model, sample.image, 300, s, 42)
-    patched = reconstruct_patched(model, sample.image, 300, s,
+    x = sample.image
+    # the whole image corrupted with placement 0's field, denoised at once
+    noise = make_field("simplex", derive_seed(42, 0), x.width, x.height)
+    full = model.denoise(forward_noise(x, 300, noise, s), 300)
+    patched = reconstruct_patched(model, x, 300, s,
                                   PatchSpec(64, 64, 64, 64), 42)
     assert np.array_equal(full.pixels, patched.pixels)
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anomap import phantom
-from anomap.denoise import OracleDenoiser, blur_denoiser
+from anomap.denoise import blur_denoiser
 from anomap.diffusion import PatchSpec, linear_schedule
 from anomap.evalkit import (EvalConfig, anomaly_map, auprc, dice, default_grid,
                             eval_region, evaluate_fold, greedy_threshold,
@@ -191,13 +191,14 @@ def test_score_sample_highlights_bright_lesion():
 
 
 def test_reconstruction_map_favors_lesion_for_all_samples():
-    from anomap.diffusion import reconstruct_full
+    from anomap.diffusion import reconstruct_patched
     from anomap.iqa import fusion_anomaly_map
     sched = linear_schedule(1000, 1e-4, 0.02)
     ds = phantom.gen_dataset(7, 64, phantom.PROFILES["flair_like"], 1, 1, 6)
     model = blur_denoiser(2.0)
     for sample in ds.test_abnormal:
-        recon = reconstruct_full(model, sample.image, 500, sched, 99)
+        recon = reconstruct_patched(model, sample.image, 500, sched,
+                                    PatchSpec(64, 64, 64, 64), 99)
         amap = fusion_anomaly_map(sample.image, recon, SsimParams(W=11),
                                   FusionParams(alpha=0.84))
         gt = sample.anomaly_gt.bits

@@ -71,17 +71,6 @@ def test_pgm_reader_rejects_wrong_magic_and_maxval(tmp_path):
         fileio.read_pgm_mask(p2)
 
 
-def test_manifest_tsv_parsing(tmp_path):
-    path = tmp_path / "manifest.tsv"
-    path.write_text("a\tx/a.f32r\n\nb\ty/b.f32r\n", encoding="utf-8")
-    entries = fileio.read_manifest_tsv(path)
-    assert entries == {"a": "x/a.f32r", "b": "y/b.f32r"}
-    bad = tmp_path / "bad.tsv"
-    bad.write_text("one-column-only\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        fileio.read_manifest_tsv(bad)
-
-
 def test_dataset_roundtrip(tmp_path):
     ds = phantom.gen_dataset(2, 32, phantom.PROFILES["t2_like"], 2, 2, 2)
     datasetio.save_dataset(ds, tmp_path)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from anomap.imagecore import (AnomalyMap, BinaryMask, Image2D, erode,
-                              median_filter, normalize_foreground, window_stats)
+                              median_filter, window_stats)
 
 
 def test_binary_mask_requires_2d():
@@ -26,51 +26,6 @@ def test_image_rejects_mismatched_mask():
 def test_anomaly_map_rejects_negative():
     with pytest.raises(ValueError):
         AnomalyMap(np.array([[-0.1, 0.0]]))
-
-
-def test_normalize_maps_percentiles_to_unit_range():
-    rng = np.random.default_rng(0)
-    px = rng.uniform(10.0, 50.0, (32, 32))
-    mask = BinaryMask(np.ones((32, 32), dtype=bool))
-    res = normalize_foreground(Image2D(px), mask, lo_pct=0.0, hi_pct=0.99)
-    assert not res.degenerate
-    vals = res.image.pixels[mask.bits]
-    assert vals.min() == 0.0
-    assert vals.max() == 1.0
-    lo = np.quantile(px, 0.0)
-    hi = np.quantile(px, 0.99)
-    expected = np.clip((px - lo) / (hi - lo), 0.0, 1.0)
-    assert np.allclose(res.image.pixels, expected, atol=1e-12)
-
-
-def test_normalize_zeroes_background():
-    px = np.full((8, 8), 3.0)
-    px[0, 0] = 1.0
-    mask = np.zeros((8, 8), dtype=bool)
-    mask[2:6, 2:6] = True
-    px[mask] = np.linspace(0.0, 1.0, mask.sum())
-    res = normalize_foreground(Image2D(px), BinaryMask(mask))
-    assert np.all(res.image.pixels[~mask] == 0.0)
-
-
-def test_normalize_constant_foreground_is_degenerate():
-    mask = BinaryMask(np.ones((8, 8), dtype=bool))
-    res = normalize_foreground(Image2D(np.full((8, 8), 0.7)), mask)
-    assert res.degenerate
-    assert np.all(res.image.pixels == 0.5)
-
-
-def test_normalize_rejects_empty_foreground():
-    with pytest.raises(ValueError):
-        normalize_foreground(Image2D(np.zeros((4, 4))),
-                             BinaryMask(np.zeros((4, 4), dtype=bool)))
-
-
-def test_normalize_rejects_bad_percentiles():
-    mask = BinaryMask(np.ones((4, 4), dtype=bool))
-    with pytest.raises(ValueError):
-        normalize_foreground(Image2D(np.zeros((4, 4))), mask,
-                             lo_pct=0.5, hi_pct=0.4)
 
 
 def test_window_stats_matches_direct_computation():

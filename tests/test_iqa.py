@@ -8,7 +8,7 @@ from anomap import iqa
 from anomap.imagecore import BinaryMask, Image2D, window_stats
 from anomap.iqa import (FusionParams, SsimParams, fusion_anomaly_map,
                         fusion_loss, fusion_loss_and_grad, fusion_loss_grad,
-                        l1_loss, ssim_components, ssim_loss, ssim_map)
+                        l1_loss, ssim_loss, ssim_map)
 from anomap.simplex import octave_grid
 
 
@@ -42,18 +42,6 @@ def test_ssim_map_matches_per_window_stats():
         den = ((ws.mean_x ** 2 + ws.mean_y ** 2 + p.C1)
                * (ws.var_x + ws.var_y + p.C2))
         assert smap[row, col] == pytest.approx(num / den, abs=1e-12)
-
-
-def test_ssim_components_collapse_to_two_factor_form():
-    x, y = _rand_pair(8)
-    assert np.allclose(ssim_components(x, y), ssim_map(x, y), atol=1e-12)
-
-
-def test_ssim_stride_subsamples_the_map():
-    x, y = _rand_pair(9)
-    full = ssim_map(x, y, SsimParams(S=1))
-    strided = ssim_map(x, y, SsimParams(S=2))
-    assert np.array_equal(strided, full[::2, ::2])
 
 
 def test_ssim_symmetry():
@@ -261,20 +249,6 @@ def test_loss_and_grad_equal_the_separate_computations(args):
     assert loss == fusion_loss(x, y, p, f, mask)
     assert np.array_equal(grad, _reference_grad(x, y, p, f, mask.bits))
     assert np.array_equal(fusion_loss_grad(x, y, p, f, mask), grad)
-
-
-def test_loss_and_grad_reject_strided_ssim():
-    x, y = _rand_pair(18)
-    with pytest.raises(ValueError, match="stride"):
-        fusion_loss_and_grad(x, y, SsimParams(S=2))
-
-
-@pytest.mark.parametrize("fn", [ssim_loss, fusion_loss, fusion_anomaly_map])
-def test_losses_and_map_reject_strided_ssim(fn):
-    # a strided SSIM map no longer lines up with the pixels and the mask
-    x, y = _rand_pair(19, (8, 8))
-    with pytest.raises(ValueError, match="stride 1"):
-        fn(x, y, SsimParams(S=2))
 
 
 @st.composite
