@@ -1,11 +1,13 @@
 """Microbenchmarks of the scoring hot path: simplex noise, patched
-reconstruction and the median filter.
+reconstruction, the region median filter and the pooled metrics.
 
 Sizes follow perfbench's ``ablate_flair`` workload (``configs/ablate_flair.cfg``):
 64 px flair-like phantoms, default half-size patches at quarter stride (nine
 32 x 32 placements), six-octave simplex noise, the blur baseline at sigma 4
 and t_test = 50.  The ``_128`` benches follow its ``disk128_w2`` workload: the
-same config at 128 px with Gaussian noise (nine 64 x 64 placements).  Run from
+same config at 128 px with Gaussian noise (nine 64 x 64 placements); its
+folds pool 24 test maps for ``auprc`` and 16 validation maps for
+``pooled_dice_curve``, each scored inside its eroded brain mask.  Run from
 the repository root::
 
     PYTHONPATH=src python -m pytest bench/bench_scoring.py
@@ -81,9 +83,47 @@ def test_score_sample_128(benchmark, setting128):
     benchmark(evalkit.score_sample, model, sample, ecfg, sched, 0)
 
 
+def _score_raster(size, seed=0):
+    # a fusion-map-like score raster: nonnegative, mostly small
+    return np.random.default_rng(seed).exponential(0.05, (size, size))
+
+
 @pytest.mark.parametrize("size", [64, 128])
 def test_median_filter(benchmark, size):
-    # a fusion-map-like score raster: nonnegative, mostly small
-    scores = np.random.default_rng(0).exponential(0.05, (size, size))
-    benchmark(imagecore.median_filter, imagecore.AnomalyMap(scores),
-              CFG.median_k)
+    # every pixel, as the median ranked them before it took a region
+    benchmark(imagecore.median_filter, imagecore.AnomalyMap(_score_raster(size)),
+              CFG.median_k, imagecore.BinaryMask(np.ones((size, size), bool)))
+
+
+def test_median_filter_region_128(benchmark, setting128):
+    # only the eroded brain mask of a 128 px phantom, as anomaly_map runs it
+    sample, _, _, ecfg = setting128
+    benchmark(imagecore.median_filter, imagecore.AnomalyMap(_score_raster(128)),
+              ecfg.median_k, evalkit.eval_region(sample, ecfg))
+
+
+@pytest.fixture(scope="module")
+def pools128():
+    """The disk128_w2 dataset's 16 validation and 24 test samples as
+    (maps, lesion masks, eroded regions)."""
+    ds = phantom.gen_dataset(0, 128, phantom.PROFILES[CFG.profile], 1, 16, 24)
+    ecfg = pipeline.eval_config(CFG128)
+    pools = {}
+    for name, samples in (("val", ds.val_abnormal), ("test", ds.test_abnormal)):
+        regions = [evalkit.eval_region(s, ecfg) for s in samples]
+        maps = [imagecore.median_filter(
+                    imagecore.AnomalyMap(_score_raster(128, i)), ecfg.median_k,
+                    region)
+                for i, region in enumerate(regions)]
+        pools[name] = maps, [s.anomaly_gt for s in samples], regions
+    return pools
+
+
+def test_auprc_24_maps_128(benchmark, pools128):
+    benchmark(evalkit.auprc, *pools128["test"])
+
+
+def test_pooled_dice_curve_16_maps_128(benchmark, pools128):
+    maps, gts, regions = pools128["val"]
+    benchmark(evalkit.pooled_dice_curve, maps, gts, regions,
+              evalkit.default_grid(maps, CFG128.n_thresholds))

@@ -7,6 +7,7 @@ number.  A parsed :class:`RunConfig` can be serialized back with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -81,12 +82,30 @@ class RunConfig:
             raise ValueError(f"unknown noise kind {self.noise!r}")
         if self.folds < 1:
             raise ValueError("folds must be >= 1")
-        if self.lesion_gap is not None and self.lesion_gap <= 0:
-            raise ValueError("lesion_gap must be positive")
+        if self.lesion_gap is not None and not 0.0 < self.lesion_gap < math.inf:
+            raise ValueError("lesion_gap must be positive and finite")
         if self.size < 32:
             raise ValueError("size must be >= 32")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
+        if self.T < 1:
+            raise ValueError(f"T = {self.T} must be >= 1")
+        if not 0.0 < self.beta_1 <= self.beta_T < 1.0:
+            raise ValueError(f"beta_1 = {self.beta_1}, beta_T = {self.beta_T}: "
+                             "require 0 < beta_1 <= beta_T < 1")
+        t_test = self.resolved_t_test()
+        if not 1 <= t_test <= self.T:
+            raise ValueError(f"t_test = {t_test} outside [1, T = {self.T}]")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size = {self.batch_size} must be >= 1")
+        if self.epochs < 0:
+            raise ValueError(f"epochs = {self.epochs} must be >= 0")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate = {self.learning_rate} "
+                             "must be finite and >= 0")
+        if self.blur_sigma is not None and not 0.0 < self.blur_sigma < math.inf:
+            raise ValueError(f"blur_sigma = {self.blur_sigma} "
+                             "must be positive and finite")
         if self.n_thresholds < 2:
             raise ValueError("n_thresholds must be >= 2")
         for name in ("median_k", "ssim_window"):

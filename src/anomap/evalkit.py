@@ -1,11 +1,14 @@
 """Inference chain, threshold selection, and segmentation metrics.
 
 Scoring a sample runs the full post-processed chain: patch-conditioned
-reconstruction, fusion anomaly map, median filtering (default K=5), and
-zeroing outside the 3x-eroded foreground.  The binarization threshold is
-picked by a greedy grid search maximizing pooled Dice on the unhealthy
-validation set and then applied unchanged to the test set; AUPRC is computed
-threshold-free over all pooled in-region pixels.
+reconstruction, fusion anomaly map, and median filtering (default K=5)
+inside the 3x-eroded foreground, the only pixels any metric reads; the map
+is zero outside it.  The binarization threshold is picked by a greedy grid
+search maximizing pooled Dice on the unhealthy validation set and then
+applied unchanged to the test set; AUPRC is computed threshold-free over all
+pooled in-region pixels.  Both metrics count pixels and positives at or
+above a score by binary search in the sorted pooled scores and the sorted
+positive scores.
 
 :func:`score_sample` is that chain for one sample: :func:`reconstruct`, then
 :func:`anomaly_map` inside :func:`eval_region`.  A caller scoring one
@@ -60,11 +63,9 @@ def reconstruct(model, sample: LabeledSample, cfg: EvalConfig,
 def anomaly_map(img: Image2D, recon: Image2D, region: BinaryMask,
                 cfg: EvalConfig) -> AnomalyMap:
     """Fusion map of an image against its reconstruction, median-filtered
-    and zeroed outside the region."""
+    inside the region and zero outside it."""
     amap = iqa.fusion_anomaly_map(img, recon, cfg.ssim, cfg.fusion)
-    scores = imagecore.median_filter(amap, cfg.median_k).scores
-    scores[~region.bits] = 0.0
-    return AnomalyMap(scores)
+    return imagecore.median_filter(amap, cfg.median_k, region)
 
 
 def score_sample(model, sample: LabeledSample, cfg: EvalConfig,
@@ -90,32 +91,35 @@ def dice(pred: BinaryMask, gt: BinaryMask) -> float:
     return 2.0 * int((pred.bits & gt.bits).sum()) / denom
 
 
-def _pool_pixels(maps: Sequence[AnomalyMap], gts: Sequence[BinaryMask],
+def _sorted_pool(maps: Sequence[AnomalyMap], gts: Sequence[BinaryMask],
                  regions: Sequence[BinaryMask]):
+    """All pooled in-region scores and the positive ones, each sorted
+    ascending: the number of pixels (positives) scoring at least ``v`` is
+    the count minus ``searchsorted(..., v, side="left")``."""
     scores, labels = [], []
     for amap, gt, region in zip(maps, gts, regions):
         bits = region.bits
         scores.append(amap.scores[bits])
         labels.append(gt.bits[bits])
-    return np.concatenate(scores), np.concatenate(labels)
+    scores = np.concatenate(scores)
+    positives = np.sort(scores[np.concatenate(labels)])
+    scores.sort()
+    return scores, positives
 
 
 def auprc(maps: Sequence[AnomalyMap], gts: Sequence[BinaryMask],
           regions: Sequence[BinaryMask]) -> float:
-    """Area under the pooled pixel-level PR curve with atomic tie groups."""
-    scores, labels = _pool_pixels(maps, gts, regions)
-    n_pos = int(labels.sum())
+    """Area under the pooled pixel-level PR curve with atomic tie groups:
+    one point per distinct score, from the highest down."""
+    s, pos = _sorted_pool(maps, gts, regions)
+    n_pos = pos.size
     if n_pos == 0:
         raise ValueError("AUPRC undefined")
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    y = labels[order]
-    # indices where a strictly lower score starts the next tie group
-    boundary = np.nonzero(np.diff(s))[0]
-    group_ends = np.append(boundary, s.size - 1)
-    tp = np.cumsum(y)[group_ends]
-    fp = group_ends + 1 - tp
-    precision = tp / (tp + fp)
+    # the first index of each tie group, highest score first
+    starts = np.flatnonzero(np.diff(s, prepend=np.inf))[::-1]
+    n_pred = s.size - starts
+    tp = n_pos - np.searchsorted(pos, s[starts], side="left")
+    precision = tp / n_pred
     recall = tp / n_pos
     prev_recall = np.concatenate([[0.0], recall[:-1]])
     return float(np.sum((recall - prev_recall) * precision))
@@ -124,20 +128,14 @@ def auprc(maps: Sequence[AnomalyMap], gts: Sequence[BinaryMask],
 def pooled_dice_curve(maps: Sequence[AnomalyMap], gts: Sequence[BinaryMask],
                       regions: Sequence[BinaryMask],
                       grid: np.ndarray) -> np.ndarray:
-    """Pooled Dice (counts summed across samples) at every grid threshold."""
-    scores, labels = _pool_pixels(maps, gts, regions)
-    n_pos = int(labels.sum())
-    order = np.argsort(scores, kind="stable")
-    s = scores[order]
-    y = labels[order]
-    # for threshold thr, predictions are score >= thr
-    pos_cum = np.concatenate([[0], np.cumsum(y)])
-    idx = np.searchsorted(s, grid, side="left")
-    tp = n_pos - pos_cum[idx]
-    n_pred = s.size - idx
+    """Pooled Dice (counts summed across samples) at every grid threshold;
+    a pixel is predicted anomalous when its score is >= the threshold."""
+    s, pos = _sorted_pool(maps, gts, regions)
+    n_pos = pos.size
+    tp = n_pos - np.searchsorted(pos, grid, side="left")
+    n_pred = s.size - np.searchsorted(s, grid, side="left")
     denom = n_pred + n_pos
-    out = np.where(denom > 0, 2.0 * tp / np.maximum(denom, 1), 1.0)
-    return out
+    return np.where(denom > 0, 2.0 * tp / np.maximum(denom, 1), 1.0)
 
 
 def default_grid(maps: Sequence[AnomalyMap],

@@ -1,4 +1,4 @@
-"""Raster containers, windowed statistics, median filter, and morphology.
+"""Raster containers, windowed statistics, region median filter, and morphology.
 
 Everything downstream (losses, diffusion, evaluation) works on the
 containers defined here: ``Image2D`` for grayscale rasters, ``BinaryMask``
@@ -134,32 +134,37 @@ def window_stats(x: Image2D, y: Image2D, center_row: int, center_col: int,
     return WindowStats(mx, my, vx, vy, cov)
 
 
-_MEDIAN_STRIP_ROWS = 16  # rows whose windows are copied and partitioned at once
+_MEDIAN_STRIP_ROWS = 16  # rows whose region windows are partitioned at once
 
 
-def median_filter(amap: AnomalyMap, K: int = 5) -> AnomalyMap:
-    """K x K median filter with replicate-edge padding (paper default K=5).
+def median_filter(amap: AnomalyMap, K: int, region: BinaryMask) -> AnomalyMap:
+    """K x K median filter with replicate-edge padding, computed only at
+    ``region`` pixels; every other pixel is +0.0 (paper default K=5).
 
-    Equals ``scipy.ndimage.median_filter(size=K, mode="nearest")``: the
-    median of an odd count is one of the window's own values, found here by
-    ``np.partition`` on strips of at most ``_MEDIAN_STRIP_ROWS`` rows of
-    windows, so the transient memory does not grow with the image height.
+    Inside the region this equals
+    ``scipy.ndimage.median_filter(size=K, mode="nearest")``: the median of
+    an odd count is one of the window's own values, found here by
+    ``np.partition`` on the region windows of strips of at most
+    ``_MEDIAN_STRIP_ROWS`` rows, so the transient memory does not grow with
+    the image height.  Metrics read scores only inside the eroded brain
+    mask, so the pixels outside it are never ranked.
     """
     if K % 2 != 1:
         raise ValueError("kernel size must be odd")
-    H, W = amap.scores.shape
+    bits = region.bits
+    if bits.shape != amap.scores.shape:
+        raise ValueError("region dimensions do not match anomaly map")
+    H = bits.shape[0]
     windows = np.lib.stride_tricks.sliding_window_view(
         np.pad(amap.scores, K // 2, mode="edge"), (K, K))
     mid = K * K // 2
-    buf = np.empty((min(_MEDIAN_STRIP_ROWS, H), W, K, K))
-    out = np.empty((H, W))
+    out = np.zeros(bits.shape)
     for r0 in range(0, H, _MEDIAN_STRIP_ROWS):
-        n = min(_MEDIAN_STRIP_ROWS, H - r0)
-        strip = buf[:n]
-        strip[...] = windows[r0:r0 + n]
-        flat = strip.reshape(n, W, K * K)
+        rows = slice(r0, r0 + _MEDIAN_STRIP_ROWS)
+        sel = bits[rows]
+        flat = windows[rows][sel].reshape(-1, K * K)
         flat.partition(mid, axis=-1)
-        out[r0:r0 + n] = flat[..., mid]
+        out[rows][sel] = flat[:, mid]
     return AnomalyMap(out)
 
 

@@ -79,7 +79,9 @@ def _window_moments(x: np.ndarray, y: np.ndarray, W: int):
 
 
 def ssim_map(x: Image2D, y: Image2D, p: SsimParams = SsimParams()) -> np.ndarray:
-    """Per-pixel sliding SSIM raster; values lie in [-1, 1]."""
+    """Per-pixel sliding SSIM raster; values lie in [-1, 1] up to rounding
+    (on nearly equal images the moments' cancellation can exceed 1 by
+    about 1e-12)."""
     if x.pixels.shape != y.pixels.shape:
         raise ValueError("image dimensions do not match")
     mx, my, vx, vy, cov = _window_moments(x.pixels, y.pixels, p.W)

@@ -10,6 +10,9 @@ counts.
 
 :func:`run` and :func:`ablate` share one fold loop, :func:`run_fold`, which
 takes every variant of the call at once; a run is the one-variant case.
+With several workers a call opens one process pool and scores every fold
+in it; a pool that a dead worker broke fails only the fold that was using
+it, and the next fold gets a fresh one.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import io
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -163,7 +166,8 @@ def _model(cfg: RunConfig, ecfg: EvalConfig, train_set, fold_seed: int, sched):
     return trained.model, trained.loss_trace
 
 
-def run_fold(cfgs: Sequence[RunConfig], fold: int, workers: int = 1,
+def run_fold(cfgs: Sequence[RunConfig], fold: int,
+             pool: Optional[ProcessPoolExecutor] = None,
              dump_maps: bool = False,
              dataset: Optional[Dataset] = None) -> List[FoldOutcome]:
     """One fold of every variant in ``cfgs``, which differ only in
@@ -178,8 +182,10 @@ def run_fold(cfgs: Sequence[RunConfig], fold: int, workers: int = 1,
     trains once and reconstructs each sample once, building its first
     variant's maps in the same pass; its other variants then build theirs
     from the held reconstructions.  The variants are evaluated one at a
-    time, each dropping its maps before the next.  With ``dump_maps`` each
-    variant's test maps go to ``<out>/maps/fold<k>/<id>.f32r``.
+    time, each dropping its maps before the next.  Samples are reconstructed
+    and mapped in ``pool``'s workers when there is one, else in this process.
+    With ``dump_maps`` each variant's test maps go to
+    ``<out>/maps/fold<k>/<id>.f32r``.
     """
     cfg = cfgs[0]
     try:
@@ -187,6 +193,8 @@ def run_fold(cfgs: Sequence[RunConfig], fold: int, workers: int = 1,
         stats = airprep.dataset_stats(ds.val_abnormal)
         scored = [*ds.val_abnormal, *ds.test_abnormal]
         regions = {s.id: evalkit.eval_region(s, eval_config(cfg)) for s in scored}
+        fold_seed = diffusion.derive_seed(cfg.seed, 100 + fold)
+        sched = diffusion.linear_schedule(cfg.T, cfg.beta_1, cfg.beta_T)
     except Exception as exc:  # fold failures are reported, not fatal
         return [_failed(fold, exc) for _ in cfgs]
 
@@ -201,66 +209,74 @@ def run_fold(cfgs: Sequence[RunConfig], fold: int, workers: int = 1,
     log.info("fold %d: %d variant(s) in %d reconstruction group(s)",
              fold, len(cfgs), len(groups))
 
-    fold_seed = diffusion.derive_seed(cfg.seed, 100 + fold)
-    sched = diffusion.linear_schedule(cfg.T, cfg.beta_1, cfg.beta_T)
     outcomes: List[Optional[FoldOutcome]] = [None] * len(cfgs)
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for (flipped, _), members in groups.items():
-            first = cfgs[members[0]]
+    for (flipped, _), members in groups.items():
+        first = cfgs[members[0]]
+        try:
+            splits = (ds.train_healthy, ds.val_abnormal, ds.test_abnormal)
+            if flipped:
+                splits = tuple(_apply_decision(s, decision) for s in splits)
+            train_set, val_set, test_set = splits
+            samples = [*val_set, *test_set]
+            ecfg = eval_config(first)
+            model, loss_trace = _model(first, ecfg, train_set, fold_seed,
+                                       sched)
+            # the first variant's maps come with the reconstructions;
+            # these are kept only for the group's other variants
+            keep = len(members) > 1
+            done = _in_order(pool, _reconstruct_and_map,
+                             [(model, s, ecfg, sched, fold_seed,
+                               regions[s.id], keep) for s in samples])
+            recons = [recon for recon, _ in done]
+            maps = {s.id: amap for s, (_, amap) in zip(samples, done)}
+            del done
+        except Exception as exc:
+            for i in members:
+                outcomes[i] = _failed(fold, exc)
+            continue
+        for k, i in enumerate(members):
+            c = cfgs[i]
             try:
-                splits = (ds.train_healthy, ds.val_abnormal, ds.test_abnormal)
-                if flipped:
-                    splits = tuple(_apply_decision(s, decision) for s in splits)
-                train_set, val_set, test_set = splits
-                samples = [*val_set, *test_set]
-                ecfg = eval_config(first)
-                model, loss_trace = _model(first, ecfg, train_set, fold_seed,
-                                           sched)
-                # the first variant's maps come with the reconstructions;
-                # these are kept only for the group's other variants
-                keep = len(members) > 1
-                done = _in_order(pool, _reconstruct_and_map,
-                                 [(model, s, ecfg, sched, fold_seed,
-                                   regions[s.id], keep) for s in samples])
-                recons = [recon for recon, _ in done]
-                maps = {s.id: amap for s, (_, amap) in zip(samples, done)}
-                del done
+                if k > 0:
+                    ecfg = eval_config(c)
+                    # the last variant lets each reconstruction go as
+                    # soon as its map is built
+                    held = (_emptying(recons) if k == len(members) - 1
+                            else recons)
+                    built = _in_order(pool, _anomaly_map,
+                                      ((s.image, recon, regions[s.id], ecfg)
+                                       for s, recon in zip(samples, held)))
+                    maps = {s.id: amap for s, amap in zip(samples, built)}
+                    del built
+                result = evalkit.evaluate_fold(val_set, test_set, maps,
+                                               regions, ecfg.n_thresholds)
+                if dump_maps:
+                    d = fileio.ensure_dir(Path(c.out) / "maps" / f"fold{fold}")
+                    for s in test_set:
+                        fileio.write_f32r(d / f"{s.id}.f32r", maps[s.id].scores)
+                outcomes[i] = FoldOutcome(fold, result, None, stats, flipped,
+                                          loss_trace)
             except Exception as exc:
-                for i in members:
-                    outcomes[i] = _failed(fold, exc)
-                continue
-            for k, i in enumerate(members):
-                c = cfgs[i]
-                try:
-                    if k > 0:
-                        ecfg = eval_config(c)
-                        # the last variant lets each reconstruction go as
-                        # soon as its map is built
-                        held = (_emptying(recons) if k == len(members) - 1
-                                else recons)
-                        built = _in_order(pool, _anomaly_map,
-                                          ((s.image, recon, regions[s.id], ecfg)
-                                           for s, recon in zip(samples, held)))
-                        maps = {s.id: amap for s, amap in zip(samples, built)}
-                        del built
-                    result = evalkit.evaluate_fold(val_set, test_set, maps,
-                                                   regions, ecfg.n_thresholds)
-                    if dump_maps:
-                        d = fileio.ensure_dir(Path(c.out) / "maps" / f"fold{fold}")
-                        for s in test_set:
-                            fileio.write_f32r(d / f"{s.id}.f32r", maps[s.id].scores)
-                    outcomes[i] = FoldOutcome(fold, result, None, stats, flipped,
-                                              loss_trace)
-                except Exception as exc:
-                    outcomes[i] = _failed(fold, exc)
-                maps = None  # dropped before the next variant builds its own
+                outcomes[i] = _failed(fold, exc)
+            maps = None  # dropped before the next variant builds its own
     return outcomes
+
+
+def _broken(pool: ProcessPoolExecutor) -> bool:
+    """Whether a worker died and broke the pool, which then fails every
+    task: one trivial task finds out."""
+    try:
+        pool.submit(int).result()
+    except BrokenProcessPool:
+        return True
+    return False
 
 
 def _run_variants(cfgs: Sequence[RunConfig], workers: int,
                   dump_maps: bool = False) -> List[RunReport]:
     """Every fold of every variant in ``cfgs`` through :func:`run_fold`; writes
-    each variant's reports to its own ``out``."""
+    each variant's reports to its own ``out``.  With several workers the
+    folds share one process pool, replaced only after a worker died."""
     require_workers(workers)
     start = time.monotonic()
     outs = [fileio.ensure_dir(c.out) for c in cfgs]
@@ -268,8 +284,17 @@ def _run_variants(cfgs: Sequence[RunConfig], workers: int,
     # a disk dataset does not depend on the fold: read it once per run
     dataset = (datasetio.load_dataset(cfg.dataset_path)
                if cfg.dataset_kind == "disk" else None)
-    by_fold = [run_fold(cfgs, fold, workers, dump_maps, dataset)
-               for fold in range(cfg.folds)]
+    by_fold, pool = [], None
+    try:
+        for fold in range(cfg.folds):
+            if workers > 1 and (pool is None or _broken(pool)):
+                if pool is not None:
+                    pool.shutdown()
+                pool = ProcessPoolExecutor(workers)
+            by_fold.append(run_fold(cfgs, fold, pool, dump_maps, dataset))
+    finally:
+        if pool is not None:
+            pool.shutdown()
     wall = time.monotonic() - start
     reports = []
     for c, out, outcomes in zip(cfgs, outs, zip(*by_fold)):

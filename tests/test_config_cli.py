@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from anomap import cli, config, fileio
 
@@ -92,6 +94,96 @@ def test_parse_rejects_kernel_sizes_and_erosion_that_fail_every_fold(line):
     key = line.split()[0]
     with pytest.raises(config.ConfigError, match=key):
         config.parse(f"[eval]\n{line}\n")
+
+
+@pytest.mark.parametrize("text, key", [
+    ("[diffusion]\nT = 0\nt_test = 1", "T"),
+    ("[diffusion]\nbeta_T = 1.5", "beta_T"),
+    ("[diffusion]\nbeta_1 = 0", "beta_1"),
+    ("[diffusion]\nbeta_1 = 0.05\nbeta_T = 0.02", "beta_1"),
+    ("[diffusion]\nbeta_1 = nan", "beta_1"),
+    ("[diffusion]\nt_test = 2000", "t_test"),
+    ("[diffusion]\nt_test = 0", "t_test"),
+    ("[diffusion]\nT = 100", "t_test"),      # the default t_test is 750
+    ("[eval]\nblur_sigma = 0", "blur_sigma"),
+    ("[eval]\nblur_sigma = -2", "blur_sigma"),
+    ("[eval]\nblur_sigma = inf", "blur_sigma"),
+    ("[train]\nbatch_size = 0", "batch_size"),
+    ("[train]\nepochs = -1", "epochs"),
+    ("[train]\nlearning_rate = -0.1", "learning_rate"),
+    ("[train]\nlearning_rate = nan", "learning_rate"),
+    ("[dataset]\nlesion_gap = nan", "lesion_gap"),
+])
+def test_parse_rejects_diffusion_and_training_values_that_fail_every_fold(
+        text, key):
+    with pytest.raises(config.ConfigError, match=key):
+        config.parse(text + "\n")
+
+
+def test_parse_accepts_boundary_diffusion_and_training_values():
+    cfg = config.parse("[diffusion]\nT = 1\nt_test = 1\nbeta_1 = 0.5\n"
+                       "beta_T = 0.5\n[train]\nepochs = 0\nbatch_size = 1\n"
+                       "learning_rate = 0\n[eval]\nblur_sigma = 0.1\n")
+    assert (cfg.T, cfg.resolved_t_test(), cfg.epochs) == (1, 1, 0)
+
+
+_NAMES = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_./-",
+                 min_size=1, max_size=12)
+
+
+def _floats(lo, hi, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+@st.composite
+def _valid_configs(draw):
+    size = draw(st.integers(32, 256))
+    T = draw(st.integers(1, 2000))
+    beta_1 = draw(_floats(1e-9, 0.5))
+    kind = draw(st.sampled_from(["phantom", "disk"]))
+
+    def side(lo):
+        return draw(st.none() | st.integers(lo, size))
+
+    cfg = config.RunConfig(
+        dataset_kind=kind,
+        dataset_path=draw(_NAMES) if kind == "disk" else draw(st.just("") | _NAMES),
+        profile=draw(st.sampled_from(config.PROFILE_NAMES)),
+        size=size,
+        n_train=draw(st.integers(0, 500)),
+        n_val=draw(st.integers(0, 500)),
+        n_test=draw(st.integers(0, 500)),
+        lesion_gap=draw(st.none() | _floats(1e-6, 10.0)),
+        T=T,
+        beta_1=beta_1,
+        beta_T=draw(_floats(beta_1, 1.0, exclude_max=True)),
+        t_test=draw(st.none() | st.integers(1, T)),
+        noise=draw(st.sampled_from(["simplex", "gaussian"])),
+        patch_h=side(1), patch_w=side(1), stride_h=side(1), stride_w=side(1),
+        epochs=draw(st.integers(0, 1000)),
+        learning_rate=draw(_floats(0.0, 10.0)),
+        batch_size=draw(st.integers(1, 64)),
+        median_k=draw(st.integers(0, 7)) * 2 + 1,
+        erosion_iters=draw(st.integers(0, 6)),
+        n_thresholds=draw(st.integers(2, 1000)),
+        ssim_window=draw(st.integers(0, 7)) * 2 + 1,
+        alpha=draw(_floats(0.0, 1.0)),
+        blur_sigma=draw(st.none() | _floats(1e-3, 20.0)),
+        variant=draw(st.sampled_from(config.VARIANTS)),
+        folds=draw(st.integers(1, 20)),
+        seed=draw(st.integers(0, 2**40)),
+        out=draw(_NAMES),
+    )
+    try:
+        return cfg.validate()
+    except ValueError:
+        assume(False)  # a default t_test beyond a drawn T
+
+
+@settings(max_examples=300, deadline=None)
+@given(_valid_configs())
+def test_render_parse_roundtrips_any_valid_config(cfg):
+    assert config.parse(config.render(cfg)) == cfg
 
 
 def test_render_parse_roundtrip():

@@ -137,6 +137,82 @@ def test_pooled_dice_and_auprc_equal_brute_force_on_ties(data, grid):
         assert auprc(maps, gts, regions) == _brute_force_auprc(maps, gts, regions)
 
 
+def _pooled(maps, gts, regions):
+    scores = np.concatenate([m.scores[r.bits] for m, r in zip(maps, regions)])
+    labels = np.concatenate([g.bits[r.bits] for g, r in zip(gts, regions)])
+    return scores, labels
+
+
+def _argsort_auprc(maps, gts, regions):
+    """The stable-argsort AUPRC that the sort-count version replaced."""
+    scores, labels = _pooled(maps, gts, regions)
+    n_pos = int(labels.sum())
+    order = np.argsort(-scores, kind="stable")
+    s, y = scores[order], labels[order]
+    group_ends = np.append(np.nonzero(np.diff(s))[0], s.size - 1)
+    tp = np.cumsum(y)[group_ends]
+    fp = group_ends + 1 - tp
+    precision = tp / (tp + fp)
+    recall = tp / n_pos
+    prev_recall = np.concatenate([[0.0], recall[:-1]])
+    return float(np.sum((recall - prev_recall) * precision))
+
+
+def _argsort_pooled_dice_curve(maps, gts, regions, grid):
+    """The stable-argsort pooled Dice curve that the sort-count version
+    replaced."""
+    scores, labels = _pooled(maps, gts, regions)
+    n_pos = int(labels.sum())
+    order = np.argsort(scores, kind="stable")
+    s, y = scores[order], labels[order]
+    pos_cum = np.concatenate([[0], np.cumsum(y)])
+    idx = np.searchsorted(s, grid, side="left")
+    tp = n_pos - pos_cum[idx]
+    denom = s.size - idx + n_pos
+    return np.where(denom > 0, 2.0 * tp / np.maximum(denom, 1), 1.0)
+
+
+def _pool_case(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "one_pixel":
+        score = rng.uniform(0.0, 1.0, (1, 1))
+        return ([AnomalyMap(score)], [_mask(rng.uniform(size=(1, 1)) < 0.5)],
+                [_mask([[True]])],
+                np.array([0.0, score[0, 0], 1.0]))
+    shapes = [(int(rng.integers(1, 30)), int(rng.integers(1, 30)))
+              for _ in range(int(rng.integers(1, 5)))]
+    maps = []
+    for shape in shapes:
+        a = rng.exponential(0.2, shape)
+        if kind == "rounded":
+            a = np.round(a, 1)
+        elif kind == "all_equal":
+            a = np.full(shape, 0.3)
+        maps.append(AnomalyMap(a))
+    gts = [_mask(rng.uniform(size=sh) < 0.3) for sh in shapes]
+    regions = [_mask(rng.uniform(size=sh) < 0.8) for sh in shapes]
+    top = max(float(m.scores.max()) for m in maps)
+    grid = np.concatenate([np.linspace(0.0, top, 17), [0.3, 0.1, top + 1.0]])
+    return maps, gts, regions, np.sort(grid)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("kind", ["continuous", "rounded", "all_equal",
+                                  "one_pixel"])
+def test_sort_count_metrics_equal_argsort_versions_bit_for_bit(kind, seed):
+    maps, gts, regions, grid = _pool_case(kind, seed)
+    curve = pooled_dice_curve(maps, gts, regions, grid)
+    expect = _argsort_pooled_dice_curve(maps, gts, regions, grid)
+    assert curve.tobytes() == expect.tobytes()
+    if sum(int((g.bits & r.bits).sum()) for g, r in zip(gts, regions)):
+        area = auprc(maps, gts, regions)
+        assert np.float64(area).tobytes() == np.float64(
+            _argsort_auprc(maps, gts, regions)).tobytes()
+    else:
+        with pytest.raises(ValueError):
+            auprc(maps, gts, regions)
+
+
 def test_default_grid_spans_score_range():
     maps = [AnomalyMap(np.full((2, 2), 0.6)), AnomalyMap(np.full((2, 2), 0.2))]
     grid = default_grid(maps, size=10)

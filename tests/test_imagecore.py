@@ -54,10 +54,14 @@ def test_window_stats_requires_odd_window():
         window_stats(x, x, 0, 0, 4)
 
 
+def _everywhere(shape):
+    return BinaryMask(np.ones(shape, dtype=bool))
+
+
 def test_median_filter_matches_brute_force():
     rng = np.random.default_rng(2)
     a = rng.uniform(0, 1, (9, 9))
-    out = median_filter(AnomalyMap(a), 3).scores
+    out = median_filter(AnomalyMap(a), 3, _everywhere(a.shape)).scores
     ap = np.pad(a, 1, mode="edge")
     for i in range(9):
         for j in range(9):
@@ -66,14 +70,23 @@ def test_median_filter_matches_brute_force():
 
 def test_median_filter_requires_odd_kernel():
     with pytest.raises(ValueError):
-        median_filter(AnomalyMap(np.zeros((4, 4))), 4)
+        median_filter(AnomalyMap(np.zeros((4, 4))), 4, _everywhere((4, 4)))
     with pytest.raises(ValueError):
-        median_filter(AnomalyMap(np.zeros((4, 4))), 2)
+        median_filter(AnomalyMap(np.zeros((4, 4))), 2, _everywhere((4, 4)))
 
 
-def _assert_scipy_median(a, K):
-    out = median_filter(AnomalyMap(a), K).scores
-    ref = ndimage.median_filter(a, size=K, mode="nearest")
+def test_median_filter_requires_region_of_map_shape():
+    with pytest.raises(ValueError, match="region"):
+        median_filter(AnomalyMap(np.zeros((4, 4))), 3, _everywhere((4, 5)))
+
+
+def _assert_scipy_median(a, K, bits=None):
+    """The region median equals scipy's inside the region and is +0.0
+    outside it (everywhere by default)."""
+    if bits is None:
+        bits = np.ones(a.shape, dtype=bool)
+    out = median_filter(AnomalyMap(a), K, BinaryMask(bits)).scores
+    ref = np.where(bits, ndimage.median_filter(a, size=K, mode="nearest"), 0.0)
     assert out.shape == a.shape
     assert np.array_equal(out, ref)
     assert np.array_equal(np.signbit(out), np.signbit(ref))
@@ -89,6 +102,30 @@ def test_median_filter_equals_scipy(K, h, w, levels, seed):
     if levels:
         a = np.round(a * levels) / levels
     _assert_scipy_median(a, K)
+
+
+@st.composite
+def _regions(draw, shape):
+    """Empty, full, or ragged: each pixel kept with a drawn probability."""
+    kind = draw(st.sampled_from(["empty", "full", "ragged"]))
+    if kind == "empty":
+        return np.zeros(shape, dtype=bool)
+    if kind == "full":
+        return np.ones(shape, dtype=bool)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.uniform(size=shape) < draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(K=st.sampled_from([1, 3, 5, 7]), h=st.integers(1, 40),
+       w=st.integers(1, 40), levels=st.sampled_from([0, 3]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_region_median_filter_equals_scipy_inside_and_zero_outside(
+        K, h, w, levels, seed, data):
+    a = np.random.default_rng(seed).uniform(0.0, 2.0, (h, w))
+    if levels:
+        a = np.round(a * levels) / levels
+    _assert_scipy_median(a, K, data.draw(_regions((h, w))))
 
 
 @pytest.mark.parametrize("K", [1, 3, 5, 7])

@@ -49,6 +49,46 @@ def test_ssim_symmetry():
     assert np.allclose(ssim_map(x, y), ssim_map(y, x), atol=1e-14)
 
 
+@st.composite
+def _ssim_pairs(draw):
+    """Image pairs from 1 x 1 up, constant or not, equal or nearly equal,
+    with windows up to wider than the image."""
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def image():
+        kind = draw(st.sampled_from(["uniform", "constant", "levels"]))
+        if kind == "constant":
+            return np.full(shape, draw(st.floats(0.0, 1.0)))
+        a = rng.uniform(0.0, 1.0, shape)
+        return np.round(a * 2) / 2 if kind == "levels" else a
+
+    x = image()
+    y = draw(st.sampled_from([
+        lambda: x.copy(),
+        lambda: x + rng.normal(0.0, 1e-9, shape),
+        image,
+    ]))()
+    W = draw(st.integers(0, 12)) * 2 + 1
+    return Image2D(x), Image2D(y), SsimParams(W=W)
+
+
+# The covariance and variances are differences of box means, so on nearly
+# equal images 2 cov can exceed var_x + var_y by rounding; the excess over 1
+# stays below about 1e-12 (relative to the stability constant C2).
+SSIM_ROUNDING = 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ssim_pairs())
+def test_ssim_is_symmetric_and_within_minus_one_one(pair):
+    x, y, p = pair
+    smap = ssim_map(x, y, p)
+    assert smap.shape == x.pixels.shape
+    assert np.array_equal(smap, ssim_map(y, x, p))
+    assert np.all(np.abs(smap) <= 1.0 + SSIM_ROUNDING)
+
+
 def test_ssim_params_validation():
     with pytest.raises(ValueError):
         SsimParams(W=4)

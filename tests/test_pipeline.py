@@ -1,6 +1,8 @@
 """The shared fold loop: ``ablate`` equals four separate ``run`` calls, and
-each fold's dataset, regions and reconstructions are computed once."""
+each fold's dataset, regions and reconstructions are computed once; a call
+scores every fold in one process pool."""
 
+import os
 from dataclasses import replace
 
 import pytest
@@ -118,3 +120,58 @@ def test_workers_below_one_are_rejected(tmp_path, workers):
             cli.build_parser().parse_args([command, "--workers", str(workers)])
         assert exc.value.code == 2
     assert cli.build_parser().parse_args(["run", "--workers", "2"]).workers == 2
+
+
+def _counting_pools(monkeypatch):
+    built = []
+    real = pipeline.ProcessPoolExecutor
+
+    def counted(*args, **kwargs):
+        pool = real(*args, **kwargs)
+        built.append(pool)
+        return pool
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", counted)
+    return built
+
+
+@pytest.mark.parametrize("entry", ["run", "ablate"])
+def test_one_pool_per_call_and_reports_equal_one_worker(tmp_path, monkeypatch,
+                                                        entry):
+    cfg = replace(BLUR, folds=3, out=str(tmp_path / "out")).validate()
+    call = getattr(pipeline, entry)
+    dirs = [tmp_path / "out"]
+    if entry == "ablate":
+        dirs = [tmp_path / "out" / v for v in VARIANTS]
+    call(cfg, workers=1)
+    one = [_read(d) for d in dirs]
+    pools = _counting_pools(monkeypatch)
+    call(cfg, workers=2)
+    assert len(pools) == 1
+    assert [_read(d) for d in dirs] == one
+
+
+def test_dead_worker_fails_only_its_fold(tmp_path, monkeypatch):
+    cfg = replace(BLUR, out=str(tmp_path / "out")).validate()
+    pipeline.run(cfg)
+    expect = (tmp_path / "out" / "report.csv").read_text().splitlines()
+    pools = _counting_pools(monkeypatch)
+    flag = tmp_path / "died"
+    real = evalkit.reconstruct
+
+    def dies_once(*args, **kwargs):
+        # patched before the workers fork: the first call in any worker exits
+        if not flag.exists():
+            flag.touch()
+            os._exit(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evalkit, "reconstruct", dies_once)
+    report = pipeline.run(cfg, workers=2)
+    first, second = report.outcomes
+    assert first.result is None and "process" in first.error.lower()
+    assert second.error is None
+    assert len(pools) == 2  # the broken pool is replaced for fold 1
+    rows = (tmp_path / "out" / "report.csv").read_text().splitlines()
+    assert rows[1] == "0,error,error,"
+    assert rows[2] == expect[2]
