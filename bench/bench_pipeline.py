@@ -4,7 +4,9 @@ Sizes follow perfbench's ``ablate_flair`` workload: ``configs/ablate_flair.cfg``
 (64 px flair-like phantoms, 8 validation and 10 test samples, the blur
 baseline at sigma 4, t_test = 50) with one fold.  ``ablate`` runs the four
 variants on one shared dataset; ``run`` is one variant alone, so the ratio of
-the two shows what the variants share.  Run from the repository root::
+the two shows what the variants share.  ``ablate`` with two workers maps each
+sample for every variant of its group in the worker that reconstructed it.
+Run from the repository root::
 
     PYTHONPATH=src python -m pytest bench/bench_pipeline.py
 
@@ -28,6 +30,10 @@ def cfg(tmp_path):
 
 def test_ablate(benchmark, cfg):
     benchmark(pipeline.ablate, cfg)
+
+
+def test_ablate_two_workers(benchmark, cfg):
+    benchmark(pipeline.ablate, cfg, workers=2)
 
 
 def test_run_one_variant(benchmark, cfg):

@@ -34,7 +34,11 @@ def _setting(cfg):
     sample = phantom.gen_abnormal(0, cfg.size, phantom.PROFILES[cfg.profile])
     sched = diffusion.linear_schedule(cfg.T, cfg.beta_1, cfg.beta_T)
     model = denoise.blur_denoiser(cfg.blur_sigma)
-    return sample, sched, model, pipeline.eval_config(cfg)
+    # the config leaves the patches unset; give the image's default spec
+    ecfg = dataclasses.replace(
+        pipeline.eval_config(cfg),
+        patch=diffusion.PatchSpec.default_for(cfg.size, cfg.size))
+    return sample, sched, model, ecfg
 
 
 @pytest.fixture(scope="module")

@@ -35,7 +35,6 @@ class DatasetStats:
 @dataclass(frozen=True)
 class PreprocessDecision:
     flip: bool
-    source_stats: DatasetStats
 
 
 def dataset_stats(samples) -> DatasetStats:
@@ -73,7 +72,7 @@ def air(stats: DatasetStats) -> float:
 
 def decide(stats: DatasetStats) -> PreprocessDecision:
     """Flip exactly when the normal mean exceeds 0.5 (boundary stays identity)."""
-    return PreprocessDecision(flip=stats.mu_n > 0.5, source_stats=stats)
+    return PreprocessDecision(flip=stats.mu_n > 0.5)
 
 
 def apply(img: Image2D, d: PreprocessDecision) -> Image2D:

@@ -12,8 +12,8 @@ conditioning context; a single patch covering the image reconstructs it whole.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,9 +29,10 @@ DEFAULT_PERSISTENCE = 0.8
 
 @dataclass(frozen=True)
 class DiffusionSchedule:
-    """Per-step beta/alpha/alpha-bar tables; t is 1-based in [1, T]."""
+    """Per-step beta and alpha-bar tables; t is 1-based in [1, T]."""
 
     betas: np.ndarray
+    alpha_bars: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = np.asarray(self.betas, dtype=np.float64)
@@ -40,18 +41,11 @@ class DiffusionSchedule:
         if np.any(b <= 0.0) or np.any(b >= 1.0):
             raise ValueError("betas must lie in (0, 1)")
         object.__setattr__(self, "betas", b)
+        object.__setattr__(self, "alpha_bars", np.cumprod(1.0 - b))
 
     @property
     def T(self) -> int:
         return self.betas.size
-
-    @property
-    def alphas(self) -> np.ndarray:
-        return 1.0 - self.betas
-
-    @property
-    def alpha_bars(self) -> np.ndarray:
-        return np.cumprod(self.alphas)
 
     def alpha_bar(self, t: int) -> float:
         if not 1 <= t <= self.T:
@@ -76,14 +70,6 @@ class NoiseField:
     values: np.ndarray
     seed: int
     kind: str  # "gaussian" | "simplex"
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
 
 
 def _standardize(v: np.ndarray) -> np.ndarray:
@@ -140,15 +126,19 @@ def forward_noise(x0: Image2D, t: int, noise: NoiseField,
 
 @dataclass(frozen=True)
 class PatchSpec:
-    patch_h: int
-    patch_w: int
-    stride_h: int
-    stride_w: int
+    """Patch and stride sizes in pixels.  :func:`placements` needs all four;
+    a spec with unset (``None``) values is filled in from the image by
+    ``evalkit.reconstruct``."""
+
+    patch_h: Optional[int] = None
+    patch_w: Optional[int] = None
+    stride_h: Optional[int] = None
+    stride_w: Optional[int] = None
 
     def __post_init__(self):
-        if self.patch_h < 1 or self.patch_w < 1:
+        if any(v is not None and v < 1 for v in (self.patch_h, self.patch_w)):
             raise ValueError("patch dimensions must be positive")
-        if self.stride_h < 1 or self.stride_w < 1:
+        if any(v is not None and v < 1 for v in (self.stride_h, self.stride_w)):
             raise ValueError("strides must be >= 1")
 
     @staticmethod

@@ -11,16 +11,16 @@ above a score by binary search in the sorted pooled scores and the sorted
 positive scores.
 
 :func:`score_sample` is that chain for one sample: :func:`reconstruct`, then
-:func:`anomaly_map` inside :func:`eval_region`.  A caller scoring one
-reconstruction under several fusion blends holds the reconstruction and the
-region and calls :func:`anomaly_map` once per blend; :func:`evaluate_fold`
+:func:`anomaly_map` inside :func:`eval_region`.  To score a sample under
+several fusion blends, call :func:`reconstruct` once and :func:`anomaly_map`
+once per blend, while the reconstruction is at hand; :func:`evaluate_fold`
 takes the finished maps and regions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Mapping, Sequence
 from zlib import crc32
 
 import numpy as np
@@ -42,7 +42,7 @@ class EvalConfig:
     median_k: int = 5
     erosion_iters: int = 3
     n_thresholds: int = DEFAULT_GRID_SIZE        # grid points over [0, max]
-    patch: Optional[PatchSpec] = None            # None: default half-size patches
+    patch: PatchSpec = field(default_factory=PatchSpec)  # unset: from the image
     noise_kind: str = "simplex"
 
 
@@ -52,9 +52,15 @@ def sample_seed(seed: int, sample_id: str) -> int:
 
 def reconstruct(model, sample: LabeledSample, cfg: EvalConfig,
                 sched: DiffusionSchedule, seed: int) -> Image2D:
-    """The model's patched reconstruction of a sample, seeded by its id."""
+    """The model's patched reconstruction of a sample, seeded by its id.
+
+    Each patch or stride value ``cfg.patch`` leaves unset is taken from the
+    image's own dimensions: half-size patches at quarter-size strides.
+    """
     img = sample.image
-    spec = cfg.patch or PatchSpec.default_for(img.height, img.width)
+    p, d = cfg.patch, PatchSpec.default_for(img.height, img.width)
+    spec = PatchSpec(p.patch_h or d.patch_h, p.patch_w or d.patch_w,
+                     p.stride_h or d.stride_h, p.stride_w or d.stride_w)
     return diffusion.reconstruct_patched(
         model, img, cfg.t_test, sched, spec,
         sample_seed(seed, sample.id), noise_kind=cfg.noise_kind)

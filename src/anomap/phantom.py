@@ -138,24 +138,23 @@ def gen_abnormal(seed: int, size: int, profile: ModalityProfile,
     base = gen_healthy(derive_seed(seed, 0), size, profile, sample_id)
     rng = np.random.default_rng(derive_seed(seed, 2))
     fg = base.foreground.bits
-    size_ = size
 
     n_lesions = int(rng.integers(profile.lesion_count_range[0],
                                  profile.lesion_count_range[1] + 1))
-    weight = np.zeros((size_, size_))
+    weight = np.zeros((size, size))
     placed = 0
     attempts = 0
     while placed < n_lesions:
         attempts += 1
         if attempts > 100:
             raise ValueError("foreground too small for lesion spec")
-        w = _lesion_weight(rng, fg, size_, profile)
+        w = _lesion_weight(rng, fg, size, profile)
         if w is None:
             continue
         np.maximum(weight, w, out=weight)
         placed += 1
 
-    tex = _texture(derive_seed(seed, 3), size_, profile.texture_amp * 0.5)
+    tex = _texture(derive_seed(seed, 3), size, profile.texture_amp * 0.5)
     lesion_val = np.clip(profile.mu_lesion_target + tex, _CLIP_EPS, 1.0 - _CLIP_EPS)
     img = base.image.pixels * (1.0 - weight) + lesion_val * weight
     img[~fg] = 0.0

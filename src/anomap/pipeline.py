@@ -84,14 +84,6 @@ def load_fold_dataset(cfg: RunConfig, fold: int) -> Dataset:
                                cfg.n_train, cfg.n_val, cfg.n_test)
 
 
-def patch_spec(cfg: RunConfig) -> PatchSpec:
-    default = PatchSpec.default_for(cfg.size, cfg.size)
-    return PatchSpec(cfg.patch_h or default.patch_h,
-                     cfg.patch_w or default.patch_w,
-                     cfg.stride_h or default.stride_h,
-                     cfg.stride_w or default.stride_w)
-
-
 def eval_config(cfg: RunConfig) -> EvalConfig:
     return EvalConfig(
         t_test=cfg.resolved_t_test(),
@@ -100,7 +92,7 @@ def eval_config(cfg: RunConfig) -> EvalConfig:
         median_k=cfg.median_k,
         erosion_iters=cfg.erosion_iters,
         n_thresholds=cfg.n_thresholds,
-        patch=patch_spec(cfg),
+        patch=PatchSpec(cfg.patch_h, cfg.patch_w, cfg.stride_h, cfg.stride_w),
         noise_kind=cfg.noise,
     )
 
@@ -119,16 +111,12 @@ def require_workers(workers: int) -> int:
     return workers
 
 
-def _reconstruct_and_map(args):
-    """A sample's reconstruction (``None`` unless ``keep``) and its map."""
-    model, sample, ecfg, sched, seed, region, keep = args
-    recon = evalkit.reconstruct(model, sample, ecfg, sched, seed)
-    return (recon if keep else None,
-            evalkit.anomaly_map(sample.image, recon, region, ecfg))
-
-
-def _anomaly_map(args):
-    return evalkit.anomaly_map(*args)
+def _maps(args):
+    """A sample's anomaly map under each of ``ecfgs``, in order, from one
+    reconstruction made under the first."""
+    model, sample, ecfgs, sched, seed, region = args
+    recon = evalkit.reconstruct(model, sample, ecfgs[0], sched, seed)
+    return [evalkit.anomaly_map(sample.image, recon, region, e) for e in ecfgs]
 
 
 def _in_order(pool, fn, args) -> list:
@@ -137,14 +125,6 @@ def _in_order(pool, fn, args) -> list:
     if pool is None:
         return [fn(a) for a in args]
     return list(pool.map(fn, args))
-
-
-def _emptying(items: list):
-    """The list's items in order, each removed from the list as it is
-    yielded, so that it is freed once the consumer drops it."""
-    items.reverse()
-    while items:
-        yield items.pop()
 
 
 def _failed(fold: int, exc: Exception) -> FoldOutcome:
@@ -179,11 +159,12 @@ def run_fold(cfgs: Sequence[RunConfig], fold: int,
     cannot differ form a group: the same images after the flip decision and
     the same model, which for a trained model means the same loss ``alpha``
     (the blur baseline does not depend on the variant at all).  A group
-    trains once and reconstructs each sample once, building its first
-    variant's maps in the same pass; its other variants then build theirs
-    from the held reconstructions.  The variants are evaluated one at a
-    time, each dropping its maps before the next.  Samples are reconstructed
-    and mapped in ``pool``'s workers when there is one, else in this process.
+    trains once and makes one ordered pass over its samples: each sample is
+    reconstructed once and mapped for every member in the same task, so no
+    reconstruction leaves the process that made it.  The members are then
+    evaluated one at a time from those maps, which are dropped before the
+    next group's pass.  The pass runs in ``pool``'s workers when there is
+    one, else in this process.
     With ``dump_maps`` each variant's test maps go to
     ``<out>/maps/fold<k>/<id>.f32r``.
     """
@@ -213,23 +194,17 @@ def run_fold(cfgs: Sequence[RunConfig], fold: int,
     for (flipped, _), members in groups.items():
         first = cfgs[members[0]]
         try:
+            ecfgs = [eval_config(cfgs[i]) for i in members]
             splits = (ds.train_healthy, ds.val_abnormal, ds.test_abnormal)
             if flipped:
                 splits = tuple(_apply_decision(s, decision) for s in splits)
             train_set, val_set, test_set = splits
             samples = [*val_set, *test_set]
-            ecfg = eval_config(first)
-            model, loss_trace = _model(first, ecfg, train_set, fold_seed,
+            model, loss_trace = _model(first, ecfgs[0], train_set, fold_seed,
                                        sched)
-            # the first variant's maps come with the reconstructions;
-            # these are kept only for the group's other variants
-            keep = len(members) > 1
-            done = _in_order(pool, _reconstruct_and_map,
-                             [(model, s, ecfg, sched, fold_seed,
-                               regions[s.id], keep) for s in samples])
-            recons = [recon for recon, _ in done]
-            maps = {s.id: amap for s, (_, amap) in zip(samples, done)}
-            del done
+            per_sample = _in_order(pool, _maps,
+                                   [(model, s, ecfgs, sched, fold_seed,
+                                     regions[s.id]) for s in samples])
         except Exception as exc:
             for i in members:
                 outcomes[i] = _failed(fold, exc)
@@ -237,19 +212,9 @@ def run_fold(cfgs: Sequence[RunConfig], fold: int,
         for k, i in enumerate(members):
             c = cfgs[i]
             try:
-                if k > 0:
-                    ecfg = eval_config(c)
-                    # the last variant lets each reconstruction go as
-                    # soon as its map is built
-                    held = (_emptying(recons) if k == len(members) - 1
-                            else recons)
-                    built = _in_order(pool, _anomaly_map,
-                                      ((s.image, recon, regions[s.id], ecfg)
-                                       for s, recon in zip(samples, held)))
-                    maps = {s.id: amap for s, amap in zip(samples, built)}
-                    del built
+                maps = {s.id: m[k] for s, m in zip(samples, per_sample)}
                 result = evalkit.evaluate_fold(val_set, test_set, maps,
-                                               regions, ecfg.n_thresholds)
+                                               regions, ecfgs[k].n_thresholds)
                 if dump_maps:
                     d = fileio.ensure_dir(Path(c.out) / "maps" / f"fold{fold}")
                     for s in test_set:
@@ -258,7 +223,7 @@ def run_fold(cfgs: Sequence[RunConfig], fold: int,
                                           loss_trace)
             except Exception as exc:
                 outcomes[i] = _failed(fold, exc)
-            maps = None  # dropped before the next variant builds its own
+        per_sample = maps = None  # dropped before the next group's pass
     return outcomes
 
 

@@ -1,5 +1,7 @@
-"""The shared fold loop: ``ablate`` equals four separate ``run`` calls, and
-each fold's dataset, regions and reconstructions are computed once; a call
+"""The shared fold loop: ``ablate`` equals four separate ``run`` calls, with
+or without pool workers; each fold's dataset and regions are computed once,
+and each sample is reconstructed once per group of variants that share a
+model and images, in the same task that maps it for every member.  A call
 scores every fold in one process pool."""
 
 import os
@@ -55,9 +57,10 @@ def test_ablate_equals_separate_runs_blur_flip(tmp_path, workers):
     assert all(o.flipped for o in reports["fq_air"].outcomes)
 
 
-def test_ablate_equals_separate_runs_blur_no_flip(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ablate_equals_separate_runs_blur_no_flip(tmp_path, workers):
     cfg = replace(BLUR, profile="t2_like")
-    reports = _assert_ablate_equals_runs(cfg, tmp_path, 1)
+    reports = _assert_ablate_equals_runs(cfg, tmp_path, workers)
     # unflipped, fq_air shares fq's reconstructions and maps
     assert not any(o.flipped for o in reports["fq_air"].outcomes)
     assert ([o.result for o in reports["fq_air"].outcomes]
@@ -99,6 +102,22 @@ def test_disk_dataset_is_read_once_per_run(tmp_path, monkeypatch):
     report = pipeline.run(disk)
     assert len(loads) == 1
     assert report.complete and len(report.outcomes) == 3
+
+
+def test_disk_patches_follow_the_image_not_the_config_size(tmp_path):
+    # unset patch and stride values come from the 64 px rasters; the
+    # config's size (here 32) does not describe a disk dataset
+    cfg = replace(BLUR, size=64, folds=1).validate()
+    datasetio.save_dataset(pipeline.load_fold_dataset(cfg, 0), tmp_path / "ds")
+    written = []
+    for size in (32, 64):
+        out = tmp_path / f"size{size}"
+        pipeline.run(replace(cfg, size=size, dataset_kind="disk",
+                             dataset_path=str(tmp_path / "ds"),
+                             out=str(out)).validate())
+        written.append({name: (out / name).read_bytes()
+                        for name in ("report.csv", "per_sample.csv")})
+    assert written[0] == written[1]
 
 
 def test_missing_disk_dataset_is_reported_with_its_path(tmp_path):
