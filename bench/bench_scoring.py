@@ -1,5 +1,6 @@
 """Microbenchmarks of the scoring hot path: simplex noise, patched
-reconstruction, the region median filter and the pooled metrics.
+reconstruction, the SSIM window moments, the region median filter and the
+pooled metrics.
 
 Sizes follow perfbench's ``ablate_flair`` workload (``configs/ablate_flair.cfg``):
 64 px flair-like phantoms, default half-size patches at quarter stride (nine
@@ -21,8 +22,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from anomap import (config, denoise, diffusion, evalkit, imagecore, phantom,
-                    pipeline, simplex)
+from anomap import (config, denoise, diffusion, evalkit, imagecore, iqa,
+                    phantom, pipeline, simplex)
 
 CFG = config.parse_file("configs/ablate_flair.cfg")
 CFG128 = dataclasses.replace(CFG, size=128, noise="gaussian")
@@ -85,6 +86,14 @@ def test_reconstruct_patched_128(benchmark, setting128):
 def test_score_sample_128(benchmark, setting128):
     sample, sched, model, ecfg = setting128
     benchmark(evalkit.score_sample, model, sample, ecfg, sched, 0)
+
+
+@pytest.mark.parametrize("W", [5, 11])
+@pytest.mark.parametrize("size", [32, 64, 128])
+def test_window_moments(benchmark, size, W):
+    # the box moments behind every SSIM map, trial loss and gradient
+    x, y = np.random.default_rng(0).random((2, size, size))
+    benchmark(iqa._window_moments, x, y, W)
 
 
 def _score_raster(size, seed=0):

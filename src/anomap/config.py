@@ -115,8 +115,11 @@ class RunConfig:
         if self.erosion_iters < 0:
             raise ValueError("erosion_iters must be >= 0")
         for name in ("patch_h", "patch_w"):
+            # a disk dataset ignores size: pipeline checks its rasters
             v = getattr(self, name)
-            if v is not None and not 1 <= v <= self.size:
+            if v is not None and v < 1:
+                raise ValueError(f"{name} = {v} must be >= 1")
+            if v is not None and self.dataset_kind != "disk" and v > self.size:
                 raise ValueError(f"{name} = {v} outside [1, size = {self.size}]")
         for name in ("stride_h", "stride_w"):
             v = getattr(self, name)

@@ -10,9 +10,9 @@ the fusion loss are exact.
 Every model also declares a ``receptive_radius``: the Chebyshev distance
 beyond which an input pixel cannot change an output pixel, with image edges
 replicated.  The blur and the kernel mixture are local (the radius of their
-widest kernel), so :func:`diffusion.reconstruct_patched` hands them only a
-patch plus that halo, clipped to the image; the oracle declares ``None``
-(global) and always sees the whole image.
+widest kernel), so :func:`diffusion.reconstruct_from_fields` hands them
+only a patch plus that halo, clipped to the image; the oracle declares
+``None`` (global) and always sees the whole image.
 """
 
 from __future__ import annotations

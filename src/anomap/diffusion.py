@@ -164,14 +164,37 @@ def placements(spec: PatchSpec, height: int, width: int) -> List[Tuple[int, int]
             for c in _axis_starts(width, spec.patch_w, spec.stride_w)]
 
 
+def placement_fields(spec: PatchSpec, height: int, width: int, seed: int,
+                     noise_kind: str = "simplex") -> List[NoiseField]:
+    """The noise field of every placement of ``spec`` on a ``height`` x
+    ``width`` image, in :func:`placements` order, drawn in one
+    :func:`make_fields` call.
+
+    Placement k's field is seeded by ``derive_seed(seed, k)``; the fields
+    depend on the seed, the noise kind and the patch shape, never on the
+    image's pixels or on the model.
+    """
+    n = len(placements(spec, height, width))
+    seeds = [derive_seed(seed, idx) for idx in range(n)]
+    return make_fields(noise_kind, seeds, spec.patch_w, spec.patch_h)
+
+
 def reconstruct_patched(model, x: Image2D, t_test: int, sched: DiffusionSchedule,
                         spec: PatchSpec, seed: int,
                         noise_kind: str = "simplex") -> Image2D:
+    """:func:`reconstruct_from_fields` under the :func:`placement_fields`
+    that ``seed`` and ``noise_kind`` draw for ``x``."""
+    return reconstruct_from_fields(model, x, t_test, sched, spec, placement_fields(
+        spec, x.height, x.width, seed, noise_kind))
+
+
+def reconstruct_from_fields(model, x: Image2D, t_test: int,
+                            sched: DiffusionSchedule, spec: PatchSpec,
+                            noises: Sequence[NoiseField]) -> Image2D:
     """Noise one patch at a time, condition on the clean remainder, merge.
 
-    Each placement gets its own counter-based noise field, seeded by
-    ``derive_seed(seed, index)``; all of them are drawn in one
-    :func:`make_fields` call before the first denoiser call.  The model sees
+    ``noises`` holds one patch-sized field per placement, in
+    :func:`placements` order (see :func:`placement_fields`).  The model sees
     the image with only that patch corrupted, and its prediction is kept
     inside the patch.  Overlaps are averaged with uniform weights via a
     running mean in fixed placement order (bit-identical merge when
@@ -187,15 +210,13 @@ def reconstruct_patched(model, x: Image2D, t_test: int, sched: DiffusionSchedule
     plist = placements(spec, x.height, x.width)
     fg = x.fg_bits()
     ab = sched.alpha_bar(t_test)
-    seeds = [derive_seed(seed, idx) for idx in range(len(plist))]
-    noises = make_fields(noise_kind, seeds, spec.patch_w, spec.patch_h)
     halo = getattr(model, "receptive_radius", None)
     if halo is None:
         halo = max(x.height, x.width)
 
     mean = np.zeros_like(x.pixels)
     count = np.zeros(x.pixels.shape, dtype=np.int64)
-    for (r0, c0), noise in zip(plist, noises):
+    for (r0, c0), noise in zip(plist, noises, strict=True):
         r1, c1 = r0 + spec.patch_h, c0 + spec.patch_w
         wr0, wc0 = max(r0 - halo, 0), max(c0 - halo, 0)
         wr1, wc1 = min(r1 + halo, x.height), min(c1 + halo, x.width)

@@ -10,11 +10,13 @@ pooled in-region pixels.  Both metrics count pixels and positives at or
 above a score by binary search in the sorted pooled scores and the sorted
 positive scores.
 
-:func:`score_sample` is that chain for one sample: :func:`reconstruct`, then
-:func:`anomaly_map` inside :func:`eval_region`.  To score a sample under
-several fusion blends, call :func:`reconstruct` once and :func:`anomaly_map`
-once per blend, while the reconstruction is at hand; :func:`evaluate_fold`
-takes the finished maps and regions.
+:func:`score_sample` is that chain for one sample: :func:`patch_noise`,
+:func:`reconstruct`, then :func:`anomaly_map` inside :func:`eval_region`.
+The placement noise depends only on the sample's id and dimensions, so one
+draw serves every model and intensity transform of the sample; to score it
+under several fusion blends, call :func:`reconstruct` once per model and
+:func:`anomaly_map` once per blend, while the reconstruction is at hand.
+:func:`evaluate_fold` takes the finished maps and regions.
 """
 
 from __future__ import annotations
@@ -50,20 +52,33 @@ def sample_seed(seed: int, sample_id: str) -> int:
     return diffusion.derive_seed(seed, crc32(sample_id.encode("utf-8")))
 
 
-def reconstruct(model, sample: LabeledSample, cfg: EvalConfig,
-                sched: DiffusionSchedule, seed: int) -> Image2D:
-    """The model's patched reconstruction of a sample, seeded by its id.
-
-    Each patch or stride value ``cfg.patch`` leaves unset is taken from the
-    image's own dimensions: half-size patches at quarter-size strides.
-    """
-    img = sample.image
+def _patch_spec(img: Image2D, cfg: EvalConfig) -> PatchSpec:
+    """``cfg.patch`` with each unset value taken from the image's own
+    dimensions: half-size patches at quarter-size strides."""
     p, d = cfg.patch, PatchSpec.default_for(img.height, img.width)
-    spec = PatchSpec(p.patch_h or d.patch_h, p.patch_w or d.patch_w,
+    return PatchSpec(p.patch_h or d.patch_h, p.patch_w or d.patch_w,
                      p.stride_h or d.stride_h, p.stride_w or d.stride_w)
-    return diffusion.reconstruct_patched(
-        model, img, cfg.t_test, sched, spec,
-        sample_seed(seed, sample.id), noise_kind=cfg.noise_kind)
+
+
+def patch_noise(sample: LabeledSample, cfg: EvalConfig,
+                seed: int) -> List[diffusion.NoiseField]:
+    """The sample's placement noise fields, seeded by its id.  They depend
+    on the image's dimensions only, so one draw serves every model and every
+    intensity transform of the sample."""
+    img = sample.image
+    return diffusion.placement_fields(_patch_spec(img, cfg), img.height,
+                                      img.width, sample_seed(seed, sample.id),
+                                      cfg.noise_kind)
+
+
+def reconstruct(model, sample: LabeledSample, cfg: EvalConfig,
+                sched: DiffusionSchedule,
+                noises: Sequence[diffusion.NoiseField]) -> Image2D:
+    """The model's patched reconstruction of a sample under the placement
+    fields :func:`patch_noise` drew for it."""
+    img = sample.image
+    return diffusion.reconstruct_from_fields(model, img, cfg.t_test, sched,
+                                             _patch_spec(img, cfg), noises)
 
 
 def anomaly_map(img: Image2D, recon: Image2D, region: BinaryMask,
@@ -77,8 +92,8 @@ def anomaly_map(img: Image2D, recon: Image2D, region: BinaryMask,
 def score_sample(model, sample: LabeledSample, cfg: EvalConfig,
                  sched: DiffusionSchedule, seed: int) -> AnomalyMap:
     """Reconstruct, score, smooth, and restrict to the eroded brain mask."""
-    return anomaly_map(sample.image, reconstruct(model, sample, cfg, sched, seed),
-                       eval_region(sample, cfg), cfg)
+    recon = reconstruct(model, sample, cfg, sched, patch_noise(sample, cfg, seed))
+    return anomaly_map(sample.image, recon, eval_region(sample, cfg), cfg)
 
 
 def eval_region(sample: LabeledSample, cfg: EvalConfig) -> BinaryMask:

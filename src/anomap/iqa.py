@@ -62,17 +62,20 @@ class FusionParams:
             raise ValueError("alpha must lie in [0, 1]")
 
 
-def _box_mean(a: np.ndarray, W: int) -> np.ndarray:
-    # replicate-edge box mean, same shape as input
-    return ndimage.uniform_filter(a, size=W, mode="nearest")
-
-
 def _window_moments(x: np.ndarray, y: np.ndarray, W: int):
-    mx = _box_mean(x, W)
-    my = _box_mean(y, W)
-    vx = _box_mean(x * x, W) - mx * mx
-    vy = _box_mean(y * y, W) - my * my
-    cov = _box_mean(x * y, W) - mx * my
+    # replicate-edge box means of x, y, x*x, y*y and x*y, filtered in place
+    # as one stack: a size-1 axis is skipped, so each slice is filtered
+    # exactly as on its own
+    buf = np.empty((5, *x.shape))
+    buf[0], buf[1] = x, y
+    np.multiply(x, x, out=buf[2])
+    np.multiply(y, y, out=buf[3])
+    np.multiply(x, y, out=buf[4])
+    ndimage.uniform_filter(buf, size=(1, W, W), output=buf, mode="nearest")
+    mx, my, vx, vy, cov = buf
+    vx -= mx * mx
+    vy -= my * my
+    cov -= mx * my
     np.maximum(vx, 0.0, out=vx)
     np.maximum(vy, 0.0, out=vy)
     return mx, my, vx, vy, cov

@@ -112,11 +112,21 @@ def require_workers(workers: int) -> int:
 
 
 def _maps(args):
-    """A sample's anomaly map under each of ``ecfgs``, in order, from one
-    reconstruction made under the first."""
-    model, sample, ecfgs, sched, seed, region = args
-    recon = evalkit.reconstruct(model, sample, ecfgs[0], sched, seed)
-    return [evalkit.anomaly_map(sample.image, recon, region, e) for e in ecfgs]
+    """A sample's anomaly maps, every member of every group in order, from
+    one draw of its placement noise and one reconstruction per group.
+
+    Each group is ``(model, sample, ecfgs)``: its model, its own version of
+    the sample (flipped or not) and its members' eval configs.
+    """
+    groups, sched, seed, region = args
+    _, sample, ecfgs = groups[0]
+    noises = evalkit.patch_noise(sample, ecfgs[0], seed)
+    maps = []
+    for model, sample, ecfgs in groups:
+        recon = evalkit.reconstruct(model, sample, ecfgs[0], sched, noises)
+        maps += [evalkit.anomaly_map(sample.image, recon, region, e)
+                 for e in ecfgs]
+    return maps
 
 
 def _in_order(pool, fn, args) -> list:
@@ -158,13 +168,17 @@ def run_fold(cfgs: Sequence[RunConfig], fold: int,
     each scored sample's eroded region.  Variants whose reconstructions
     cannot differ form a group: the same images after the flip decision and
     the same model, which for a trained model means the same loss ``alpha``
-    (the blur baseline does not depend on the variant at all).  A group
-    trains once and makes one ordered pass over its samples: each sample is
-    reconstructed once and mapped for every member in the same task, so no
-    reconstruction leaves the process that made it.  The members are then
-    evaluated one at a time from those maps, which are dropped before the
-    next group's pass.  The pass runs in ``pool``'s workers when there is
-    one, else in this process.
+    (the blur baseline does not depend on the variant at all).
+
+    Every group first builds its model, in group order; a training error
+    fails only that group's variants.  The fold then makes one ordered pass
+    over its scored samples, in ``pool``'s workers when there is one, else
+    in this process.  Each task draws the sample's placement noise once,
+    reconstructs the sample once per live group from that group's images
+    and model, and maps it for every member, so no reconstruction leaves
+    the process that made it.  The pass is one stage: an error inside it
+    fails every variant of the fold that was still live.  The members are
+    then evaluated one at a time from those maps.
     With ``dump_maps`` each variant's test maps go to
     ``<out>/maps/fold<k>/<id>.f32r``.
     """
@@ -191,30 +205,45 @@ def run_fold(cfgs: Sequence[RunConfig], fold: int,
              fold, len(cfgs), len(groups))
 
     outcomes: List[Optional[FoldOutcome]] = [None] * len(cfgs)
+    live = []  # (members, ecfgs, flipped, model, loss trace, val, test)
     for (flipped, _), members in groups.items():
-        first = cfgs[members[0]]
         try:
             ecfgs = [eval_config(cfgs[i]) for i in members]
             splits = (ds.train_healthy, ds.val_abnormal, ds.test_abnormal)
             if flipped:
                 splits = tuple(_apply_decision(s, decision) for s in splits)
             train_set, val_set, test_set = splits
-            samples = [*val_set, *test_set]
-            model, loss_trace = _model(first, ecfgs[0], train_set, fold_seed,
-                                       sched)
-            per_sample = _in_order(pool, _maps,
-                                   [(model, s, ecfgs, sched, fold_seed,
-                                     regions[s.id]) for s in samples])
+            model, loss_trace = _model(cfgs[members[0]], ecfgs[0], train_set,
+                                       fold_seed, sched)
         except Exception as exc:
             for i in members:
                 outcomes[i] = _failed(fold, exc)
             continue
-        for k, i in enumerate(members):
+        live.append((members, ecfgs, flipped, model, loss_trace, val_set,
+                     test_set))
+
+    try:
+        # per scored sample: each live group's model, its version of the
+        # sample and its members' eval configs
+        by_group = [[(model, s, ecfgs) for s in [*val_set, *test_set]]
+                    for _, ecfgs, _, model, _, val_set, test_set in live]
+        tasks = [(versions, sched, fold_seed, regions[s.id])
+                 for s, versions in zip(scored, zip(*by_group))]
+        per_sample = _in_order(pool, _maps, tasks)
+    except Exception as exc:
+        for members, *_ in live:
+            for i in members:
+                outcomes[i] = _failed(fold, exc)
+        return outcomes
+
+    column = 0  # each member's index in a sample's map list
+    for members, ecfgs, flipped, _, loss_trace, val_set, test_set in live:
+        for i, ecfg in zip(members, ecfgs):
             c = cfgs[i]
             try:
-                maps = {s.id: m[k] for s, m in zip(samples, per_sample)}
+                maps = {s.id: m[column] for s, m in zip(scored, per_sample)}
                 result = evalkit.evaluate_fold(val_set, test_set, maps,
-                                               regions, ecfgs[k].n_thresholds)
+                                               regions, ecfg.n_thresholds)
                 if dump_maps:
                     d = fileio.ensure_dir(Path(c.out) / "maps" / f"fold{fold}")
                     for s in test_set:
@@ -223,7 +252,7 @@ def run_fold(cfgs: Sequence[RunConfig], fold: int,
                                           loss_trace)
             except Exception as exc:
                 outcomes[i] = _failed(fold, exc)
-        per_sample = maps = None  # dropped before the next group's pass
+            column += 1
     return outcomes
 
 
@@ -237,6 +266,17 @@ def _broken(pool: ProcessPoolExecutor) -> bool:
     return False
 
 
+def _require_patches_fit(cfg: RunConfig, ds: Dataset) -> None:
+    """Reject a configured patch larger than a scored image of a disk
+    dataset, whose rasters ``[dataset] size`` does not describe."""
+    for s in (*ds.val_abnormal, *ds.test_abnormal):
+        for name, dim in (("patch_h", "height"), ("patch_w", "width")):
+            v, px = getattr(cfg, name), getattr(s.image, dim)
+            if v is not None and v > px:
+                raise ValueError(f"{cfg.dataset_path}: sample {s.id} has "
+                                 f"{dim} {px} px, less than {name} = {v}")
+
+
 def _run_variants(cfgs: Sequence[RunConfig], workers: int,
                   dump_maps: bool = False) -> List[RunReport]:
     """Every fold of every variant in ``cfgs`` through :func:`run_fold`; writes
@@ -244,11 +284,13 @@ def _run_variants(cfgs: Sequence[RunConfig], workers: int,
     folds share one process pool, replaced only after a worker died."""
     require_workers(workers)
     start = time.monotonic()
-    outs = [fileio.ensure_dir(c.out) for c in cfgs]
     cfg = cfgs[0]
     # a disk dataset does not depend on the fold: read it once per run
-    dataset = (datasetio.load_dataset(cfg.dataset_path)
-               if cfg.dataset_kind == "disk" else None)
+    dataset = None
+    if cfg.dataset_kind == "disk":
+        dataset = datasetio.load_dataset(cfg.dataset_path)
+        _require_patches_fit(cfg, dataset)
+    outs = [fileio.ensure_dir(c.out) for c in cfgs]
     by_fold, pool = [], None
     try:
         for fold in range(cfg.folds):

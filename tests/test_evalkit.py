@@ -8,8 +8,8 @@ from anomap.denoise import blur_denoiser
 from anomap.diffusion import PatchSpec, linear_schedule
 from anomap.evalkit import (EvalConfig, anomaly_map, auprc, dice, default_grid,
                             eval_region, evaluate_fold, greedy_threshold,
-                            pooled_dice_curve, reconstruct, sample_seed,
-                            score_sample)
+                            patch_noise, pooled_dice_curve, reconstruct,
+                            sample_seed, score_sample)
 from anomap.imagecore import AnomalyMap, BinaryMask
 from anomap.iqa import FusionParams, SsimParams
 
@@ -330,7 +330,8 @@ def test_evaluate_fold_scores_the_given_maps():
     assert set(calls) == {s.id for s in samples}
     # holding a reconstruction and building its map later gives the same
     # maps as score_sample, and so the same result
-    held = {s.id: anomaly_map(s.image, reconstruct(model, s, cfg, sched, 5),
+    held = {s.id: anomaly_map(s.image, reconstruct(model, s, cfg, sched,
+                                                   patch_noise(s, cfg, 5)),
                               regions[s.id], cfg)
             for s in samples}
     assert all(np.array_equal(held[k].scores, maps[k].scores) for k in maps)

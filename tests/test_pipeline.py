@@ -1,15 +1,18 @@
 """The shared fold loop: ``ablate`` equals four separate ``run`` calls, with
 or without pool workers; each fold's dataset and regions are computed once,
-and each sample is reconstructed once per group of variants that share a
-model and images, in the same task that maps it for every member.  A call
-scores every fold in one process pool."""
+each group of variants that share a model and images builds its model once,
+and the fold makes one pass over its samples in which each sample's patch
+noise is drawn once and the sample is reconstructed once per group, in the
+same task that maps it for every member.  A call scores every fold in one
+process pool."""
 
 import os
 from dataclasses import replace
 
 import pytest
 
-from anomap import cli, config, datasetio, denoise, evalkit, imagecore, pipeline
+from anomap import (cli, config, datasetio, denoise, diffusion, evalkit,
+                    imagecore, phantom, pipeline)
 from anomap.config import VARIANTS
 
 REPORTS = ("report.csv", "per_sample.csv", "config_echo.cfg")
@@ -93,6 +96,55 @@ def test_ablate_trains_and_reconstructs_once_per_group(tmp_path, monkeypatch,
     assert len(erosions) == cfg.folds * scored
 
 
+@pytest.mark.parametrize("cfg", [BLUR, TRAINED])  # 2 and 4 groups
+def test_patch_noise_is_drawn_once_per_sample_and_fold(monkeypatch, tmp_path,
+                                                       cfg):
+    cfg = replace(cfg, profile="flair_like", out=str(tmp_path / "a")).validate()
+    draws = _counting(monkeypatch, diffusion, "make_fields")
+    pipeline.ablate(cfg)
+    # training draws whole-image fields; scoring draws patch-sized ones
+    patch = cfg.size // 2
+    placed = [a for a in draws if a[2:] == (patch, patch)]
+    assert len(placed) == cfg.folds * (cfg.n_val + cfg.n_test)
+    assert len(draws) - len(placed) == (
+        0 if cfg.blur_sigma else 4 * cfg.folds * cfg.n_train)
+
+
+def test_flipped_group_error_fails_every_variant_of_its_fold(monkeypatch,
+                                                            tmp_path):
+    cfg = replace(BLUR, out=str(tmp_path / "a")).validate()
+    expect = pipeline.ablate(cfg)
+
+    class Flipped(phantom.LabeledSample):
+        pass
+
+    real_apply, real_recon = pipeline._apply_decision, evalkit.reconstruct
+
+    def apply(samples, decision):
+        return [Flipped(s.id, s.image, s.foreground, s.anomaly_gt, s.profile)
+                for s in real_apply(samples, decision)]
+
+    raised = []
+
+    def reconstruct(model, sample, *args):
+        # the first reconstruction of a flipped sample, in fold 0, fails
+        if isinstance(sample, Flipped) and not raised:
+            raised.append(sample.id)
+            raise RuntimeError("flipped reconstruction failed")
+        return real_recon(model, sample, *args)
+
+    monkeypatch.setattr(pipeline, "_apply_decision", apply)
+    monkeypatch.setattr(evalkit, "reconstruct", reconstruct)
+    reports = pipeline.ablate(cfg)
+    assert raised
+    for v in VARIANTS:
+        first, second = reports[v].outcomes
+        assert first.result is None
+        assert first.error == "flipped reconstruction failed"
+        assert second.error is None
+        assert second.result == expect[v].outcomes[1].result
+
+
 def test_disk_dataset_is_read_once_per_run(tmp_path, monkeypatch):
     cfg = replace(BLUR, folds=3).validate()
     datasetio.save_dataset(pipeline.load_fold_dataset(cfg, 0), tmp_path / "ds")
@@ -118,6 +170,34 @@ def test_disk_patches_follow_the_image_not_the_config_size(tmp_path):
         written.append({name: (out / name).read_bytes()
                         for name in ("report.csv", "per_sample.csv")})
     assert written[0] == written[1]
+
+
+def _disk_config(tmp_path, **overrides):
+    """A 64 px dataset saved to disk and a config that reads it."""
+    cfg = replace(BLUR, size=64, folds=1).validate()
+    datasetio.save_dataset(pipeline.load_fold_dataset(cfg, 0), tmp_path / "ds")
+    return replace(cfg, dataset_kind="disk", dataset_path=str(tmp_path / "ds"),
+                   out=str(tmp_path / "out"), **overrides).validate()
+
+
+def test_disk_patch_is_bounded_by_the_image_not_the_config_size(tmp_path):
+    # 40 px exceeds size = 32 but fits the 64 px rasters
+    report = pipeline.run(_disk_config(tmp_path, size=32, patch_h=40))
+    assert report.complete
+
+
+def test_disk_patch_larger_than_an_image_fails_before_any_fold(tmp_path,
+                                                              monkeypatch):
+    # size = 128 admits patch_h = 100, but the rasters are 64 px high
+    cfg = _disk_config(tmp_path, size=128, patch_h=100)
+    folds = _counting(monkeypatch, pipeline, "run_fold")
+    with pytest.raises(ValueError) as exc:
+        pipeline.ablate(cfg)
+    message = str(exc.value)
+    assert str(tmp_path / "ds") in message
+    assert "val-000" in message and "height" in message
+    assert "patch_h = 100" in message
+    assert not folds and not (tmp_path / "out").exists()
 
 
 def test_missing_disk_dataset_is_reported_with_its_path(tmp_path):
