@@ -1,4 +1,5 @@
-"""Microbenchmarks of the scoring hot path: simplex noise, patched
+"""Microbenchmarks of the scoring hot path: simplex noise (placement
+fields, plus the phantom texture and training field shapes), patched
 reconstruction, the SSIM window moments, the region median filter and the
 pooled metrics.
 
@@ -64,6 +65,30 @@ def test_octave_grids_nine_seeds(benchmark):
     benchmark(simplex.octave_grids, SEEDS, PATCH, PATCH,
               diffusion.DEFAULT_OCTAVES, diffusion.DEFAULT_PERSISTENCE,
               float(PATCH))
+
+
+# the other two field shapes a call draws: the phantom textures (one seed,
+# 2 octaves at a quarter of the size) and the training fields (one seed,
+# the whole image)
+FIELDS = {
+    "texture": (SEEDS[:1], CFG.size, 2, 0.5, CFG.size / 4.0),
+    "training": (SEEDS[:1], CFG.size, diffusion.DEFAULT_OCTAVES,
+                 diffusion.DEFAULT_PERSISTENCE, float(CFG.size)),
+}
+
+
+@pytest.mark.parametrize("memo", ["cold", "warm"])
+@pytest.mark.parametrize("shape", list(FIELDS))
+def test_octave_grids_one_seed(benchmark, shape, memo):
+    # cold: the lattice geometry is rebuilt every round, as after a change
+    # of shape; warm: it comes from the memo
+    seeds, size, octaves, persistence, base_scale = FIELDS[shape]
+    args = (seeds, size, size, octaves, persistence, base_scale)
+    if memo == "cold":
+        benchmark.pedantic(simplex.octave_grids, args=args, rounds=200,
+                           setup=simplex._grid_geometry.cache_clear)
+    else:
+        benchmark(simplex.octave_grids, *args)
 
 
 def test_reconstruct_patched(benchmark, setting):

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from .diffusion import PatchSpec, placements
+
 VARIANTS = ("l1", "ssim", "fq", "fq_air")
 PROFILE_NAMES = ("t2_like", "flair_like", "t1ce_like")
 
@@ -69,6 +71,12 @@ class RunConfig:
     def uses_air(self) -> bool:
         return self.variant == "fq_air"
 
+    def patch(self) -> PatchSpec:
+        """The configured patch and stride sizes; unset ones follow each
+        image (:meth:`PatchSpec.resolve`)."""
+        return PatchSpec(self.patch_h, self.patch_w, self.stride_h,
+                         self.stride_w)
+
     def validate(self) -> "RunConfig":
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
@@ -82,6 +90,14 @@ class RunConfig:
             raise ValueError(f"unknown noise kind {self.noise!r}")
         if self.folds < 1:
             raise ValueError("folds must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed = {self.seed} must be >= 0")
+        if self.dataset_kind == "phantom":
+            # a disk dataset takes its splits from the files
+            for name in ("n_train", "n_val", "n_test"):
+                v = getattr(self, name)
+                if v < 1:
+                    raise ValueError(f"{name} = {v} must be >= 1")
         if self.lesion_gap is not None and not 0.0 < self.lesion_gap < math.inf:
             raise ValueError("lesion_gap must be positive and finite")
         if self.size < 32:
@@ -125,6 +141,11 @@ class RunConfig:
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.dataset_kind != "disk":
+            # raises if the resolved grid leaves gaps; a disk dataset's
+            # grid is checked against its rasters once they are read
+            placements(self.patch().resolve(self.size, self.size), self.size,
+                       self.size)
         return self
 
 

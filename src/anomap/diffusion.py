@@ -127,8 +127,7 @@ def forward_noise(x0: Image2D, t: int, noise: NoiseField,
 @dataclass(frozen=True)
 class PatchSpec:
     """Patch and stride sizes in pixels.  :func:`placements` needs all four;
-    a spec with unset (``None``) values is filled in from the image by
-    ``evalkit.reconstruct``."""
+    :meth:`resolve` fills unset (``None``) values in from the image."""
 
     patch_h: Optional[int] = None
     patch_w: Optional[int] = None
@@ -147,21 +146,35 @@ class PatchSpec:
         return PatchSpec(max(1, height // 2), max(1, width // 2),
                          max(1, height // 4), max(1, width // 4))
 
+    def resolve(self, height: int, width: int) -> "PatchSpec":
+        """This spec with each unset value taken from the image's own
+        dimensions (:meth:`default_for`)."""
+        d = PatchSpec.default_for(height, width)
+        return PatchSpec(self.patch_h or d.patch_h, self.patch_w or d.patch_w,
+                         self.stride_h or d.stride_h,
+                         self.stride_w or d.stride_w)
 
-def _axis_starts(dim: int, patch: int, stride: int) -> List[int]:
+
+def _axis_starts(dim: int, patch: int, stride: int, axis: str) -> List[int]:
     if patch > dim:
         raise ValueError("patch larger than image")
     starts = list(range(0, dim - patch + 1, stride))
     if starts[-1] != dim - patch:
         starts.append(dim - patch)
+    if any(b - a > patch for a, b in zip(starts, starts[1:])):
+        k = axis[0]
+        raise ValueError(f"patch grid leaves gaps along the {axis}: "
+                         f"patch_{k} = {patch} at stride_{k} = {stride} "
+                         f"on {dim} px")
     return starts
 
 
 def placements(spec: PatchSpec, height: int, width: int) -> List[Tuple[int, int]]:
-    """Top-left corners of all patch placements, row-major order."""
+    """Top-left corners of all patch placements, row-major order; raises
+    unless the patches fit inside the image and together cover it."""
     return [(r, c)
-            for r in _axis_starts(height, spec.patch_h, spec.stride_h)
-            for c in _axis_starts(width, spec.patch_w, spec.stride_w)]
+            for r in _axis_starts(height, spec.patch_h, spec.stride_h, "height")
+            for c in _axis_starts(width, spec.patch_w, spec.stride_w, "width")]
 
 
 def placement_fields(spec: PatchSpec, height: int, width: int, seed: int,
@@ -233,7 +246,5 @@ def reconstruct_from_fields(model, x: Image2D, t_test: int,
         k = count[r0:r1, c0:c1]
         mslice = mean[r0:r1, c0:c1]
         mean[r0:r1, c0:c1] = mslice + (pred.pixels[inner] - mslice) / k
-    if np.any(count == 0):
-        raise ValueError("patch grid does not cover image")
     mean[~fg] = 0.0
     return Image2D(mean, x.foreground)

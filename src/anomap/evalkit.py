@@ -52,22 +52,15 @@ def sample_seed(seed: int, sample_id: str) -> int:
     return diffusion.derive_seed(seed, crc32(sample_id.encode("utf-8")))
 
 
-def _patch_spec(img: Image2D, cfg: EvalConfig) -> PatchSpec:
-    """``cfg.patch`` with each unset value taken from the image's own
-    dimensions: half-size patches at quarter-size strides."""
-    p, d = cfg.patch, PatchSpec.default_for(img.height, img.width)
-    return PatchSpec(p.patch_h or d.patch_h, p.patch_w or d.patch_w,
-                     p.stride_h or d.stride_h, p.stride_w or d.stride_w)
-
-
 def patch_noise(sample: LabeledSample, cfg: EvalConfig,
                 seed: int) -> List[diffusion.NoiseField]:
     """The sample's placement noise fields, seeded by its id.  They depend
     on the image's dimensions only, so one draw serves every model and every
     intensity transform of the sample."""
     img = sample.image
-    return diffusion.placement_fields(_patch_spec(img, cfg), img.height,
-                                      img.width, sample_seed(seed, sample.id),
+    spec = cfg.patch.resolve(img.height, img.width)
+    return diffusion.placement_fields(spec, img.height, img.width,
+                                      sample_seed(seed, sample.id),
                                       cfg.noise_kind)
 
 
@@ -77,8 +70,9 @@ def reconstruct(model, sample: LabeledSample, cfg: EvalConfig,
     """The model's patched reconstruction of a sample under the placement
     fields :func:`patch_noise` drew for it."""
     img = sample.image
+    spec = cfg.patch.resolve(img.height, img.width)
     return diffusion.reconstruct_from_fields(model, img, cfg.t_test, sched,
-                                             _patch_spec(img, cfg), noises)
+                                             spec, noises)
 
 
 def anomaly_map(img: Image2D, recon: Image2D, region: BinaryMask,

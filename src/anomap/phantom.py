@@ -102,12 +102,14 @@ def gen_healthy(seed: int, size: int, profile: ModalityProfile,
                          profile.name)
 
 
-def _lesion_weight(rng: np.random.Generator, fg: np.ndarray, size: int,
+def _lesion_weight(rng: np.random.Generator, fg: np.ndarray,
+                   dist_in: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                    profile: ModalityProfile) -> np.ndarray:
-    """Blend-weight field of one blob lesion placed fully inside the foreground."""
+    """Blend-weight field of one blob lesion placed fully inside the
+    foreground; ``dist_in`` is the foreground's distance transform and
+    ``rows``, ``cols`` its pixel indices, fixed per sample."""
     r = rng.uniform(*profile.lesion_radius_range)
     margin = r * 1.6 + 3.0  # room for satellites plus the soft boundary
-    dist_in = ndimage.distance_transform_edt(fg)
     candidates = np.argwhere(dist_in >= margin)
     if candidates.size == 0:
         return None
@@ -121,8 +123,7 @@ def _lesion_weight(rng: np.random.Generator, fg: np.ndarray, size: int,
         disks.append((cy + d * np.sin(ang), cx + d * np.cos(ang),
                       r * rng.uniform(0.3, 0.5)))
 
-    rows, cols = np.indices((size, size))
-    signed = np.full((size, size), np.inf)
+    signed = np.full(fg.shape, np.inf)
     for dy, dx, dr in disks:
         dist = np.hypot(rows - dy, cols - dx) - dr
         np.minimum(signed, dist, out=signed)
@@ -141,6 +142,8 @@ def gen_abnormal(seed: int, size: int, profile: ModalityProfile,
 
     n_lesions = int(rng.integers(profile.lesion_count_range[0],
                                  profile.lesion_count_range[1] + 1))
+    dist_in = ndimage.distance_transform_edt(fg)
+    rows, cols = np.indices((size, size))
     weight = np.zeros((size, size))
     placed = 0
     attempts = 0
@@ -148,7 +151,7 @@ def gen_abnormal(seed: int, size: int, profile: ModalityProfile,
         attempts += 1
         if attempts > 100:
             raise ValueError("foreground too small for lesion spec")
-        w = _lesion_weight(rng, fg, size, profile)
+        w = _lesion_weight(rng, fg, dist_in, rows, cols, profile)
         if w is None:
             continue
         np.maximum(weight, w, out=weight)

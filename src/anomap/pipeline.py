@@ -32,7 +32,6 @@ import numpy as np
 from . import airprep, datasetio, denoise, diffusion, evalkit, fileio, phantom
 from .config import VARIANTS, RunConfig, render
 from .denoise import KernelMixtureModel, TrainConfig
-from .diffusion import PatchSpec
 from .evalkit import EvalConfig, FoldResult
 from .iqa import FusionParams, SsimParams
 from .phantom import Dataset, LabeledSample
@@ -92,7 +91,7 @@ def eval_config(cfg: RunConfig) -> EvalConfig:
         median_k=cfg.median_k,
         erosion_iters=cfg.erosion_iters,
         n_thresholds=cfg.n_thresholds,
-        patch=PatchSpec(cfg.patch_h, cfg.patch_w, cfg.stride_h, cfg.stride_w),
+        patch=cfg.patch(),
         noise_kind=cfg.noise,
     )
 
@@ -188,6 +187,12 @@ def run_fold(cfgs: Sequence[RunConfig], fold: int,
         stats = airprep.dataset_stats(ds.val_abnormal)
         scored = [*ds.val_abnormal, *ds.test_abnormal]
         regions = {s.id: evalkit.eval_region(s, eval_config(cfg)) for s in scored}
+        if ds.test_abnormal and not any(regions[s.id].count()
+                                        for s in ds.test_abnormal):
+            # no test pixel left to score: AUPRC would be undefined
+            raise ValueError(f"erosion_iters = {cfg.erosion_iters} empties "
+                             "the scored region of every test sample, "
+                             f"first {ds.test_abnormal[0].id}")
         fold_seed = diffusion.derive_seed(cfg.seed, 100 + fold)
         sched = diffusion.linear_schedule(cfg.T, cfg.beta_1, cfg.beta_T)
     except Exception as exc:  # fold failures are reported, not fatal
@@ -268,13 +273,22 @@ def _broken(pool: ProcessPoolExecutor) -> bool:
 
 def _require_patches_fit(cfg: RunConfig, ds: Dataset) -> None:
     """Reject a configured patch larger than a scored image of a disk
-    dataset, whose rasters ``[dataset] size`` does not describe."""
+    dataset, whose rasters ``[dataset] size`` does not describe, or a patch
+    grid that leaves gaps in one."""
+    patch = cfg.patch()
     for s in (*ds.val_abnormal, *ds.test_abnormal):
+        img = s.image
         for name, dim in (("patch_h", "height"), ("patch_w", "width")):
-            v, px = getattr(cfg, name), getattr(s.image, dim)
+            v, px = getattr(cfg, name), getattr(img, dim)
             if v is not None and v > px:
                 raise ValueError(f"{cfg.dataset_path}: sample {s.id} has "
                                  f"{dim} {px} px, less than {name} = {v}")
+        try:
+            diffusion.placements(patch.resolve(img.height, img.width),
+                                 img.height, img.width)
+        except ValueError as exc:
+            raise ValueError(
+                f"{cfg.dataset_path}: sample {s.id}: {exc}") from None
 
 
 def _run_variants(cfgs: Sequence[RunConfig], workers: int,

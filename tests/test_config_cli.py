@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from anomap import cli, config, fileio
+from anomap import cli, config, diffusion, fileio
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -84,7 +84,53 @@ def test_validation_errors():
             config.RunConfig(**{key: 0}).validate()
     with pytest.raises(config.ConfigError, match="patch_h"):
         config.parse("[diffusion]\npatch_h = 100\n")
-    config.RunConfig(size=64, patch_h=64, patch_w=1, stride_h=1).validate()
+    # a 1 px patch covers only at stride 1; at the default 16 it leaves gaps
+    config.RunConfig(size=64, patch_h=64, patch_w=1, stride_h=1,
+                     stride_w=1).validate()
+
+
+def test_negative_seed_is_rejected():
+    # SeedSequence would reject it in every fold
+    with pytest.raises(ValueError, match="seed = -1"):
+        config.RunConfig(seed=-1).validate()
+    with pytest.raises(config.ConfigError, match="seed"):
+        config.parse("[run]\nseed = -3\n")
+    config.RunConfig(seed=0).validate()
+
+
+@pytest.mark.parametrize("key", ["n_train", "n_val", "n_test"])
+def test_phantom_split_counts_below_one_are_rejected(key):
+    with pytest.raises(config.ConfigError, match=f"{key} = 0"):
+        config.parse(f"[dataset]\n{key} = 0\n")
+    with pytest.raises(ValueError, match=key):
+        config.RunConfig(**{key: -2}).validate()
+    # a disk dataset takes its splits from the files
+    config.RunConfig(dataset_kind="disk", dataset_path="ds",
+                     **{key: 0}).validate()
+
+
+def test_patch_grid_with_gaps_is_rejected_at_parse_time():
+    # rows [0, 20, 40, 48] leave rows 16-19 and 36-39 unscored
+    with pytest.raises(config.ConfigError) as exc:
+        config.parse("[dataset]\nsize = 64\n"
+                     "[diffusion]\npatch_h = 16\nstride_h = 20\n")
+    message = str(exc.value)
+    for part in ("height", "patch_h = 16", "stride_h = 20", "64 px"):
+        assert part in message
+    # the default stride, a quarter of the size, under a smaller patch
+    with pytest.raises(ValueError, match="patch_w = 8 at stride_w = 16"):
+        config.RunConfig(size=64, patch_w=8).validate()
+    # a disk dataset's grid is checked once its rasters are read
+    config.RunConfig(dataset_kind="disk", dataset_path="ds", size=64,
+                     patch_h=16, stride_h=20).validate()
+
+
+def test_stride_beyond_the_patch_that_still_covers_is_valid():
+    # starts [0, 32]: the last placement closes what the stride skips
+    cfg = config.parse("[dataset]\nsize = 64\n"
+                       "[diffusion]\npatch_h = 32\nstride_h = 40\n")
+    spec = cfg.patch().resolve(64, 64)
+    assert sorted({r for r, _ in diffusion.placements(spec, 64, 64)}) == [0, 32]
 
 
 @pytest.mark.parametrize("line", ["median_k = 4", "median_k = 0",
@@ -330,3 +376,14 @@ def test_cli_seed_override(tmp_path):
     ra = (out_a / "report.csv").read_text(encoding="utf-8")
     rb = (out_b / "report.csv").read_text(encoding="utf-8")
     assert ra != rb
+
+
+def test_cli_negative_seed_fails_before_any_output(tmp_path, capsys):
+    cfgp = _write_cfg(tmp_path, TINY)
+    out = tmp_path / "out"
+    for command in ("run", "ablate", "phantom"):
+        rc = cli.main([command, "--config", cfgp, "--out", str(out),
+                       "--seed", "-1"])
+        assert rc != 0
+        assert "seed = -1" in capsys.readouterr().err
+    assert not out.exists()

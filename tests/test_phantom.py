@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from anomap import airprep
+from anomap import airprep, phantom
 from anomap.phantom import (PROFILES, gen_abnormal, gen_dataset, gen_healthy,
                             profile_with_gap)
 
@@ -73,6 +73,29 @@ def test_oversized_lesion_spec_rejected():
                    lesion_count_range=(1, 1))
     with pytest.raises(ValueError):
         gen_abnormal(0, 32, prof)
+
+
+def test_one_distance_transform_per_abnormal_sample(monkeypatch):
+    # the foreground is fixed per sample, so every placement attempt reads
+    # one distance transform, even when all 100 attempts are rejected
+    calls = []
+    edt = phantom.ndimage.distance_transform_edt
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return edt(*args, **kwargs)
+
+    monkeypatch.setattr(phantom.ndimage, "distance_transform_edt", counting)
+    prof = replace(PROFILES["flair_like"], lesion_count_range=(3, 3))
+    for seed in range(4):
+        calls.clear()
+        gen_abnormal(seed, 64, prof)
+        assert len(calls) == 1
+    oversized = replace(prof, lesion_radius_range=(30.0, 30.0))
+    calls.clear()
+    with pytest.raises(ValueError):
+        gen_abnormal(0, 32, oversized)
+    assert len(calls) == 1
 
 
 def test_dataset_counts_and_unique_ids():

@@ -200,6 +200,37 @@ def test_disk_patch_larger_than_an_image_fails_before_any_fold(tmp_path,
     assert not folds and not (tmp_path / "out").exists()
 
 
+def test_disk_patch_grid_with_gaps_fails_before_any_fold(tmp_path,
+                                                        monkeypatch):
+    # rows [0, 20, 40, 48] of a 64 px raster leave rows 16-19 and 36-39
+    cfg = _disk_config(tmp_path, patch_h=16, stride_h=20)
+    folds = _counting(monkeypatch, pipeline, "run_fold")
+    with pytest.raises(ValueError) as exc:
+        pipeline.ablate(cfg)
+    message = str(exc.value)
+    assert str(tmp_path / "ds") in message and "val-000" in message
+    for part in ("height", "patch_h = 16", "stride_h = 20", "64 px"):
+        assert part in message
+    assert not folds and not (tmp_path / "out").exists()
+
+
+def test_stride_beyond_the_patch_that_still_covers_runs(tmp_path):
+    # 32 px rows: starts [0, 16] with patch 16 at stride 20
+    cfg = replace(BLUR, folds=1, patch_h=16, stride_h=20,
+                  out=str(tmp_path / "out")).validate()
+    assert pipeline.run(cfg).complete
+
+
+def test_erosion_that_empties_every_region_names_a_sample(tmp_path):
+    cfg = replace(BLUR, folds=1, erosion_iters=40,
+                  out=str(tmp_path / "out")).validate()
+    for report in pipeline.ablate(cfg).values():
+        (outcome,) = report.outcomes
+        assert outcome.result is None
+        assert "erosion_iters = 40" in outcome.error
+        assert "test-000" in outcome.error
+
+
 def test_missing_disk_dataset_is_reported_with_its_path(tmp_path):
     cfg = replace(BLUR, dataset_kind="disk", dataset_path=str(tmp_path / "none"),
                   out=str(tmp_path / "out")).validate()

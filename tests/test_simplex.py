@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anomap import simplex
 from anomap.simplex import (_F2, _G2, _GRAD, _perm_table, octave_grid,
                             octave_grids, simplex2d)
 
@@ -133,3 +134,43 @@ def test_simplex2d_stack_matches_oracle_per_table(seeds, n, lo, span):
         assert _same_bits(stack[k], _oracle_simplex2d(xs, ys, perm))
         assert _same_bits(simplex2d(xs, ys, perm), stack[k])
 
+
+@pytest.mark.parametrize("origin", [0.0, -0.0])
+def test_simplex2d_at_the_origin_keeps_the_oracle_sign(origin):
+    # only corner 0 is live at the origin, and its gradient dot is a signed
+    # zero; a dead corner whose dot is negative must still add +0.0
+    xs = np.array([origin])
+    perms = np.stack([_perm_table(s) for s in range(2000)])
+    stack = simplex2d(xs, xs, perms)
+    for k, perm in enumerate(perms):
+        assert _same_bits(stack[k], _oracle_simplex2d(xs, xs, perm))
+
+
+def test_octave_grids_bit_identical_when_shapes_alternate():
+    # the one-entry geometry memo is evicted and rebuilt on every change
+    shapes = [([3, 7, 11], 32, 32, 6, 0.8, 32.0),  # placement noise
+              ([5], 64, 64, 2, 0.5, 16.0),         # phantom texture
+              ([9, 2], 17, 23, 3, 0.6, 7.5)]
+    simplex._grid_geometry.cache_clear()
+    first = {}
+    for rnd in range(2):
+        for k, (seeds, *shape) in enumerate(shapes):
+            misses = simplex._grid_geometry.cache_info().misses
+            grids = octave_grids(seeds, *shape)
+            assert simplex._grid_geometry.cache_info().misses == misses + 1
+            for row, seed in zip(grids, seeds):
+                assert _same_bits(row, _oracle_octave_grid(seed, *shape))
+            if rnd:
+                assert _same_bits(grids, first[k])
+            first[k] = grids
+
+
+def test_memoized_geometry_is_read_only():
+    octave_grids([1], 16, 12, 3, 0.5, 8.0)
+    geometry = simplex._grid_geometry(16, 12, 3, 8.0)
+    assert len(geometry) == 3
+    for g in geometry:
+        arrays = [g.x0, g.y0, g.lower, *g.falloff, *g.corner, g.li, g.lj]
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            g.x0[0, 0] = 1.0
