@@ -1,7 +1,9 @@
 """Microbenchmarks of the kernel-mixture training loop.
 
 Sizes follow perfbench's ``train_km`` workload: 64 px flair-like phantoms,
-24 training images, batches of 8, T = 1000.  Run from the repository root::
+24 training images, batches of 8, T = 1000; ``test_fusion_loss_and_grad``
+also runs at 128 px and records the minor page faults per call.  Run from
+the repository root::
 
     PYTHONPATH=src python -m pytest bench/bench_train.py
 
@@ -9,6 +11,9 @@ The file name does not match ``test_*.py``, so the plain ``pytest`` run of
 the test suite does not collect it.
 """
 
+import resource
+
+import numpy as np
 import pytest
 
 from anomap import denoise, iqa, phantom
@@ -40,6 +45,26 @@ def test_sample_gradients(benchmark, setting):
     resp = model.kernel_responses(x_t.pixels)
     p, f = SsimParams(), FusionParams()
     benchmark(sample_gradients, model, x0, x_t, t, p, f, resp)
+
+
+@pytest.mark.parametrize("size", [64, 128])
+def test_fusion_loss_and_grad(benchmark, size):
+    # a perturbed prediction scored in its foreground, as sample_gradients
+    # calls it; the first call builds the workspace outside the timed rounds
+    x0 = phantom.gen_dataset(0, size, phantom.PROFILES["flair_like"], 1, 1, 1
+                             ).train_healthy[0].image
+    fg = BinaryMask(x0.fg_bits())
+    y = denoise._foreground_prediction(
+        x0.pixels + 0.05 * np.sin(np.arange(x0.pixels.size)).reshape(x0.pixels.shape),
+        x0)
+    p, f = SsimParams(), FusionParams()
+    iqa.fusion_loss_and_grad(x0, y, p, f, fg)
+    rounds = 200
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    benchmark.pedantic(iqa.fusion_loss_and_grad, (x0, y, p, f, fg),
+                       rounds=rounds, iterations=1)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    benchmark.extra_info["minor_faults_per_call"] = (after - before) / rounds
 
 
 def test_trial_loss(benchmark, setting):

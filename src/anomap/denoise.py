@@ -251,6 +251,13 @@ def train(m: KernelMixtureModel, data: Sequence[Image2D], sched: DiffusionSchedu
     :func:`iqa.fusion_loss_and_grad`; each trial loss is one
     :func:`iqa.fusion_loss`.  The results equal predicting every loss with
     ``m.denoise``.  Every image needs a non-empty foreground.
+
+    The training images share one shape, so every gradient call reuses the
+    same :mod:`iqa` workspace (its moments, center maps and edge pads)
+    instead of allocating them again: freed each call, those buffers went
+    back to the OS past glibc's trim threshold and were faulted in anew on
+    the next call.  The loss and gradient a call returns never alias the
+    workspace.
     """
     if len(data) == 0:
         raise ValueError("training data is empty")

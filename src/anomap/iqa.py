@@ -15,10 +15,22 @@ that scalar together with its exact derivative with respect to the
 reconstruction, including the contribution of replicated border pixels,
 from one computation of the window moments; training calls it once per
 sample gradient.
+
+Its large buffers (the five window moments, the five zero-embedded center
+maps and the two edge-padded images, about 420 KB at 64 px with W = 5) are
+one workspace per thread, kept for the last image shape and window radius
+and overwritten by the next call.  Allocated afresh each call, they went
+back to the OS whenever the heap top crossed glibc's trim threshold, and
+every call faulted them in again (about 180 minor page faults per 64 px
+gradient); the smaller per-pixel intermediates are dropped as soon as they
+are used, so that they too stay under the threshold.  Nothing a caller
+receives aliases the workspace: the loss is a Python float and the gradient
+a fresh array.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,11 +74,12 @@ class FusionParams:
             raise ValueError("alpha must lie in [0, 1]")
 
 
-def _window_moments(x: np.ndarray, y: np.ndarray, W: int):
+def _window_moments(x: np.ndarray, y: np.ndarray, W: int,
+                    out: np.ndarray | None = None):
     # replicate-edge box means of x, y, x*x, y*y and x*y, filtered in place
     # as one stack: a size-1 axis is skipped, so each slice is filtered
-    # exactly as on its own
-    buf = np.empty((5, *x.shape))
+    # exactly as on its own; ``out`` is a (5, *x.shape) buffer to fill
+    buf = np.empty((5, *x.shape)) if out is None else out
     buf[0], buf[1] = x, y
     np.multiply(x, x, out=buf[2])
     np.multiply(y, y, out=buf[3])
@@ -186,6 +199,32 @@ def _fold_replicated(g_pad: np.ndarray, H: int, Wd: int, r: int) -> np.ndarray:
     return grad
 
 
+_workspace = threading.local()
+
+
+def _grad_workspace(H: int, Wd: int, r: int):
+    """This thread's scratch buffers for an H x Wd image and window radius r:
+    the moments ``(5, H, Wd)``, the centers and the two edge pads, each
+    ``(H + 2r, Wd + 2r)``.  Only the last shape's buffers are kept."""
+    if getattr(_workspace, "key", None) != (H, Wd, r):
+        P, Q = H + 2 * r, Wd + 2 * r
+        _workspace.buffers = (np.empty((5, H, Wd)), np.empty((5, P, Q)),
+                              np.empty((2, P, Q)))
+        _workspace.key = (H, Wd, r)
+    return _workspace.buffers
+
+
+def _edge_pad(a: np.ndarray, r: int, out: np.ndarray) -> np.ndarray:
+    """``np.pad(a, r, mode="edge")`` written into ``out``."""
+    H, Wd = a.shape
+    out[r:r + H, r:r + Wd] = a
+    out[:r, r:r + Wd] = a[0]
+    out[r + H:, r:r + Wd] = a[-1]
+    out[:, :r] = out[:, r:r + 1]
+    out[:, r + Wd:] = out[:, r + Wd - 1:r + Wd]
+    return out
+
+
 def fusion_loss_and_grad(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
                          f: FusionParams = FusionParams(),
                          mask: BinaryMask | None = None) -> tuple[float, np.ndarray]:
@@ -200,6 +239,11 @@ def fusion_loss_and_grad(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
     pixels so the result matches finite differences of the actual loss.
     The gradient of |t| at t = 0 is taken to be 0.  Returns
     ``(loss, grad)`` with ``grad`` shaped like the image.
+
+    The intermediate stacks live in this thread's workspace for the image
+    shape and window (see the module docstring); ``loss`` is a Python float
+    and ``grad`` a fresh array, so neither changes when the next call reuses
+    the workspace.
     """
     bits = _require_mask(x, mask)
     if x.pixels.shape != y.pixels.shape:
@@ -212,7 +256,8 @@ def fusion_loss_and_grad(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
     n = W * W
     K = int(bits.sum())
 
-    mx, my, vx, vy, cov = _window_moments(xa, ya, W)
+    moments, centers, pads = _grad_workspace(H, Wd, r)
+    mx, my, vx, vy, cov = _window_moments(xa, ya, W, out=moments)
     A1 = 2.0 * mx * my + p.C1
     A2 = 2.0 * cov + p.C2
     B1 = mx * mx + my * my + p.C1
@@ -223,31 +268,40 @@ def fusion_loss_and_grad(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
     loss = (f.alpha * float((1.0 - smap[bits].mean()) / 2.0)
             + (1.0 - f.alpha) * float(np.abs(xa - ya)[bits].mean()))
 
+    # each (H, W) intermediate is dropped once used: the call's heap peak
+    # then stays under glibc's trim threshold, and the next call does not
+    # fault the freed pages in again
+    del smap
     # dSSIM / d(window y-statistics), one value per window center
     d_mu = 2.0 * A2 * (mx * B1 - my * A1) / (B1 * B1 * B2)
     d_var = -A1 * A2 / (B1 * B2 * B2)
     d_cov = 2.0 * A1 / (B1 * B2)
+    del A1, A2, B1, B2
 
     # chain through L_SSIM = (1 - mean_k SSIM_k) / 2 and the fusion blend
     scale = -f.alpha / (2.0 * K)
-    c_mu = np.where(bits, scale * d_mu, 0.0)
-    c_var = np.where(bits, scale * d_var, 0.0)
-    c_cov = np.where(bits, scale * d_cov, 0.0)
 
     # box-sum each center map over the windows containing every padded
-    # pixel: the five maps, zero-embedded, filtered as one stack
-    centers = np.zeros((5, H + 2 * r, Wd + 2 * r))
+    # pixel: the five maps, zero off the mask and zero-embedded, filtered as
+    # one stack; the last call's filter left the border non-zero, so the
+    # whole stack is cleared
+    centers.fill(0.0)
     inner = centers[:, r:r + H, r:r + Wd]
-    inner[0] = c_mu
-    inner[1] = c_var
-    inner[2] = c_var * my
-    inner[3] = c_cov
-    inner[4] = c_cov * mx
-    s_mu, s_var, s_var_my, s_cov, s_cov_mx = ndimage.uniform_filter(
-        centers, size=(1, W, W), mode="constant", cval=0.0) * n
+    np.multiply(scale, d_mu, out=inner[0], where=bits)
+    np.multiply(scale, d_var, out=inner[1], where=bits)
+    np.multiply(inner[1], my, out=inner[2])
+    np.multiply(scale, d_cov, out=inner[3], where=bits)
+    np.multiply(inner[3], mx, out=inner[4])
+    del d_mu, d_var, d_cov
+    # one size-(1, W, W) filter, not two uniform_filter1d passes: it skips a
+    # size-1 axis, where uniform_filter1d's running sum would change bits
+    ndimage.uniform_filter(centers, size=(1, W, W), output=centers,
+                           mode="constant")
+    centers *= n
+    s_mu, s_var, s_var_my, s_cov, s_cov_mx = centers
 
-    xp = np.pad(xa, r, mode="edge")
-    yp = np.pad(ya, r, mode="edge")
+    xp = _edge_pad(xa, r, pads[0])
+    yp = _edge_pad(ya, r, pads[1])
     g_pad = (s_mu + 2.0 * (yp * s_var - s_var_my) + (xp * s_cov - s_cov_mx)) / n
     grad = _fold_replicated(g_pad, H, Wd, r)
 

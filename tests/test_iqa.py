@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -317,3 +320,120 @@ def test_fusion_anomaly_map_is_never_negative(args):
     assert scores.shape == x.pixels.shape
     assert np.all(scores >= 0.0)
     assert not np.any(np.signbit(scores))   # not even -0.0
+
+
+# --- the reused gradient workspace ----------------------------------------
+
+def _allocating_loss_and_grad(x, y, p, f, mask):
+    """fusion_loss_and_grad as it was before the workspace: every buffer
+    allocated per call, np.where for the masked center maps, np.pad for the
+    edge pads and an out-of-place filter."""
+    bits = np.ones(x.pixels.shape, dtype=bool) if mask is None else mask.bits
+    xa, ya = x.pixels, y.pixels
+    H, Wd = xa.shape
+    W = p.W
+    r = W // 2
+    n = W * W
+    K = int(bits.sum())
+    mx, my, vx, vy, cov = iqa._window_moments(xa, ya, W)
+    A1 = 2.0 * mx * my + p.C1
+    A2 = 2.0 * cov + p.C2
+    B1 = mx * mx + my * my + p.C1
+    B2 = vx + vy + p.C2
+    smap = A1 * A2 / (B1 * B2)
+    loss = (f.alpha * float((1.0 - smap[bits].mean()) / 2.0)
+            + (1.0 - f.alpha) * float(np.abs(xa - ya)[bits].mean()))
+    d_mu = 2.0 * A2 * (mx * B1 - my * A1) / (B1 * B1 * B2)
+    d_var = -A1 * A2 / (B1 * B2 * B2)
+    d_cov = 2.0 * A1 / (B1 * B2)
+    scale = -f.alpha / (2.0 * K)
+    c_mu = np.where(bits, scale * d_mu, 0.0)
+    c_var = np.where(bits, scale * d_var, 0.0)
+    c_cov = np.where(bits, scale * d_cov, 0.0)
+    centers = np.zeros((5, H + 2 * r, Wd + 2 * r))
+    inner = centers[:, r:r + H, r:r + Wd]
+    inner[0] = c_mu
+    inner[1] = c_var
+    inner[2] = c_var * my
+    inner[3] = c_cov
+    inner[4] = c_cov * mx
+    s_mu, s_var, s_var_my, s_cov, s_cov_mx = ndimage.uniform_filter(
+        centers, size=(1, W, W), mode="constant", cval=0.0) * n
+    xp = np.pad(xa, r, mode="edge")
+    yp = np.pad(ya, r, mode="edge")
+    g_pad = (s_mu + 2.0 * (yp * s_var - s_var_my) + (xp * s_cov - s_cov_mx)) / n
+    grad = iqa._fold_replicated(g_pad, H, Wd, r)
+    grad[bits] += (1.0 - f.alpha) * np.sign(ya - xa)[bits] / K
+    return loss, grad
+
+
+@st.composite
+def _workspace_case(draw, shape=None, W=None):
+    """Inputs of 1-40 px a side, a ragged mask or none, alpha in [0, 1]."""
+    H, Wd = shape or (draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    W = W or draw(st.sampled_from([1, 3, 5, 7, 11, 21]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.uniform(0, 1, (H, Wd))
+    y = rng.uniform(0, 1, (H, Wd))
+    if draw(st.booleans()):  # ties, where the L1 kink has zero gradient
+        same = rng.uniform(size=(H, Wd)) < 0.3
+        y[same] = x[same]
+    mask = None
+    if draw(st.booleans()):
+        bits = rng.uniform(size=(H, Wd)) < draw(st.floats(0.05, 1.0))
+        bits.flat[draw(st.integers(0, H * Wd - 1))] = True
+        mask = BinaryMask(bits)
+    return (Image2D(x), Image2D(y), SsimParams(W=W),
+            FusionParams(draw(st.floats(0.0, 1.0))), mask)
+
+
+@st.composite
+def _workspace_calls(draw):
+    # a, then other inputs of a's shape and window (the workspace is
+    # reused), then b (usually another shape or window: the memo is
+    # rebuilt), then a again
+    a = draw(_workspace_case())
+    again = draw(_workspace_case(shape=a[0].pixels.shape, W=a[2].W))
+    b = draw(_workspace_case())
+    return [a, again, b, a]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_workspace_calls())
+def test_loss_and_grad_equal_the_allocating_implementation(calls):
+    for x, y, p, f, mask in calls:
+        loss, grad = fusion_loss_and_grad(x, y, p, f, mask)
+        ref_loss, ref_grad = _allocating_loss_and_grad(x, y, p, f, mask)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+        assert np.array_equal(np.signbit(grad), np.signbit(ref_grad))
+
+
+def test_returned_gradient_does_not_alias_the_workspace():
+    x, y = _rand_pair(18, (16, 16))
+    u, v = _rand_pair(19, (16, 16))
+    loss, grad = fusion_loss_and_grad(x, y)
+    kept = grad.copy()
+    fusion_loss_and_grad(u, v)
+    assert np.array_equal(grad, kept)
+    assert type(loss) is float
+
+
+def test_threads_do_not_share_the_workspace():
+    # every thread computes on inputs of one shape, so a workspace shared
+    # between threads would be overwritten mid-call
+    pairs = [_rand_pair(100 + i, (24, 24)) for i in range(8)]
+    expect = [_allocating_loss_and_grad(x, y, SsimParams(), FusionParams(), None)
+              for x, y in pairs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(fusion_loss_and_grad, *pairs[i % 8])
+                       for i in range(64)]
+            got = [fut.result(timeout=60) for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, (loss, grad) in enumerate(got):
+        assert loss == expect[i % 8][0]
+        assert np.array_equal(grad, expect[i % 8][1])
