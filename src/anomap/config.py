@@ -12,10 +12,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .diffusion import PatchSpec, placements
+from . import phantom
+from .denoise import TrainConfig
+from .diffusion import NOISE_KINDS, PatchSpec, linear_schedule, placements
+from .iqa import FusionParams
 
 VARIANTS = ("l1", "ssim", "fq", "fq_air")
-PROFILE_NAMES = ("t2_like", "flair_like", "t1ce_like")
+PROFILE_NAMES = tuple(phantom.PROFILES)
 
 
 @dataclass
@@ -78,6 +81,9 @@ class RunConfig:
                          self.stride_w)
 
     def validate(self) -> "RunConfig":
+        """Raise ``ValueError`` naming the offending key unless every value
+        is usable.  Each rule that a run-time object enforces is checked by
+        building that object, so the rule and its message live there."""
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.dataset_kind not in ("phantom", "disk"):
@@ -86,7 +92,7 @@ class RunConfig:
             raise ValueError("dataset kind 'disk' requires a path")
         if self.profile not in PROFILE_NAMES:
             raise ValueError(f"unknown profile {self.profile!r}")
-        if self.noise not in ("simplex", "gaussian"):
+        if self.noise not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.noise!r}")
         if self.folds < 1:
             raise ValueError("folds must be >= 1")
@@ -102,23 +108,13 @@ class RunConfig:
             raise ValueError("lesion_gap must be positive and finite")
         if self.size < 32:
             raise ValueError("size must be >= 32")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        if self.T < 1:
-            raise ValueError(f"T = {self.T} must be >= 1")
-        if not 0.0 < self.beta_1 <= self.beta_T < 1.0:
-            raise ValueError(f"beta_1 = {self.beta_1}, beta_T = {self.beta_T}: "
-                             "require 0 < beta_1 <= beta_T < 1")
+        FusionParams(self.alpha)
+        linear_schedule(self.T, self.beta_1, self.beta_T)
         t_test = self.resolved_t_test()
         if not 1 <= t_test <= self.T:
             raise ValueError(f"t_test = {t_test} outside [1, T = {self.T}]")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size = {self.batch_size} must be >= 1")
-        if self.epochs < 0:
-            raise ValueError(f"epochs = {self.epochs} must be >= 0")
-        if not 0.0 <= self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate = {self.learning_rate} "
-                             "must be finite and >= 0")
+        TrainConfig(epochs=self.epochs, learning_rate=self.learning_rate,
+                    batch_size=self.batch_size)
         if self.blur_sigma is not None and not 0.0 < self.blur_sigma < math.inf:
             raise ValueError(f"blur_sigma = {self.blur_sigma} "
                              "must be positive and finite")
@@ -130,22 +126,10 @@ class RunConfig:
                 raise ValueError(f"{name} = {v} must be odd and >= 1")
         if self.erosion_iters < 0:
             raise ValueError("erosion_iters must be >= 0")
-        for name in ("patch_h", "patch_w"):
-            # a disk dataset ignores size: pipeline checks its rasters
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise ValueError(f"{name} = {v} must be >= 1")
-            if v is not None and self.dataset_kind != "disk" and v > self.size:
-                raise ValueError(f"{name} = {v} outside [1, size = {self.size}]")
-        for name in ("stride_h", "stride_w"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.dataset_kind != "disk":
-            # raises if the resolved grid leaves gaps; a disk dataset's
-            # grid is checked against its rasters once they are read
-            placements(self.patch().resolve(self.size, self.size), self.size,
-                       self.size)
+        spec = self.patch()
+        if self.dataset_kind == "phantom":
+            # a disk dataset's grid is checked against its rasters once read
+            placements(spec.resolve(self.size, self.size), self.size, self.size)
         return self
 
 

@@ -17,8 +17,9 @@ only a patch plus that halo, clipped to the image; the oracle declares
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Protocol, Sequence
+from typing import ClassVar, List, Optional, Protocol, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -111,7 +112,7 @@ class KernelMixtureModel:
 
     T: int
     sigmas: Sequence[float] = DEFAULT_KERNEL_SIGMAS
-    n_buckets: int = DEFAULT_T_BUCKETS
+    n_buckets: ClassVar[int] = DEFAULT_T_BUCKETS
     weights: np.ndarray = field(default=None)  # (B, K)
     biases: np.ndarray = field(default=None)   # (B,)
 
@@ -173,12 +174,13 @@ class TrainConfig:
     noise_kind: str = "simplex"
 
     def __post_init__(self):
-        if self.learning_rate < 0.0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate = {self.learning_rate} "
+                             "must be finite and >= 0")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ValueError(f"batch_size = {self.batch_size} must be >= 1")
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+            raise ValueError(f"epochs = {self.epochs} must be >= 0")
 
 
 def _foreground_prediction(pre: np.ndarray, x0: Image2D) -> Image2D:
@@ -251,13 +253,6 @@ def train(m: KernelMixtureModel, data: Sequence[Image2D], sched: DiffusionSchedu
     :func:`iqa.fusion_loss_and_grad`; each trial loss is one
     :func:`iqa.fusion_loss`.  The results equal predicting every loss with
     ``m.denoise``.  Every image needs a non-empty foreground.
-
-    The training images share one shape, so every gradient call reuses the
-    same :mod:`iqa` workspace (its moments, center maps and edge pads)
-    instead of allocating them again: freed each call, those buffers went
-    back to the OS past glibc's trim threshold and were faulted in anew on
-    the next call.  The loss and gradient a call returns never alias the
-    workspace.
     """
     if len(data) == 0:
         raise ValueError("training data is empty")

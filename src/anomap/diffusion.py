@@ -25,6 +25,7 @@ DEFAULT_BETA_1 = 1e-4
 DEFAULT_BETA_T = 0.02
 DEFAULT_OCTAVES = 6
 DEFAULT_PERSISTENCE = 0.8
+NOISE_KINDS = ("simplex", "gaussian")
 
 
 @dataclass(frozen=True)
@@ -57,9 +58,10 @@ def linear_schedule(T: int = DEFAULT_T, beta_1: float = DEFAULT_BETA_1,
                     beta_T: float = DEFAULT_BETA_T) -> DiffusionSchedule:
     """Betas linearly interpolated from beta_1 to beta_T over T steps."""
     if T < 1:
-        raise ValueError("T must be >= 1")
+        raise ValueError(f"T = {T} must be >= 1")
     if not (0.0 < beta_1 <= beta_T < 1.0):
-        raise ValueError("require 0 < beta_1 <= beta_T < 1")
+        raise ValueError(f"beta_1 = {beta_1}, beta_T = {beta_T}: "
+                         "require 0 < beta_1 <= beta_T < 1")
     return DiffusionSchedule(np.linspace(beta_1, beta_T, T))
 
 
@@ -69,7 +71,7 @@ class NoiseField:
 
     values: np.ndarray
     seed: int
-    kind: str  # "gaussian" | "simplex"
+    kind: str  # one of NOISE_KINDS
 
 
 def _standardize(v: np.ndarray) -> np.ndarray:
@@ -135,10 +137,10 @@ class PatchSpec:
     stride_w: Optional[int] = None
 
     def __post_init__(self):
-        if any(v is not None and v < 1 for v in (self.patch_h, self.patch_w)):
-            raise ValueError("patch dimensions must be positive")
-        if any(v is not None and v < 1 for v in (self.stride_h, self.stride_w)):
-            raise ValueError("strides must be >= 1")
+        for name in ("patch_h", "patch_w", "stride_h", "stride_w"):
+            v = getattr(self, name)
+            if v is not None and v < 1:
+                raise ValueError(f"{name} = {v} must be >= 1")
 
     @staticmethod
     def default_for(height: int, width: int) -> "PatchSpec":
@@ -156,13 +158,13 @@ class PatchSpec:
 
 
 def _axis_starts(dim: int, patch: int, stride: int, axis: str) -> List[int]:
+    k = axis[0]
     if patch > dim:
-        raise ValueError("patch larger than image")
+        raise ValueError(f"patch_{k} = {patch} exceeds the {axis}, {dim} px")
     starts = list(range(0, dim - patch + 1, stride))
     if starts[-1] != dim - patch:
         starts.append(dim - patch)
     if any(b - a > patch for a, b in zip(starts, starts[1:])):
-        k = axis[0]
         raise ValueError(f"patch grid leaves gaps along the {axis}: "
                          f"patch_{k} = {patch} at stride_{k} = {stride} "
                          f"on {dim} px")

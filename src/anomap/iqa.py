@@ -71,7 +71,7 @@ class FusionParams:
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
+            raise ValueError(f"alpha = {self.alpha} must lie in [0, 1]")
 
 
 def _window_moments(x: np.ndarray, y: np.ndarray, W: int,

@@ -111,8 +111,8 @@ def require_workers(workers: int) -> int:
 
 
 def _maps(args):
-    """A sample's anomaly maps, every member of every group in order, from
-    one draw of its placement noise and one reconstruction per group.
+    """A sample's anomaly maps, one list per group with one map per member,
+    from one draw of its placement noise and one reconstruction per group.
 
     Each group is ``(model, sample, ecfgs)``: its model, its own version of
     the sample (flipped or not) and its members' eval configs.
@@ -123,8 +123,8 @@ def _maps(args):
     maps = []
     for model, sample, ecfgs in groups:
         recon = evalkit.reconstruct(model, sample, ecfgs[0], sched, noises)
-        maps += [evalkit.anomaly_map(sample.image, recon, region, e)
-                 for e in ecfgs]
+        maps.append([evalkit.anomaly_map(sample.image, recon, region, e)
+                     for e in ecfgs])
     return maps
 
 
@@ -177,7 +177,8 @@ def run_fold(cfgs: Sequence[RunConfig], fold: int,
     and model, and maps it for every member, so no reconstruction leaves
     the process that made it.  The pass is one stage: an error inside it
     fails every variant of the fold that was still live.  The members are
-    then evaluated one at a time from those maps.
+    then evaluated one at a time from those maps, all on the fold's own
+    splits: flipping changes no sample id and no ground truth.
     With ``dump_maps`` each variant's test maps go to
     ``<out>/maps/fold<k>/<id>.f32r``.
     """
@@ -210,30 +211,31 @@ def run_fold(cfgs: Sequence[RunConfig], fold: int,
              fold, len(cfgs), len(groups))
 
     outcomes: List[Optional[FoldOutcome]] = [None] * len(cfgs)
-    live = []  # (members, ecfgs, flipped, model, loss trace, val, test)
+    live = []  # (members, ecfgs, flipped, model, loss trace, scored samples)
     for (flipped, _), members in groups.items():
         try:
             ecfgs = [eval_config(cfgs[i]) for i in members]
-            splits = (ds.train_healthy, ds.val_abnormal, ds.test_abnormal)
+            train_set, samples = ds.train_healthy, scored
             if flipped:
-                splits = tuple(_apply_decision(s, decision) for s in splits)
-            train_set, val_set, test_set = splits
+                train_set, samples = (_apply_decision(s, decision)
+                                      for s in (train_set, samples))
             model, loss_trace = _model(cfgs[members[0]], ecfgs[0], train_set,
                                        fold_seed, sched)
         except Exception as exc:
             for i in members:
                 outcomes[i] = _failed(fold, exc)
             continue
-        live.append((members, ecfgs, flipped, model, loss_trace, val_set,
-                     test_set))
+        live.append((members, ecfgs, flipped, model, loss_trace, samples))
+    if not live:
+        return outcomes
 
     try:
         # per scored sample: each live group's model, its version of the
         # sample and its members' eval configs
-        by_group = [[(model, s, ecfgs) for s in [*val_set, *test_set]]
-                    for _, ecfgs, _, model, _, val_set, test_set in live]
-        tasks = [(versions, sched, fold_seed, regions[s.id])
-                 for s, versions in zip(scored, zip(*by_group))]
+        tasks = [([(model, samples[k], ecfgs)
+                   for _, ecfgs, _, model, _, samples in live],
+                  sched, fold_seed, regions[s.id])
+                 for k, s in enumerate(scored)]
         per_sample = _in_order(pool, _maps, tasks)
     except Exception as exc:
         for members, *_ in live:
@@ -241,23 +243,21 @@ def run_fold(cfgs: Sequence[RunConfig], fold: int,
                 outcomes[i] = _failed(fold, exc)
         return outcomes
 
-    column = 0  # each member's index in a sample's map list
-    for members, ecfgs, flipped, _, loss_trace, val_set, test_set in live:
-        for i, ecfg in zip(members, ecfgs):
+    for g, (members, ecfgs, flipped, _, loss_trace, _) in enumerate(live):
+        for j, (i, ecfg) in enumerate(zip(members, ecfgs)):
             c = cfgs[i]
             try:
-                maps = {s.id: m[column] for s, m in zip(scored, per_sample)}
-                result = evalkit.evaluate_fold(val_set, test_set, maps,
-                                               regions, ecfg.n_thresholds)
+                maps = {s.id: m[g][j] for s, m in zip(scored, per_sample)}
+                result = evalkit.evaluate_fold(ds.val_abnormal, ds.test_abnormal,
+                                               maps, regions, ecfg.n_thresholds)
                 if dump_maps:
                     d = fileio.ensure_dir(Path(c.out) / "maps" / f"fold{fold}")
-                    for s in test_set:
+                    for s in ds.test_abnormal:
                         fileio.write_f32r(d / f"{s.id}.f32r", maps[s.id].scores)
                 outcomes[i] = FoldOutcome(fold, result, None, stats, flipped,
                                           loss_trace)
             except Exception as exc:
                 outcomes[i] = _failed(fold, exc)
-            column += 1
     return outcomes
 
 
@@ -272,17 +272,12 @@ def _broken(pool: ProcessPoolExecutor) -> bool:
 
 
 def _require_patches_fit(cfg: RunConfig, ds: Dataset) -> None:
-    """Reject a configured patch larger than a scored image of a disk
-    dataset, whose rasters ``[dataset] size`` does not describe, or a patch
-    grid that leaves gaps in one."""
+    """Reject a configured patch grid that does not fit or cover a scored
+    image of a disk dataset, whose rasters ``[dataset] size`` does not
+    describe."""
     patch = cfg.patch()
     for s in (*ds.val_abnormal, *ds.test_abnormal):
         img = s.image
-        for name, dim in (("patch_h", "height"), ("patch_w", "width")):
-            v, px = getattr(cfg, name), getattr(img, dim)
-            if v is not None and v > px:
-                raise ValueError(f"{cfg.dataset_path}: sample {s.id} has "
-                                 f"{dim} {px} px, less than {name} = {v}")
         try:
             diffusion.placements(patch.resolve(img.height, img.width),
                                  img.height, img.width)

@@ -133,6 +133,13 @@ def test_train_rejects_bad_inputs():
         TrainConfig(batch_size=0)
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+def test_non_finite_learning_rate_is_rejected(lr):
+    # accepted, it would fail later inside training on non-finite pixels
+    with pytest.raises(ValueError, match=f"learning_rate = {lr} "):
+        TrainConfig(learning_rate=lr)
+
+
 def test_train_zero_epochs_reports_initial_loss():
     sched = linear_schedule(100, 1e-3, 0.02)
     res = train(KernelMixtureModel(T=100), _phantom_images(0, 2), sched,

@@ -43,6 +43,13 @@ def test_schedule_validation():
         DiffusionSchedule(np.array([0.5, 1.0]))
 
 
+def test_schedule_rejections_name_their_values():
+    with pytest.raises(ValueError, match="T = 0 must be >= 1"):
+        linear_schedule(0)
+    with pytest.raises(ValueError, match="beta_1 = 0.05, beta_T = 0.02"):
+        linear_schedule(10, 0.05, 0.02)
+
+
 def test_derive_seed_is_stable_and_spreads():
     assert derive_seed(7, 3) == derive_seed(7, 3)
     seen = {derive_seed(7, i) for i in range(100)}
@@ -112,6 +119,9 @@ def test_patch_spec_validation():
         PatchSpec(0, 8, 4, 4)
     with pytest.raises(ValueError):
         PatchSpec(8, 8, 0, 4)
+    for name in ("patch_h", "patch_w", "stride_h", "stride_w"):
+        with pytest.raises(ValueError, match=f"^{name} = 0 must be >= 1$"):
+            PatchSpec(**{name: 0})
 
 
 def test_uncovered_grid_rejected():

@@ -101,6 +101,11 @@ def test_ssim_params_validation():
         FusionParams(alpha=1.5)
 
 
+def test_fusion_params_rejection_names_alpha():
+    with pytest.raises(ValueError, match=r"alpha = nan must lie in \[0, 1\]"):
+        FusionParams(alpha=float("nan"))
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         ssim_map(Image2D(np.zeros((4, 4))), Image2D(np.zeros((5, 5))))

@@ -200,6 +200,19 @@ def test_disk_patch_larger_than_an_image_fails_before_any_fold(tmp_path,
     assert not folds and not (tmp_path / "out").exists()
 
 
+def test_patch_larger_than_the_image_gives_one_rule_text(tmp_path):
+    # the rule lives in diffusion.placements; parse and run only add context
+    rule = "patch_h = 65 exceeds the height, 64 px"
+    with pytest.raises(ValueError, match=f"^{rule}$"):
+        diffusion.placements(diffusion.PatchSpec(65, 32, 16, 16), 64, 64)
+    with pytest.raises(config.ConfigError) as exc:
+        config.parse("[dataset]\nsize = 64\n[diffusion]\npatch_h = 65\n")
+    assert str(exc.value) == f"<config>: {rule}"
+    with pytest.raises(ValueError) as exc:
+        pipeline.run(_disk_config(tmp_path, size=128, patch_h=65))
+    assert str(exc.value) == f"{tmp_path / 'ds'}: sample val-000: {rule}"
+
+
 def test_disk_patch_grid_with_gaps_fails_before_any_fold(tmp_path,
                                                         monkeypatch):
     # rows [0, 20, 40, 48] of a 64 px raster leave rows 16-19 and 36-39
