@@ -2,8 +2,10 @@
 
 Sizes follow perfbench's ``train_km`` workload: 64 px flair-like phantoms,
 24 training images, batches of 8, T = 1000; ``test_fusion_loss_and_grad``
-also runs at 128 px and records the minor page faults per call.  Run from
-the repository root::
+also runs at 128 px and records the minor page faults per call.
+``test_train`` runs 1 and 5 epochs: every call corrupts and blurs each
+training image once, so the difference of the two, divided by 4, is the
+cost of one epoch alone.  Run from the repository root::
 
     PYTHONPATH=src python -m pytest bench/bench_train.py
 
@@ -80,8 +82,8 @@ def test_trial_loss(benchmark, setting):
     benchmark(trial)
 
 
-def test_train_epoch(benchmark, setting):
-    # includes corrupting the 24 images, which train does once per call
+@pytest.mark.parametrize("epochs", [1, 5])
+def test_train(benchmark, setting, epochs):
     images, sched, _, _, _, _ = setting
     benchmark(lambda: train(KernelMixtureModel(T=T), images, sched,
-                            TrainConfig(epochs=1, seed=0)))
+                            TrainConfig(epochs=epochs, seed=0)))

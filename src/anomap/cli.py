@@ -7,8 +7,9 @@ Subcommands:
   iqa       compare two F32R rasters (losses and optional anomaly map)
   stats     intensity statistics and flip decision for a dataset directory
 
-The log level is controlled by the ``ANOMAP_LOG`` environment variable
-(error, info, debug; default error).
+The log level is controlled by the ``ANOMAP_LOG`` environment variable:
+error, warning, info or debug, in any case (default error).  Any other
+value is reported in one line on stderr and logs at error.
 """
 
 from __future__ import annotations
@@ -26,10 +27,21 @@ from .imagecore import Image2D
 log = logging.getLogger("anomap")
 
 
+_LOG_LEVELS = {"error": logging.ERROR, "warning": logging.WARNING,
+               "info": logging.INFO, "debug": logging.DEBUG}
+
+
+def _log_level(name: str) -> int:
+    level = _LOG_LEVELS.get(name.lower())
+    if level is None:
+        print(f"anomap: ANOMAP_LOG={name!r} is not one of "
+              f"{', '.join(_LOG_LEVELS)}; logging at error", file=sys.stderr)
+        return logging.ERROR
+    return level
+
+
 def _setup_logging() -> None:
-    level = {"error": logging.ERROR, "info": logging.INFO,
-             "debug": logging.DEBUG}.get(os.environ.get("ANOMAP_LOG", "error"),
-                                         logging.ERROR)
+    level = _log_level(os.environ.get("ANOMAP_LOG", "error"))
     logging.basicConfig(level=level, format="%(levelname)s: %(message)s")
 
 

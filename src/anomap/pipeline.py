@@ -286,6 +286,20 @@ def _require_patches_fit(cfg: RunConfig, ds: Dataset) -> None:
                 f"{cfg.dataset_path}: sample {s.id}: {exc}") from None
 
 
+def _require_trainable(cfg: RunConfig, ds: Dataset) -> None:
+    """Reject a disk dataset's training split that :func:`denoise.train`
+    cannot use, which would otherwise fail every fold and group alike."""
+    images = [s.image for s in ds.train_healthy]
+    if not images:
+        raise ValueError(f"{cfg.dataset_path}: the training split is empty")
+    for i, s in enumerate(ds.train_healthy):
+        try:
+            denoise.check_training_image(images, i)
+        except ValueError as exc:
+            raise ValueError(
+                f"{cfg.dataset_path}: sample {s.id}: {exc}") from None
+
+
 def _run_variants(cfgs: Sequence[RunConfig], workers: int,
                   dump_maps: bool = False) -> List[RunReport]:
     """Every fold of every variant in ``cfgs`` through :func:`run_fold`; writes
@@ -299,6 +313,8 @@ def _run_variants(cfgs: Sequence[RunConfig], workers: int,
     if cfg.dataset_kind == "disk":
         dataset = datasetio.load_dataset(cfg.dataset_path)
         _require_patches_fit(cfg, dataset)
+        if cfg.blur_sigma is None:  # the blur baseline ignores the train split
+            _require_trainable(cfg, dataset)
     outs = [fileio.ensure_dir(c.out) for c in cfgs]
     by_fold, pool = [], None
     try:

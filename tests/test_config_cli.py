@@ -1,3 +1,4 @@
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -387,3 +388,20 @@ def test_cli_negative_seed_fails_before_any_output(tmp_path, capsys):
         assert rc != 0
         assert "seed = -1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, level", [("warning", logging.WARNING),
+                                         ("WARNING", logging.WARNING),
+                                         ("Info", logging.INFO),
+                                         ("debug", logging.DEBUG),
+                                         ("error", logging.ERROR)])
+def test_log_level_accepts_every_level_in_any_case(name, level, capsys):
+    assert cli._log_level(name) == level
+    assert capsys.readouterr().err == ""
+
+
+def test_unknown_log_level_is_reported_in_one_line(capsys):
+    assert cli._log_level("verbose") == logging.ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "ANOMAP_LOG='verbose'" in err and "warning" in err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anomap import iqa, phantom
+from anomap import denoise, iqa, phantom
 from anomap.denoise import (KernelMixtureModel, OracleDenoiser, TrainConfig,
                             blur_denoiser, gaussian_kernel_1d,
                             sample_gradients, train)
@@ -177,6 +177,45 @@ def test_train_rejects_empty_foreground():
     imgs[2] = Image2D(imgs[2].pixels * 0.0, BinaryMask(np.zeros((32, 32), bool)))
     with pytest.raises(ValueError, match="training image 2 has an empty foreground"):
         train(KernelMixtureModel(T=100), imgs, sched, TrainConfig(epochs=1))
+
+
+def test_train_names_the_image_whose_dimensions_differ():
+    sched = linear_schedule(100, 1e-3, 0.02)
+    imgs = _phantom_images(4, 3, size=32)
+    imgs[2] = Image2D(np.full((16, 32), 0.5))
+    with pytest.raises(ValueError, match="^training image 2 is 32x16 px, "
+                                         "training image 0 is 32x32 px$"):
+        train(KernelMixtureModel(T=100), imgs, sched, TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("epochs", [0, 1, 4])
+def test_train_blurs_each_image_once_and_keeps_the_responses_read_only(
+        epochs, monkeypatch):
+    counts = {"blur": 0}
+    held = []
+    blur = KernelMixtureModel.kernel_responses
+    gradients = denoise.sample_gradients
+
+    def counted(self, pixels):
+        counts["blur"] += 1
+        return blur(self, pixels)
+
+    def recorded(m, x0, x_t, t, p, f, resp=None):
+        held.append(resp)
+        return gradients(m, x0, x_t, t, p, f, resp)
+
+    monkeypatch.setattr(KernelMixtureModel, "kernel_responses", counted)
+    monkeypatch.setattr(denoise, "sample_gradients", recorded)
+    sched = linear_schedule(100, 1e-3, 0.02)
+    train(KernelMixtureModel(T=100), _phantom_images(5, 5, size=32), sched,
+          TrainConfig(epochs=epochs, batch_size=2, seed=3))
+    assert counts["blur"] == 5
+    assert len(held) == 5 * epochs
+    for resp in held:
+        assert len(resp) == 5
+        assert not any(rk.flags.writeable for rk in resp)
+        with pytest.raises(ValueError, match="read-only"):
+            resp[1][0, 0] = 1.0
 
 
 def _reference_train(m, data, sched, cfg, p, f):

@@ -9,10 +9,11 @@ process pool."""
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from anomap import (cli, config, datasetio, denoise, diffusion, evalkit,
-                    imagecore, phantom, pipeline)
+                    fileio, imagecore, phantom, pipeline)
 from anomap.config import VARIANTS
 
 REPORTS = ("report.csv", "per_sample.csv", "config_echo.cfg")
@@ -225,6 +226,59 @@ def test_disk_patch_grid_with_gaps_fails_before_any_fold(tmp_path,
     for part in ("height", "patch_h = 16", "stride_h = 20", "64 px"):
         assert part in message
     assert not folds and not (tmp_path / "out").exists()
+
+
+def _disk_training_split(tmp_path, pixels, fg_bits):
+    """A trained config reading a 3-image training split whose second image
+    (``train-001``) is replaced by ``pixels`` under the mask ``fg_bits``."""
+    cfg = replace(TRAINED, size=32, folds=2).validate()
+    root = tmp_path / "ds"
+    datasetio.save_dataset(pipeline.load_fold_dataset(cfg, 0), root)
+    fileio.write_f32r(root / "train" / "train-001.f32r", pixels)
+    fileio.write_pgm_mask(root / "train" / "train-001.fg.pgm",
+                          imagecore.BinaryMask(fg_bits))
+    fileio.write_pgm_mask(root / "train" / "train-001.gt.pgm",
+                          imagecore.BinaryMask(np.zeros_like(fg_bits)))
+    return replace(cfg, dataset_kind="disk", dataset_path=str(root),
+                   out=str(tmp_path / "out")).validate()
+
+
+@pytest.mark.parametrize("shape, fg, problem", [
+    ((24, 32), True, "training image 1 is 32x24 px, training image 0 is "
+                     "32x32 px"),
+    ((32, 32), False, "training image 1 has an empty foreground"),
+], ids=["mixed_size", "empty_foreground"])
+def test_unusable_disk_training_split_fails_before_any_fold(
+        tmp_path, monkeypatch, shape, fg, problem):
+    cfg = _disk_training_split(tmp_path, np.zeros(shape),
+                               np.full(shape, fg))
+    folds = _counting(monkeypatch, pipeline, "run_fold")
+    for entry in (pipeline.run, pipeline.ablate):
+        with pytest.raises(ValueError) as exc:
+            entry(cfg)
+        assert str(exc.value) == (f"{tmp_path / 'ds'}: sample train-001: "
+                                  f"{problem}")
+    assert not folds and not (tmp_path / "out").exists()
+
+
+def test_empty_disk_training_split_fails_before_any_fold(tmp_path,
+                                                       monkeypatch):
+    cfg = _disk_training_split(tmp_path, np.zeros((32, 32)),
+                               np.ones((32, 32), bool))
+    manifest = tmp_path / "ds" / "dataset.tsv"
+    rows = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+    manifest.write_text("".join(r for r in rows if "\ttrain\t" not in r),
+                        encoding="utf-8")
+    folds = _counting(monkeypatch, pipeline, "run_fold")
+    with pytest.raises(ValueError, match="the training split is empty$"):
+        pipeline.run(cfg)
+    assert not folds
+
+
+def test_blur_baseline_ignores_the_disk_training_split(tmp_path):
+    cfg = _disk_training_split(tmp_path, np.zeros((24, 32)),
+                               np.zeros((24, 32), bool))
+    assert pipeline.run(replace(cfg, blur_sigma=2.0).validate()).complete
 
 
 def test_stride_beyond_the_patch_that_still_covers_runs(tmp_path):
