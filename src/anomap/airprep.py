@@ -2,11 +2,11 @@
 intensity-flip pre-processing decision.
 
 The flip rule is ``p(x) = 1 - x`` on the foreground exactly when the normal
-region's mean intensity exceeds 0.5, otherwise identity.  Under the prior
+region's mean intensity exceeds 0.5, otherwise identity; :func:`decide`
+returns that choice as a bool and :func:`apply` takes it.  Under the prior
 ``0 < mu_n < mu_a < 1`` the flip never decreases the AIR:
-``(1 - mu_n) / (1 - mu_a) > mu_a / mu_n`` whenever ``0.5 < mu_n < mu_a < 1``.
-``verify_air_monotone`` evaluates that inequality numerically for a given
-pair of region means.
+``(1 - mu_n) / (1 - mu_a) > mu_a / mu_n`` whenever ``0.5 < mu_n < mu_a < 1``;
+``verify_air_monotone`` evaluates that inequality for a pair of region means.
 """
 
 from __future__ import annotations
@@ -30,11 +30,6 @@ class DatasetStats:
             raise ValueError("region means must be finite")
         if self.n_pixels_normal <= 0 or self.n_pixels_anomalous <= 0:
             raise ValueError("both regions must be nonempty")
-
-
-@dataclass(frozen=True)
-class PreprocessDecision:
-    flip: bool
 
 
 def dataset_stats(samples) -> DatasetStats:
@@ -70,18 +65,18 @@ def air(stats: DatasetStats) -> float:
     return hi / lo
 
 
-def decide(stats: DatasetStats) -> PreprocessDecision:
+def decide(stats: DatasetStats) -> bool:
     """Flip exactly when the normal mean exceeds 0.5 (boundary stays identity)."""
-    return PreprocessDecision(flip=stats.mu_n > 0.5)
+    return bool(stats.mu_n > 0.5)
 
 
-def apply(img: Image2D, d: PreprocessDecision) -> Image2D:
-    """Intensity flip 1 - x on the foreground when decided; background untouched."""
+def apply(img: Image2D, flip: bool) -> Image2D:
+    """Intensity flip 1 - x on the foreground if ``flip``; background untouched."""
     fg = img.fg_bits()
     vals = img.pixels[fg]
     if np.any(vals < 0.0) or np.any(vals > 1.0):
         raise ValueError("apply requires normalized input")
-    if not d.flip:
+    if not flip:
         return img
     out = img.pixels.copy()
     out[fg] = 1.0 - out[fg]
@@ -104,7 +99,7 @@ def verify_air_monotone(stats: DatasetStats) -> AirMonotoneReport:
     if not (0.0 < stats.mu_n < stats.mu_a < 1.0):
         raise ValueError("proof preconditions not met")
     before = air(stats)
-    if decide(stats).flip:
+    if decide(stats):
         after = (1.0 - stats.mu_n) / (1.0 - stats.mu_a)
     else:
         after = before
@@ -113,9 +108,9 @@ def verify_air_monotone(stats: DatasetStats) -> AirMonotoneReport:
 
 def stats_csv(stats: DatasetStats) -> str:
     """CSV report ``mu_n,mu_a,air_before,air_after,flip`` with a header row."""
-    d = decide(stats)
+    flip = decide(stats)
     before = air(stats)
-    if d.flip:
+    if flip:
         flipped = DatasetStats(1.0 - stats.mu_n, 1.0 - stats.mu_a,
                                stats.n_pixels_normal, stats.n_pixels_anomalous)
         after = air(flipped)
@@ -123,4 +118,4 @@ def stats_csv(stats: DatasetStats) -> str:
         after = before
     return ("mu_n,mu_a,air_before,air_after,flip\n"
             f"{stats.mu_n:.12g},{stats.mu_a:.12g},"
-            f"{before:.12g},{after:.12g},{int(d.flip)}\n")
+            f"{before:.12g},{after:.12g},{int(flip)}\n")

@@ -86,12 +86,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_iqa(args) -> int:
-    try:
-        a = fileio.read_f32r(args.image_a)
-        b = fileio.read_f32r(args.image_b)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    a = fileio.read_f32r(args.image_a)
+    b = fileio.read_f32r(args.image_b)
     if a.shape != b.shape:
         print(f"error: size mismatch {a.shape} vs {b.shape}", file=sys.stderr)
         return 1

@@ -7,8 +7,8 @@ Layout::
     <root>/<split>/<id>.fg.pgm  # foreground mask
     <root>/<split>/<id>.gt.pgm  # anomaly ground truth
 
-Both masks must have their image's dimensions; :func:`load_dataset` names
-the file that does not.
+Each id is listed once and both masks have their image's dimensions;
+:func:`load_dataset` names the manifest line or the file that does not.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ def load_dataset(root) -> Dataset:
     if not manifest.exists():
         raise FileNotFoundError(f"{manifest}: dataset manifest not found")
     by_split = {s: [] for s in SPLITS}
+    first_line = {}  # sample id -> the manifest line that listed it
     with open(manifest, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
@@ -62,10 +63,14 @@ def load_dataset(root) -> Dataset:
             sid, split, profile = parts
             if split not in by_split:
                 raise ValueError(f"{manifest}:{lineno}: unknown split {split!r}")
+            if sid in first_line:
+                raise ValueError(f"{manifest}:{lineno}: sample id {sid!r} "
+                                 f"repeats line {first_line[sid]}")
+            first_line[sid] = lineno
             d = root / split
             img = fileio.read_f32r(d / f"{sid}.f32r")
             fg = _read_mask(d / f"{sid}.fg.pgm", img.shape)
             gt = _read_mask(d / f"{sid}.gt.pgm", img.shape)
             by_split[split].append(
-                LabeledSample(sid, Image2D(img, fg), fg, gt, profile))
+                LabeledSample(sid, Image2D(img, fg), gt, profile))
     return Dataset(by_split["train"], by_split["val"], by_split["test"])

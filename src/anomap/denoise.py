@@ -159,8 +159,8 @@ class KernelMixtureModel:
         return out
 
     def denoise(self, x_t: Image2D, t: int) -> Image2D:
-        pred = np.clip(self.mix(self.kernel_responses(x_t.pixels), t), 0.0, 1.0)
-        return _mask_background(pred, x_t)
+        pre = self.mix(self.kernel_responses(x_t.pixels), t)
+        return _foreground_prediction(pre, x_t)
 
 
 @dataclass(frozen=True)
@@ -266,8 +266,8 @@ def train(m: KernelMixtureModel, data: Sequence[Image2D], sched: DiffusionSchedu
     64 x 64 px with the default four Gaussians, 25 MiB for 200.  Each
     gradient call gets its loss and gradient from one
     :func:`iqa.fusion_loss_and_grad`; each trial loss is one
-    :func:`iqa.fusion_loss`.  The results equal predicting every loss with
-    ``m.denoise``.  Every image needs the first image's dimensions and a
+    :func:`iqa.fusion_loss`.  Both score the very prediction ``m.denoise``
+    returns.  Every image needs the first image's dimensions and a
     non-empty foreground (see :func:`check_training_image`).
     """
     n = len(data)

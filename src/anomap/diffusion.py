@@ -2,9 +2,9 @@
 patch-conditioned reconstruction.
 
 The forward corruption is the single-shot ``x_t = sqrt(abar_t) * x0 +
-sqrt(1 - abar_t) * eps`` with ``eps`` drawn either as Gaussian white noise or
-as a multi-octave simplex field; either kind is standardized to zero mean and
-unit variance over the field so the signal-to-noise schedule is preserved.
+sqrt(1 - abar_t) * eps``, ``eps`` a plain array of Gaussian white noise or of
+multi-octave simplex noise, standardized to zero mean and unit variance over
+the field so that the signal-to-noise schedule is preserved.
 Reconstruction is one denoiser call per patch at a fixed step (no iterative
 sampling), patch by patch with the rest of the image left clean as
 conditioning context; a single patch covering the image reconstructs it whole.
@@ -65,15 +65,6 @@ def linear_schedule(T: int = DEFAULT_T, beta_1: float = DEFAULT_BETA_1,
     return DiffusionSchedule(np.linspace(beta_1, beta_T, T))
 
 
-@dataclass(frozen=True)
-class NoiseField:
-    """Standardized (zero mean, unit variance) noise raster, keyed by seed."""
-
-    values: np.ndarray
-    seed: int
-    kind: str  # one of NOISE_KINDS
-
-
 def _standardize(v: np.ndarray) -> np.ndarray:
     v = v - v.mean()
     std = v.std()
@@ -88,8 +79,8 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 def make_fields(kind: str, seeds: Sequence[int], width: int,
-                height: int) -> List[NoiseField]:
-    """One standardized ``height`` x ``width`` noise field per seed, in order.
+                height: int) -> List[np.ndarray]:
+    """One standardized ``(height, width)`` noise array per seed, in order.
 
     Field k depends on ``seeds[k]`` alone, never on the other seeds.
     ``"simplex"`` is multi-octave simplex noise (``DEFAULT_OCTAVES`` octaves,
@@ -105,24 +96,23 @@ def make_fields(kind: str, seeds: Sequence[int], width: int,
                for s in seeds]
     else:
         raise ValueError(f"unknown noise kind {kind!r}")
-    return [NoiseField(_standardize(v), seed=s, kind=kind)
-            for s, v in zip(seeds, raw)]
+    return [_standardize(v) for v in raw]
 
 
-def make_field(kind: str, seed: int, width: int, height: int) -> NoiseField:
+def make_field(kind: str, seed: int, width: int, height: int) -> np.ndarray:
     """Standardized noise field of the given kind; deterministic in seed."""
     return make_fields(kind, [seed], width, height)[0]
 
 
-def forward_noise(x0: Image2D, t: int, noise: NoiseField,
+def forward_noise(x0: Image2D, t: int, noise: np.ndarray,
                   sched: DiffusionSchedule) -> Image2D:
     """Corrupt x0 at step t on the foreground only; background stays 0."""
     ab = sched.alpha_bar(t)
-    if noise.values.shape != x0.pixels.shape:
+    if noise.shape != x0.pixels.shape:
         raise ValueError("noise field dimensions do not match image")
     fg = x0.fg_bits()
     out = np.zeros_like(x0.pixels)
-    out[fg] = np.sqrt(ab) * x0.pixels[fg] + np.sqrt(1.0 - ab) * noise.values[fg]
+    out[fg] = np.sqrt(ab) * x0.pixels[fg] + np.sqrt(1.0 - ab) * noise[fg]
     return Image2D(out, x0.foreground)
 
 
@@ -180,7 +170,7 @@ def placements(spec: PatchSpec, height: int, width: int) -> List[Tuple[int, int]
 
 
 def placement_fields(spec: PatchSpec, height: int, width: int, seed: int,
-                     noise_kind: str = "simplex") -> List[NoiseField]:
+                     noise_kind: str = "simplex") -> List[np.ndarray]:
     """The noise field of every placement of ``spec`` on a ``height`` x
     ``width`` image, in :func:`placements` order, drawn in one
     :func:`make_fields` call.
@@ -205,7 +195,7 @@ def reconstruct_patched(model, x: Image2D, t_test: int, sched: DiffusionSchedule
 
 def reconstruct_from_fields(model, x: Image2D, t_test: int,
                             sched: DiffusionSchedule, spec: PatchSpec,
-                            noises: Sequence[NoiseField]) -> Image2D:
+                            noises: Sequence[np.ndarray]) -> Image2D:
     """Noise one patch at a time, condition on the clean remainder, merge.
 
     ``noises`` holds one patch-sized field per placement, in
@@ -241,7 +231,7 @@ def reconstruct_from_fields(model, x: Image2D, t_test: int,
         patch_fg = fg[r0:r1, c0:c1]
         patch = noisy[inner]
         patch[patch_fg] = (np.sqrt(ab) * patch[patch_fg]
-                           + np.sqrt(1.0 - ab) * noise.values[patch_fg])
+                           + np.sqrt(1.0 - ab) * noise[patch_fg])
         patch[~patch_fg] = 0.0
         pred = model.denoise(Image2D(noisy, BinaryMask(fg[window])), t_test)
         count[r0:r1, c0:c1] += 1

@@ -53,7 +53,7 @@ def sample_seed(seed: int, sample_id: str) -> int:
 
 
 def patch_noise(sample: LabeledSample, cfg: EvalConfig,
-                seed: int) -> List[diffusion.NoiseField]:
+                seed: int) -> List[np.ndarray]:
     """The sample's placement noise fields, seeded by its id.  They depend
     on the image's dimensions only, so one draw serves every model and every
     intensity transform of the sample."""
@@ -66,7 +66,7 @@ def patch_noise(sample: LabeledSample, cfg: EvalConfig,
 
 def reconstruct(model, sample: LabeledSample, cfg: EvalConfig,
                 sched: DiffusionSchedule,
-                noises: Sequence[diffusion.NoiseField]) -> Image2D:
+                noises: Sequence[np.ndarray]) -> Image2D:
     """The model's patched reconstruction of a sample under the placement
     fields :func:`patch_noise` drew for it."""
     img = sample.image

@@ -27,13 +27,27 @@ def write_f32r(path, arr: np.ndarray) -> None:
         f.write(arr.astype("<f4").tobytes(order="C"))
 
 
+def _header_ints(path, fmt: str, tokens) -> list:
+    """Integer header fields; the first two, width and height, must be >= 1."""
+    try:
+        vals = [int(t) for t in tokens]
+    except ValueError:
+        text = b" ".join(tokens).decode("ascii", "replace")
+        raise ValueError(f"{path}: {fmt} header fields {text!r} must be "
+                         "integers") from None
+    if min(vals[:2]) < 1:
+        raise ValueError(f"{path}: {fmt} raster is {vals[0]}x{vals[1]} px; "
+                         "width and height must be >= 1")
+    return vals
+
+
 def read_f32r(path) -> np.ndarray:
     with open(path, "rb") as f:
         header = f.readline()
         parts = header.split()
         if len(parts) != 3 or parts[0] != b"F32R":
             raise ValueError(f"{path}: bad F32R magic")
-        w, h = int(parts[1]), int(parts[2])
+        w, h = _header_ints(path, "F32R", parts[1:])
         raw = f.read()
     expected = w * h * 4
     if len(raw) != expected:
@@ -71,9 +85,11 @@ def read_pgm_mask(path) -> BinaryMask:
         start = pos
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
+        if pos == start:
+            raise ValueError(f"{path}: truncated PGM header")
         tokens.append(data[start:pos])
     pos += 1  # single whitespace after maxval
-    w, h, maxval = (int(t) for t in tokens)
+    w, h, maxval = _header_ints(path, "PGM", tokens)
     if maxval != 255:
         raise ValueError(f"{path}: expected maxval 255")
     raw = data[pos:pos + w * h]

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy import ndimage
@@ -47,20 +48,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SsimParams:
-    """Window size and the two stability constants of the two-factor SSIM.
-
-    Defaults: W=5, C1=(0.01*L)^2, C2=(0.03*L)^2 with data range L=1.
+    """Window size of the two-factor SSIM (default 5) and its two stability
+    constants, fixed at C1=(0.01*L)^2 and C2=(0.03*L)^2 for data range L=1.
     """
 
     W: int = 5
-    C1: float = 1e-4
-    C2: float = 9e-4
+    C1: ClassVar[float] = 1e-4
+    C2: ClassVar[float] = 9e-4
 
     def __post_init__(self):
         if self.W % 2 != 1 or self.W < 1:
             raise ValueError("window size must be odd and positive")
-        if min(self.C1, self.C2) <= 0:
-            raise ValueError("stability constants must be positive")
 
 
 @dataclass(frozen=True)

@@ -43,14 +43,17 @@ PROFILES = {
 @dataclass(frozen=True)
 class LabeledSample:
     id: str
-    image: Image2D
-    foreground: BinaryMask
+    image: Image2D  # its foreground mask is the sample's
     anomaly_gt: BinaryMask
     profile: str
 
     def __post_init__(self):
         if np.any(self.anomaly_gt.bits & ~self.foreground.bits):
             raise ValueError("anomaly ground truth must lie inside foreground")
+
+    @property
+    def foreground(self) -> BinaryMask:
+        return self.image.foreground
 
 
 @dataclass(frozen=True)
@@ -96,8 +99,7 @@ def gen_healthy(seed: int, size: int, profile: ModalityProfile,
     tex -= tex[fg].mean()
     img = np.zeros((size, size))
     img[fg] = np.clip(profile.mu_normal_target + tex[fg], _CLIP_EPS, 1.0 - _CLIP_EPS)
-    mask = BinaryMask(fg)
-    return LabeledSample(sample_id, Image2D(img, mask), mask,
+    return LabeledSample(sample_id, Image2D(img, BinaryMask(fg)),
                          BinaryMask(np.zeros((size, size), dtype=bool)),
                          profile.name)
 
@@ -162,8 +164,8 @@ def gen_abnormal(seed: int, size: int, profile: ModalityProfile,
     img = base.image.pixels * (1.0 - weight) + lesion_val * weight
     img[~fg] = 0.0
     gt = BinaryMask((weight > 0.5) & fg)
-    return LabeledSample(sample_id, Image2D(img, base.foreground),
-                         base.foreground, gt, profile.name)
+    return LabeledSample(sample_id, Image2D(img, base.foreground), gt,
+                         profile.name)
 
 
 def gen_dataset(seed: int, size: int, profile: ModalityProfile,

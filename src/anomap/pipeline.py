@@ -96,12 +96,8 @@ def eval_config(cfg: RunConfig) -> EvalConfig:
     )
 
 
-def _apply_decision(samples, decision) -> List[LabeledSample]:
-    out = []
-    for s in samples:
-        img = airprep.apply(s.image, decision)
-        out.append(LabeledSample(s.id, img, s.foreground, s.anomaly_gt, s.profile))
-    return out
+def _apply_decision(samples, flip: bool) -> List[LabeledSample]:
+    return [replace(s, image=airprep.apply(s.image, flip)) for s in samples]
 
 
 def require_workers(workers: int) -> int:
@@ -199,10 +195,7 @@ def run_fold(cfgs: Sequence[RunConfig], fold: int,
     except Exception as exc:  # fold failures are reported, not fatal
         return [_failed(fold, exc) for _ in cfgs]
 
-    flip = False
-    if any(c.uses_air() for c in cfgs):
-        decision = airprep.decide(stats)
-        flip = decision.flip
+    flip = any(c.uses_air() for c in cfgs) and airprep.decide(stats)
     groups = {}
     for i, c in enumerate(cfgs):
         alpha = None if c.blur_sigma is not None else c.resolved_alpha()
@@ -217,7 +210,7 @@ def run_fold(cfgs: Sequence[RunConfig], fold: int,
             ecfgs = [eval_config(cfgs[i]) for i in members]
             train_set, samples = ds.train_healthy, scored
             if flipped:
-                train_set, samples = (_apply_decision(s, decision)
+                train_set, samples = (_apply_decision(s, flip)
                                       for s in (train_set, samples))
             model, loss_trace = _model(cfgs[members[0]], ecfgs[0], train_set,
                                        fold_seed, sched)

@@ -15,7 +15,7 @@ def _two_level_sample(lo=0.3, hi=0.7, sid="s0"):
     fg = BinaryMask(np.ones((8, 8), dtype=bool))
     gt = np.zeros((8, 8), dtype=bool)
     gt[:, 4:] = True
-    return LabeledSample(sid, Image2D(px, fg), fg, BinaryMask(gt), "test")
+    return LabeledSample(sid, Image2D(px, fg), BinaryMask(gt), "test")
 
 
 def test_stats_two_level_image():
@@ -54,9 +54,9 @@ def test_air_arithmetic_and_symmetry():
 
 
 def test_decide_threshold_and_boundary():
-    assert decide(DatasetStats(0.55, 0.7, 1, 1)).flip is True
-    assert decide(DatasetStats(0.35, 0.45, 1, 1)).flip is False
-    assert decide(DatasetStats(0.5, 0.9, 1, 1)).flip is False
+    assert decide(DatasetStats(0.55, 0.7, 1, 1)) is True
+    assert decide(DatasetStats(0.35, 0.45, 1, 1)) is False
+    assert decide(DatasetStats(0.5, 0.9, 1, 1)) is False
 
 
 def test_apply_identity_is_bit_exact():
@@ -90,9 +90,9 @@ def test_stats_after_flip_are_reflected():
     ds = phantom.gen_dataset(3, 64, phantom.PROFILES["flair_like"], 1, 6, 1)
     st = dataset_stats(ds.val_abnormal)
     d = decide(st)
-    assert d.flip
-    flipped = [LabeledSample(s.id, apply(s.image, d), s.foreground,
-                             s.anomaly_gt, s.profile) for s in ds.val_abnormal]
+    assert d
+    flipped = [LabeledSample(s.id, apply(s.image, d), s.anomaly_gt, s.profile)
+               for s in ds.val_abnormal]
     st2 = dataset_stats(flipped)
     assert st2.mu_n == pytest.approx(1.0 - st.mu_n, abs=1e-12)
     assert st2.mu_a == pytest.approx(1.0 - st.mu_a, abs=1e-12)

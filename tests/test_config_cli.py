@@ -340,6 +340,15 @@ def test_cli_iqa_compares_rasters(tmp_path, capsys):
     assert fileio.read_f32r(mp).shape == (16, 16)
 
 
+def test_cli_iqa_reports_a_missing_raster(tmp_path, capsys):
+    a = tmp_path / "a.f32r"
+    fileio.write_f32r(a, np.zeros((4, 4)))
+    missing = tmp_path / "missing.f32r"
+    assert cli.main(["iqa", str(a), str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+
+
 def test_cli_iqa_rejects_size_mismatch(tmp_path, capsys):
     a = tmp_path / "a.f32r"
     b = tmp_path / "b.f32r"

@@ -144,3 +144,45 @@ def test_load_dataset_rejects_non_finite_image(tmp_path):
     with pytest.raises(ValueError, match=re.escape(
             f"{s.id}.f32r: non-finite pixel nan at row 0, column 3")):
         datasetio.load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"F32R a b\n", "F32R header fields 'a b' must be integers"),
+    (b"F32R 0 0\n", "F32R raster is 0x0 px; width and height must be >= 1"),
+], ids=["non_numeric", "empty"])
+def test_f32r_rejects_bad_header_dimensions(tmp_path, header, message):
+    path = tmp_path / "h.f32r"
+    path.write_bytes(header)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        fileio.read_f32r(path)
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"P5\n4", "truncated PGM header"),
+    (b"P5\n4 x\n255\n", "PGM header fields '4 x 255' must be integers"),
+    (b"P5\n0 0\n255\n", "PGM raster is 0x0 px; width and height must be >= 1"),
+], ids=["truncated", "non_numeric", "empty"])
+def test_pgm_reader_rejects_bad_header_dimensions(tmp_path, header, message):
+    path = tmp_path / "h.pgm"
+    path.write_bytes(header)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        fileio.read_pgm_mask(path)
+
+
+@pytest.mark.parametrize("split", ["val", "test"], ids=["same_split",
+                                                        "across_splits"])
+def test_load_dataset_rejects_a_repeated_sample_id(tmp_path, split):
+    s = _saved_dataset(tmp_path)
+    for suffix in ("f32r", "fg.pgm", "gt.pgm"):
+        src = tmp_path / "val" / f"{s.id}.{suffix}"
+        (tmp_path / split / src.name).write_bytes(src.read_bytes())
+    manifest = tmp_path / "dataset.tsv"
+    lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+    first = 1 + next(i for i, line in enumerate(lines)
+                     if line.startswith(f"{s.id}\t"))
+    manifest.write_text("".join(lines) + f"{s.id}\t{split}\t{s.profile}\n",
+                        encoding="utf-8")
+    expect = (f"{manifest}:{len(lines) + 1}: sample id {s.id!r} "
+              f"repeats line {first}")
+    with pytest.raises(ValueError, match=f"^{re.escape(expect)}$"):
+        datasetio.load_dataset(tmp_path)

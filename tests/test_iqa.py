@@ -96,8 +96,6 @@ def test_ssim_params_validation():
     with pytest.raises(ValueError):
         SsimParams(W=4)
     with pytest.raises(ValueError):
-        SsimParams(C1=0.0)
-    with pytest.raises(ValueError):
         FusionParams(alpha=1.5)
 
 

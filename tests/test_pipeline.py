@@ -121,9 +121,9 @@ def test_flipped_group_error_fails_every_variant_of_its_fold(monkeypatch,
 
     real_apply, real_recon = pipeline._apply_decision, evalkit.reconstruct
 
-    def apply(samples, decision):
-        return [Flipped(s.id, s.image, s.foreground, s.anomaly_gt, s.profile)
-                for s in real_apply(samples, decision)]
+    def apply(samples, flip):
+        return [Flipped(s.id, s.image, s.anomaly_gt, s.profile)
+                for s in real_apply(samples, flip)]
 
     raised = []
 
@@ -212,6 +212,17 @@ def test_patch_larger_than_the_image_gives_one_rule_text(tmp_path):
     with pytest.raises(ValueError) as exc:
         pipeline.run(_disk_config(tmp_path, size=128, patch_h=65))
     assert str(exc.value) == f"{tmp_path / 'ds'}: sample val-000: {rule}"
+
+
+def test_repeated_manifest_id_fails_before_any_fold(tmp_path, monkeypatch):
+    cfg = _disk_config(tmp_path)
+    manifest = tmp_path / "ds" / "dataset.tsv"
+    with open(manifest, "a", encoding="utf-8") as f:
+        f.write("val-000\ttest\tflair_like\n")
+    folds = _counting(monkeypatch, pipeline, "run_fold")
+    with pytest.raises(ValueError, match="sample id 'val-000' repeats line"):
+        pipeline.run(cfg)
+    assert not folds and not (tmp_path / "out").exists()
 
 
 def test_disk_patch_grid_with_gaps_fails_before_any_fold(tmp_path,
