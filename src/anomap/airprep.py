@@ -11,7 +11,7 @@ returns that choice as a bool and :func:`apply` takes it.  Under the prior
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,6 +70,13 @@ def decide(stats: DatasetStats) -> bool:
     return bool(stats.mu_n > 0.5)
 
 
+def air_after(stats: DatasetStats) -> float:
+    """The AIR after :func:`decide`'s transform; a flip maps m to 1 - m."""
+    if not decide(stats):
+        return air(stats)
+    return air(replace(stats, mu_n=1.0 - stats.mu_n, mu_a=1.0 - stats.mu_a))
+
+
 def apply(img: Image2D, flip: bool) -> Image2D:
     """Intensity flip 1 - x on the foreground if ``flip``; background untouched."""
     fg = img.fg_bits()
@@ -98,24 +105,12 @@ def verify_air_monotone(stats: DatasetStats) -> AirMonotoneReport:
     """
     if not (0.0 < stats.mu_n < stats.mu_a < 1.0):
         raise ValueError("proof preconditions not met")
-    before = air(stats)
-    if decide(stats):
-        after = (1.0 - stats.mu_n) / (1.0 - stats.mu_a)
-    else:
-        after = before
+    before, after = air(stats), air_after(stats)
     return AirMonotoneReport(before, after, after >= before - 1e-12)
 
 
 def stats_csv(stats: DatasetStats) -> str:
     """CSV report ``mu_n,mu_a,air_before,air_after,flip`` with a header row."""
-    flip = decide(stats)
-    before = air(stats)
-    if flip:
-        flipped = DatasetStats(1.0 - stats.mu_n, 1.0 - stats.mu_a,
-                               stats.n_pixels_normal, stats.n_pixels_anomalous)
-        after = air(flipped)
-    else:
-        after = before
     return ("mu_n,mu_a,air_before,air_after,flip\n"
-            f"{stats.mu_n:.12g},{stats.mu_a:.12g},"
-            f"{before:.12g},{after:.12g},{int(flip)}\n")
+            f"{stats.mu_n:.12g},{stats.mu_a:.12g},{air(stats):.12g},"
+            f"{air_after(stats):.12g},{int(decide(stats))}\n")

@@ -9,17 +9,19 @@ the fusion loss are exact.
 
 Every model also declares a ``receptive_radius``: the Chebyshev distance
 beyond which an input pixel cannot change an output pixel, with image edges
-replicated.  The blur and the kernel mixture are local (the radius of their
-widest kernel), so :func:`diffusion.reconstruct_from_fields` hands them
-only a patch plus that halo, clipped to the image; the oracle declares
-``None`` (global) and always sees the whole image.
+replicated.  On a crop, a local model gives every pixel farther than that
+radius from a cut edge the same value as on the whole image.  The blur and
+the kernel mixture are local (the radius of their widest kernel), so
+:func:`diffusion.reconstruct_from_fields` hands them only a patch plus that
+halo, clipped to the image; the oracle declares ``None`` (global) and
+always sees the whole image.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, List, Optional, Protocol, Sequence
+from typing import ClassVar, List, Optional, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -28,22 +30,6 @@ from . import iqa
 from .diffusion import DiffusionSchedule, derive_seed, forward_noise, make_field
 from .imagecore import BinaryMask, Image2D
 from .iqa import FusionParams, SsimParams
-
-
-class Denoiser(Protocol):
-    """``denoise(x_t, t)`` returns an x0 estimate of x_t's dimensions.
-
-    ``receptive_radius`` is the Chebyshev distance beyond which an input
-    pixel cannot change an output pixel, with replicate edges (``None``:
-    any pixel may, or the model needs the whole image).  A local model must
-    give every pixel farther than that radius from a crop's cut edges the
-    same value on the crop as on the whole image; patched reconstruction
-    then denoises each patch within a halo of that radius only.
-    """
-
-    receptive_radius: Optional[int]
-
-    def denoise(self, x_t: Image2D, t: int) -> Image2D: ...
 
 
 def _mask_background(pixels: np.ndarray, x_t: Image2D) -> Image2D:

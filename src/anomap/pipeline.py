@@ -1,18 +1,15 @@
 """Fold orchestration: dataset preparation, training, thresholding, metrics.
 
-A "fold" in phantom mode is one generator seed; each fold prepares its data
-(optionally applying the intensity-flip decision derived from the unhealthy
-validation split), trains the kernel-mixture reconstruction model on the
-healthy split under the variant's loss blend, picks the binarization
-threshold on validation, and evaluates on test.  All randomness is derived
+A "fold" in phantom mode is one generator seed.  All randomness is derived
 from (config, seed), so reports are byte-identical across runs and worker
-counts.
-
-:func:`run` and :func:`ablate` share one fold loop, :func:`run_fold`, which
-takes every variant of the call at once; a run is the one-variant case.
-With several workers a call opens one process pool and scores every fold
-in it; a pool that a dead worker broke fails only the fold that was using
-it, and the next fold gets a fresh one.
+counts.  :func:`run` and :func:`ablate` share one fold loop, :func:`run_fold`,
+which takes every variant of the call at once in three stages:
+:func:`prepare` fixes what the variants share and groups those whose
+reconstructions cannot differ; :func:`train_group` builds one group's model;
+:func:`score` maps every scored sample for every group in one ordered pass,
+then evaluates each variant.  With several workers a call scores every fold
+in one process pool; a pool that a dead worker broke fails only the fold
+that was using it, and the next fold gets a fresh one.
 """
 
 from __future__ import annotations
@@ -25,14 +22,16 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import airprep, datasetio, denoise, diffusion, evalkit, fileio, phantom
 from .config import VARIANTS, RunConfig, render
 from .denoise import KernelMixtureModel, TrainConfig
+from .diffusion import DiffusionSchedule
 from .evalkit import EvalConfig, FoldResult
+from .imagecore import BinaryMask
 from .iqa import FusionParams, SsimParams
 from .phantom import Dataset, LabeledSample
 
@@ -69,17 +68,13 @@ class RunReport:
                 float(areas.mean()), float(areas.std()))
 
 
-def build_profile(cfg: RunConfig) -> phantom.ModalityProfile:
-    if cfg.lesion_gap is not None:
-        return phantom.profile_with_gap(cfg.profile, cfg.lesion_gap)
-    return phantom.PROFILES[cfg.profile]
-
-
 def load_fold_dataset(cfg: RunConfig, fold: int) -> Dataset:
     if cfg.dataset_kind == "disk":
         return datasetio.load_dataset(cfg.dataset_path)
+    profile = (phantom.PROFILES[cfg.profile] if cfg.lesion_gap is None
+               else phantom.profile_with_gap(cfg.profile, cfg.lesion_gap))
     fold_seed = diffusion.derive_seed(cfg.seed, fold)
-    return phantom.gen_dataset(fold_seed, cfg.size, build_profile(cfg),
+    return phantom.gen_dataset(fold_seed, cfg.size, profile,
                                cfg.n_train, cfg.n_val, cfg.n_test)
 
 
@@ -124,77 +119,50 @@ def _maps(args):
     return maps
 
 
-def _in_order(pool, fn, args) -> list:
-    """``fn`` over ``args`` in order, in the pool's workers when there is one;
-    parallelism never changes the results."""
-    if pool is None:
-        return [fn(a) for a in args]
-    return list(pool.map(fn, args))
-
-
 def _failed(fold: int, exc: Exception) -> FoldOutcome:
     log.error("fold %d failed: %s", fold, exc)
     return FoldOutcome(fold, None, str(exc), None, False, [])
 
 
-def _model(cfg: RunConfig, ecfg: EvalConfig, train_set, fold_seed: int, sched):
-    """The reconstruction model and its training loss trace: the blur
-    baseline, or a kernel mixture trained under the variant's loss blend."""
-    if cfg.blur_sigma is not None:
-        return denoise.blur_denoiser(cfg.blur_sigma), []
-    tcfg = TrainConfig(epochs=cfg.epochs, learning_rate=cfg.learning_rate,
-                       batch_size=cfg.batch_size, seed=fold_seed,
-                       noise_kind=cfg.noise)
-    trained = denoise.train(KernelMixtureModel(T=cfg.T),
-                            [s.image for s in train_set], sched, tcfg,
-                            ecfg.ssim, ecfg.fusion)
-    return trained.model, trained.loss_trace
+@dataclass
+class FoldPlan:
+    """What :func:`prepare` fixes for a fold before any model is built."""
+    cfgs: Sequence[RunConfig]
+    fold: int
+    ds: Dataset
+    scored: List[LabeledSample]  # validation, then test
+    stats: airprep.DatasetStats
+    regions: Dict[str, BinaryMask]
+    seed: int
+    sched: DiffusionSchedule
+    groups: List[Tuple[List[int], bool]]  # (members, flipped)
 
 
-def run_fold(cfgs: Sequence[RunConfig], fold: int,
-             pool: Optional[ProcessPoolExecutor] = None,
-             dump_maps: bool = False,
-             dataset: Optional[Dataset] = None) -> List[FoldOutcome]:
-    """One fold of every variant in ``cfgs``, which differ only in
-    ``variant`` and ``out``; stage errors are captured, not raised.
+class Trained(NamedTuple):
+    """A group ready to score: its model and its scored samples."""
+    members: List[int]
+    flipped: bool
+    samples: List[LabeledSample]
+    model: object
+    loss_trace: List[float]
 
-    The variants share the fold's dataset (``dataset`` if given, else
-    built from the first config), its AIR statistics and flip decision, and
-    each scored sample's eroded region.  Variants whose reconstructions
-    cannot differ form a group: the same images after the flip decision and
-    the same model, which for a trained model means the same loss ``alpha``
-    (the blur baseline does not depend on the variant at all).
 
-    Every group first builds its model, in group order; a training error
-    fails only that group's variants.  The fold then makes one ordered pass
-    over its scored samples, in ``pool``'s workers when there is one, else
-    in this process.  Each task draws the sample's placement noise once,
-    reconstructs the sample once per live group from that group's images
-    and model, and maps it for every member, so no reconstruction leaves
-    the process that made it.  The pass is one stage: an error inside it
-    fails every variant of the fold that was still live.  The members are
-    then evaluated one at a time from those maps, all on the fold's own
-    splits: flipping changes no sample id and no ground truth.
-    With ``dump_maps`` each variant's test maps go to
-    ``<out>/maps/fold<k>/<id>.f32r``.
-    """
+def prepare(cfgs: Sequence[RunConfig], fold: int,
+            dataset: Optional[Dataset] = None) -> FoldPlan:
+    """The fold's shared inputs (``dataset`` if given, else built from the
+    first config).  Variants form one group when they see the same images
+    after the flip and, unless blurring, train under the same ``alpha``."""
     cfg = cfgs[0]
-    try:
-        ds = dataset if dataset is not None else load_fold_dataset(cfg, fold)
-        stats = airprep.dataset_stats(ds.val_abnormal)
-        scored = [*ds.val_abnormal, *ds.test_abnormal]
-        regions = {s.id: evalkit.eval_region(s, eval_config(cfg)) for s in scored}
-        if ds.test_abnormal and not any(regions[s.id].count()
-                                        for s in ds.test_abnormal):
-            # no test pixel left to score: AUPRC would be undefined
-            raise ValueError(f"erosion_iters = {cfg.erosion_iters} empties "
-                             "the scored region of every test sample, "
-                             f"first {ds.test_abnormal[0].id}")
-        fold_seed = diffusion.derive_seed(cfg.seed, 100 + fold)
-        sched = diffusion.linear_schedule(cfg.T, cfg.beta_1, cfg.beta_T)
-    except Exception as exc:  # fold failures are reported, not fatal
-        return [_failed(fold, exc) for _ in cfgs]
-
+    ds = dataset if dataset is not None else load_fold_dataset(cfg, fold)
+    stats = airprep.dataset_stats(ds.val_abnormal)
+    scored = [*ds.val_abnormal, *ds.test_abnormal]
+    regions = {s.id: evalkit.eval_region(s, eval_config(cfg)) for s in scored}
+    if ds.test_abnormal and not any(regions[s.id].count()
+                                    for s in ds.test_abnormal):
+        # no test pixel left to score: AUPRC would be undefined
+        raise ValueError(f"erosion_iters = {cfg.erosion_iters} empties "
+                         "the scored region of every test sample, "
+                         f"first {ds.test_abnormal[0].id}")
     flip = any(c.uses_air() for c in cfgs) and airprep.decide(stats)
     groups = {}
     for i, c in enumerate(cfgs):
@@ -202,56 +170,107 @@ def run_fold(cfgs: Sequence[RunConfig], fold: int,
         groups.setdefault((c.uses_air() and flip, alpha), []).append(i)
     log.info("fold %d: %d variant(s) in %d reconstruction group(s)",
              fold, len(cfgs), len(groups))
+    return FoldPlan(cfgs, fold, ds, scored, stats, regions,
+                    diffusion.derive_seed(cfg.seed, 100 + fold),
+                    diffusion.linear_schedule(cfg.T, cfg.beta_1, cfg.beta_T),
+                    [(m, flipped) for (flipped, _), m in groups.items()])
 
+
+def train_group(plan: FoldPlan, members: Sequence[int], flipped: bool):
+    """The group's model and training loss trace: the blur baseline, which
+    reads no training image, or a kernel mixture trained on the healthy
+    split, flipped or not, under the group's loss blend."""
+    cfg = plan.cfgs[members[0]]
+    if cfg.blur_sigma is not None:
+        return denoise.blur_denoiser(cfg.blur_sigma), []
+    train_set = plan.ds.train_healthy
+    train_set = _apply_decision(train_set, True) if flipped else train_set
+    ecfg = eval_config(cfg)
+    tcfg = TrainConfig(epochs=cfg.epochs, learning_rate=cfg.learning_rate,
+                       batch_size=cfg.batch_size, seed=plan.seed,
+                       noise_kind=cfg.noise)
+    trained = denoise.train(KernelMixtureModel(T=cfg.T),
+                            [s.image for s in train_set], plan.sched, tcfg,
+                            ecfg.ssim, ecfg.fusion)
+    return trained.model, trained.loss_trace
+
+
+def score(plan: FoldPlan, live: Sequence[Trained],
+          pool: Optional[ProcessPoolExecutor],
+          dump_maps: bool) -> Dict[int, FoldOutcome]:
+    """Each member's outcome, by its index in ``plan.cfgs``; raises if the
+    shared pass fails.  Each task draws a sample's placement noise once,
+    reconstructs it once per group and maps it for every member, so no
+    reconstruction leaves the process that made it."""
+    ds, fold = plan.ds, plan.fold
+    ecfgs = [[eval_config(plan.cfgs[i]) for i in g.members] for g in live]
+    tasks = [([(g.model, g.samples[k], e) for g, e in zip(live, ecfgs)],
+              plan.sched, plan.seed, plan.regions[s.id])
+             for k, s in enumerate(plan.scored)]
+    # in order either way, so the pool never changes the results
+    per_sample = list((map if pool is None else pool.map)(_maps, tasks))
+    outcomes = {}
+    for col, g in enumerate(live):
+        for j, (i, ecfg) in enumerate(zip(g.members, ecfgs[col])):
+            try:
+                maps = {s.id: m[col][j] for s, m in zip(plan.scored, per_sample)}
+                # flipping changes no sample id and no ground truth
+                result = evalkit.evaluate_fold(ds.val_abnormal, ds.test_abnormal,
+                                               maps, plan.regions,
+                                               ecfg.n_thresholds)
+                if dump_maps:
+                    d = fileio.ensure_dir(Path(plan.cfgs[i].out) / "maps"
+                                          / f"fold{fold}")
+                    for s in ds.test_abnormal:
+                        fileio.write_f32r(d / f"{s.id}.f32r", maps[s.id].scores)
+                outcomes[i] = FoldOutcome(fold, result, None, plan.stats,
+                                          g.flipped, g.loss_trace)
+            except Exception as exc:
+                outcomes[i] = _failed(fold, exc)
+    return outcomes
+
+
+def run_fold(cfgs: Sequence[RunConfig], fold: int,
+             pool: Optional[ProcessPoolExecutor] = None,
+             dump_maps: bool = False,
+             dataset: Optional[Dataset] = None) -> List[FoldOutcome]:
+    """One fold of every variant in ``cfgs``, which differ only in
+    ``variant`` and ``out``: :func:`prepare`, then :func:`train_group` for
+    each group in order, then :func:`score` over ``pool`` (or in this
+    process).  Errors are captured, not raised:
+
+    - an error in ``prepare`` fails every variant;
+    - an error flipping a group's images or training its model fails only
+      that group's variants;
+    - an error in the shared scoring pass fails every live variant;
+    - an error evaluating a member fails only that member.
+
+    With ``dump_maps`` each variant's test maps go to
+    ``<out>/maps/fold<k>/<id>.f32r``.
+    """
+    try:
+        plan = prepare(cfgs, fold, dataset)
+    except Exception as exc:  # fold failures are reported, not fatal
+        return [_failed(fold, exc) for _ in cfgs]
     outcomes: List[Optional[FoldOutcome]] = [None] * len(cfgs)
-    live = []  # (members, ecfgs, flipped, model, loss trace, scored samples)
-    for (flipped, _), members in groups.items():
+    live = []
+    for members, flipped in plan.groups:
         try:
-            ecfgs = [eval_config(cfgs[i]) for i in members]
-            train_set, samples = ds.train_healthy, scored
-            if flipped:
-                train_set, samples = (_apply_decision(s, flip)
-                                      for s in (train_set, samples))
-            model, loss_trace = _model(cfgs[members[0]], ecfgs[0], train_set,
-                                       fold_seed, sched)
+            samples = (_apply_decision(plan.scored, True) if flipped
+                       else plan.scored)
+            model, loss_trace = train_group(plan, members, flipped)
         except Exception as exc:
             for i in members:
                 outcomes[i] = _failed(fold, exc)
             continue
-        live.append((members, ecfgs, flipped, model, loss_trace, samples))
+        live.append(Trained(members, flipped, samples, model, loss_trace))
     if not live:
         return outcomes
-
     try:
-        # per scored sample: each live group's model, its version of the
-        # sample and its members' eval configs
-        tasks = [([(model, samples[k], ecfgs)
-                   for _, ecfgs, _, model, _, samples in live],
-                  sched, fold_seed, regions[s.id])
-                 for k, s in enumerate(scored)]
-        per_sample = _in_order(pool, _maps, tasks)
+        scores = score(plan, live, pool, dump_maps)
     except Exception as exc:
-        for members, *_ in live:
-            for i in members:
-                outcomes[i] = _failed(fold, exc)
-        return outcomes
-
-    for g, (members, ecfgs, flipped, _, loss_trace, _) in enumerate(live):
-        for j, (i, ecfg) in enumerate(zip(members, ecfgs)):
-            c = cfgs[i]
-            try:
-                maps = {s.id: m[g][j] for s, m in zip(scored, per_sample)}
-                result = evalkit.evaluate_fold(ds.val_abnormal, ds.test_abnormal,
-                                               maps, regions, ecfg.n_thresholds)
-                if dump_maps:
-                    d = fileio.ensure_dir(Path(c.out) / "maps" / f"fold{fold}")
-                    for s in ds.test_abnormal:
-                        fileio.write_f32r(d / f"{s.id}.f32r", maps[s.id].scores)
-                outcomes[i] = FoldOutcome(fold, result, None, stats, flipped,
-                                          loss_trace)
-            except Exception as exc:
-                outcomes[i] = _failed(fold, exc)
-    return outcomes
+        scores = {i: _failed(fold, exc) for g in live for i in g.members}
+    return [scores.get(i, o) for i, o in enumerate(outcomes)]
 
 
 def _broken(pool: ProcessPoolExecutor) -> bool:
@@ -366,7 +385,7 @@ def write_report(report: RunReport, out_dir) -> None:
 def ablate(cfg: RunConfig, workers: int = 1, dump_maps: bool = False) -> dict:
     """Run the four loss/pre-processing variants with shared seeds and folds.
 
-    One pass over the folds serves all four (see :func:`run_fold` for what
+    One pass over the folds serves all four (see :func:`prepare` for what
     they share); each variant's directory under ``cfg.out`` holds exactly
     the reports, and with ``dump_maps`` the maps, that a separate
     :func:`run` of that variant writes.

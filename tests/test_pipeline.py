@@ -7,6 +7,7 @@ same task that maps it for every member.  A call scores every fold in one
 process pool."""
 
 import os
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -144,6 +145,64 @@ def test_flipped_group_error_fails_every_variant_of_its_fold(monkeypatch,
         assert first.error == "flipped reconstruction failed"
         assert second.error is None
         assert second.result == expect[v].outcomes[1].result
+
+
+def test_training_error_fails_only_its_group(monkeypatch, tmp_path):
+    cfg = replace(TRAINED, out=str(tmp_path / "a")).validate()
+    expect = pipeline.ablate(cfg)
+    real = denoise.train
+
+    def train(m, data, sched, tcfg, p, f):
+        if f.alpha == 0.0:  # only l1 trains at alpha 0
+            raise RuntimeError("l1 training failed")
+        return real(m, data, sched, tcfg, p, f)
+
+    monkeypatch.setattr(denoise, "train", train)
+    reports = pipeline.ablate(cfg)
+    assert ([o.error for o in reports["l1"].outcomes]
+            == ["l1 training failed"] * cfg.folds)
+    for v in VARIANTS[1:]:
+        assert ([o.result for o in reports[v].outcomes]
+                == [o.result for o in expect[v].outcomes]), v
+
+
+def test_evaluation_error_fails_only_its_member(monkeypatch, tmp_path):
+    # t2_like: one blur group whose four members share every map
+    cfg = replace(BLUR, profile="t2_like", out=str(tmp_path / "a")).validate()
+    expect = pipeline.ablate(cfg)
+    real = evalkit.evaluate_fold
+    calls = []
+
+    def evaluate_fold(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise RuntimeError("evaluation failed")
+        return real(*args)
+
+    monkeypatch.setattr(evalkit, "evaluate_fold", evaluate_fold)
+    reports = pipeline.ablate(cfg)
+    for v in VARIANTS:
+        for fold, (got, want) in enumerate(zip(reports[v].outcomes,
+                                               expect[v].outcomes)):
+            if (v, fold) == ("l1", 0):
+                assert got.result is None and got.error == "evaluation failed"
+            else:
+                assert got.error is None and got.result == want.result
+
+
+def test_train_group_gives_the_same_bits_on_an_unpickled_plan():
+    # a pool worker would train from a pickled copy of the fold's plan
+    cfgs = [replace(TRAINED, variant=v).validate() for v in VARIANTS]
+    plan = pipeline.prepare(cfgs, 0)
+    copy = pickle.loads(pickle.dumps(plan))
+    assert len(plan.groups) == 4
+    for members, flipped in plan.groups:
+        model, trace = pipeline.train_group(plan, members, flipped)
+        model2, trace2 = pipeline.train_group(copy, members, flipped)
+        assert model.weights.tobytes() == model2.weights.tobytes()
+        assert model.biases.tobytes() == model2.biases.tobytes()
+        assert np.array(trace).tobytes() == np.array(trace2).tobytes()
+        assert len(trace) == TRAINED.epochs
 
 
 def test_disk_dataset_is_read_once_per_run(tmp_path, monkeypatch):
@@ -290,6 +349,13 @@ def test_blur_baseline_ignores_the_disk_training_split(tmp_path):
     cfg = _disk_training_split(tmp_path, np.zeros((24, 32)),
                                np.zeros((24, 32), bool))
     assert pipeline.run(replace(cfg, blur_sigma=2.0).validate()).complete
+    # an unnormalized training image would fail the flip of fq_air's group
+    cfg = _disk_training_split(tmp_path, np.full((32, 32), 2.0),
+                               np.ones((32, 32), bool))
+    cfg = replace(cfg, blur_sigma=2.0, variant="fq_air").validate()
+    report = pipeline.run(cfg)
+    assert report.complete and all(o.flipped for o in report.outcomes)
+    assert all(r.complete for r in pipeline.ablate(cfg).values())
 
 
 def test_stride_beyond_the_patch_that_still_covers_runs(tmp_path):
