@@ -77,14 +77,19 @@ def air_after(stats: DatasetStats) -> float:
     return air(replace(stats, mu_n=1.0 - stats.mu_n, mu_a=1.0 - stats.mu_a))
 
 
-def apply(img: Image2D, flip: bool) -> Image2D:
-    """Intensity flip 1 - x on the foreground if ``flip``; background untouched."""
-    fg = img.fg_bits()
-    vals = img.pixels[fg]
+def check_normalized(img: Image2D) -> None:
+    """Reject an image whose foreground leaves [0, 1], as :func:`apply` does."""
+    vals = img.pixels[img.fg_bits()]
     if np.any(vals < 0.0) or np.any(vals > 1.0):
         raise ValueError("apply requires normalized input")
+
+
+def apply(img: Image2D, flip: bool) -> Image2D:
+    """Intensity flip 1 - x on the foreground if ``flip``; background untouched."""
+    check_normalized(img)
     if not flip:
         return img
+    fg = img.fg_bits()
     out = img.pixels.copy()
     out[fg] = 1.0 - out[fg]
     return Image2D(out, img.foreground)

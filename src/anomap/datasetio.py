@@ -2,13 +2,15 @@
 
 Layout::
 
-    <root>/dataset.tsv          # id <tab> split <tab> profile
+    <root>/dataset.tsv          # id <tab> split [<tab> ignored]
     <root>/<split>/<id>.f32r    # image
     <root>/<split>/<id>.fg.pgm  # foreground mask
     <root>/<split>/<id>.gt.pgm  # anomaly ground truth
 
 Each id is listed once and both masks have their image's dimensions;
 :func:`load_dataset` names the manifest line or the file that does not.
+:func:`save_dataset` writes two columns; a third, which older datasets
+carry (a modality profile name), is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ def save_dataset(ds: Dataset, root) -> None:
             fileio.write_f32r(d / f"{s.id}.f32r", s.image.pixels)
             fileio.write_pgm_mask(d / f"{s.id}.fg.pgm", s.foreground)
             fileio.write_pgm_mask(d / f"{s.id}.gt.pgm", s.anomaly_gt)
-            rows.append(f"{s.id}\t{split}\t{s.profile}\n")
+            rows.append(f"{s.id}\t{split}\n")
     with open(root / "dataset.tsv", "w", encoding="utf-8") as f:
         f.writelines(rows)
 
@@ -58,9 +60,11 @@ def load_dataset(root) -> Dataset:
             if not line:
                 continue
             parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{manifest}:{lineno}: expected id, split, profile")
-            sid, split, profile = parts
+            if len(parts) not in (2, 3):
+                raise ValueError(f"{manifest}:{lineno}: expected 'id<TAB>split' "
+                                 "or 'id<TAB>split<TAB>ignored', got "
+                                 f"{len(parts)} fields")
+            sid, split = parts[:2]
             if split not in by_split:
                 raise ValueError(f"{manifest}:{lineno}: unknown split {split!r}")
             if sid in first_line:
@@ -72,5 +76,5 @@ def load_dataset(root) -> Dataset:
             fg = _read_mask(d / f"{sid}.fg.pgm", img.shape)
             gt = _read_mask(d / f"{sid}.gt.pgm", img.shape)
             by_split[split].append(
-                LabeledSample(sid, Image2D(img, fg), gt, profile))
+                LabeledSample(sid, Image2D(img, fg), gt))
     return Dataset(by_split["train"], by_split["val"], by_split["test"])

@@ -14,7 +14,8 @@ the fusion loss blends it with the masked mean absolute error:
 that scalar together with its exact derivative with respect to the
 reconstruction, including the contribution of replicated border pixels,
 from one computation of the window moments; training calls it once per
-sample gradient.
+sample gradient.  The gradient is taken on the edge-padded raster and
+folded back onto the image by one weighted ``np.bincount``.
 
 Its large buffers (the five window moments, the five zero-embedded center
 maps and the two edge-padded images, about 420 KB at 64 px with W = 5) are
@@ -157,46 +158,6 @@ def fusion_loss_grad(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
     return fusion_loss_and_grad(x, y, p, f, mask)[1]
 
 
-def _fold_groups(n: int, r: int):
-    """(target, source) slice pairs folding a replicate-padded axis back.
-
-    Padded index i of an axis of length n padded by r on each side copies
-    pixel clip(i - r, 0, n - 1): target 0 collects the first r + 1 padded
-    positions, target n - 1 the last r + 1, and every target in between has
-    exactly one source.  A length-1 axis collects all 2r + 1 positions.
-    """
-    if n == 1:
-        return [(slice(0, 1), slice(0, 2 * r + 1))]
-    groups = [(slice(0, 1), slice(0, r + 1))]
-    if n > 2:
-        groups.append((slice(1, n - 1), slice(r + 1, r + n - 1)))
-    groups.append((slice(n - 1, n), slice(r + n - 1, n + 2 * r)))
-    return groups
-
-
-def _fold_replicated(g_pad: np.ndarray, H: int, Wd: int, r: int) -> np.ndarray:
-    """Sum a padded-image gradient onto the pixels the padding replicated.
-
-    Each pixel receives its padded positions in row-major order, one after
-    another, as an unbuffered scatter-add over the padded raster would add
-    them: the edge strips are summed along their depth and each corner's
-    (r + 1) x (r + 1) block as one flattened run.  A cumulative sum adds
-    strictly in sequence, so the result equals ``np.add.at`` bit for bit.
-    """
-    grad = np.zeros((H, Wd))
-    for tr, sr in _fold_groups(H, r):
-        for tc, sc in _fold_groups(Wd, r):
-            block = g_pad[sr, sc]
-            nr, nc = tr.stop - tr.start, tc.stop - tc.start
-            kr, kc = block.shape[0] // nr, block.shape[1] // nc
-            if kr * kc == 1:
-                grad[tr, tc] += block
-                continue
-            runs = block.reshape(nr, kr, nc, kc).transpose(0, 2, 1, 3)
-            grad[tr, tc] += np.cumsum(runs.reshape(nr, nc, kr * kc), axis=2)[..., -1]
-    return grad
-
-
 _workspace = threading.local()
 
 
@@ -233,8 +194,9 @@ def fusion_loss_and_grad(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
     differentiates the two-factor formula through each window's
     y-statistics (mean, variance, covariance) and accumulates over every
     window containing the pixel.  Border pixels enter multiple windows via
-    replicate padding; those contributions are folded back onto their source
-    pixels so the result matches finite differences of the actual loss.
+    replicate padding; one weighted ``np.bincount`` adds every padded
+    position, in row-major order, onto the pixel it copies, so the result
+    matches finite differences of the actual loss.
     The gradient of |t| at t = 0 is taken to be 0.  Returns
     ``(loss, grad)`` with ``grad`` shaped like the image.
 
@@ -301,7 +263,11 @@ def fusion_loss_and_grad(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
     xp = _edge_pad(xa, r, pads[0])
     yp = _edge_pad(ya, r, pads[1])
     g_pad = (s_mu + 2.0 * (yp * s_var - s_var_my) + (xp * s_cov - s_cov_mx)) / n
-    grad = _fold_replicated(g_pad, H, Wd, r)
+    # bincount sums each bin in input order from 0.0: np.add.at's exact bits
+    rows = np.clip(np.arange(H + 2 * r) - r, 0, H - 1)
+    cols = np.clip(np.arange(Wd + 2 * r) - r, 0, Wd - 1)
+    grad = np.bincount((rows[:, None] * Wd + cols).ravel(),
+                       weights=g_pad.ravel()).reshape(H, Wd)
 
     grad[bits] += (1.0 - f.alpha) * np.sign(ya - xa)[bits] / K
     return loss, grad

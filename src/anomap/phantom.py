@@ -45,7 +45,6 @@ class LabeledSample:
     id: str
     image: Image2D  # its foreground mask is the sample's
     anomaly_gt: BinaryMask
-    profile: str
 
     def __post_init__(self):
         if np.any(self.anomaly_gt.bits & ~self.foreground.bits):
@@ -100,8 +99,7 @@ def gen_healthy(seed: int, size: int, profile: ModalityProfile,
     img = np.zeros((size, size))
     img[fg] = np.clip(profile.mu_normal_target + tex[fg], _CLIP_EPS, 1.0 - _CLIP_EPS)
     return LabeledSample(sample_id, Image2D(img, BinaryMask(fg)),
-                         BinaryMask(np.zeros((size, size), dtype=bool)),
-                         profile.name)
+                         BinaryMask(np.zeros((size, size), dtype=bool)))
 
 
 def _lesion_weight(rng: np.random.Generator, fg: np.ndarray,
@@ -164,8 +162,7 @@ def gen_abnormal(seed: int, size: int, profile: ModalityProfile,
     img = base.image.pixels * (1.0 - weight) + lesion_val * weight
     img[~fg] = 0.0
     gt = BinaryMask((weight > 0.5) & fg)
-    return LabeledSample(sample_id, Image2D(img, base.foreground), gt,
-                         profile.name)
+    return LabeledSample(sample_id, Image2D(img, base.foreground), gt)
 
 
 def gen_dataset(seed: int, size: int, profile: ModalityProfile,

@@ -283,33 +283,55 @@ def _broken(pool: ProcessPoolExecutor) -> bool:
     return False
 
 
-def _require_patches_fit(cfg: RunConfig, ds: Dataset) -> None:
-    """Reject a configured patch grid that does not fit or cover a scored
-    image of a disk dataset, whose rasters ``[dataset] size`` does not
-    describe."""
+def _require_each(cfg: RunConfig, samples, check) -> None:
+    """``check(i, sample)`` for each sample of a disk dataset; an error
+    names the dataset path and the sample id."""
+    for i, s in enumerate(samples):
+        try:
+            check(i, s)
+        except ValueError as exc:
+            raise ValueError(
+                f"{cfg.dataset_path}: sample {s.id}: {exc}") from None
+
+
+def _require_usable(cfgs: Sequence[RunConfig], ds: Dataset) -> None:
+    """Reject a disk dataset that would fail every fold of a variant:
+
+    - an empty validation or test split, or, unless the config blurs (the
+      blur baseline reads no training image), an empty training split;
+    - a patch grid that does not fit or cover a scored image, whose rasters
+      ``[dataset] size`` does not describe;
+    - a training image :func:`denoise.train` cannot use;
+    - with an AIR variant, validation statistics that cannot be computed,
+      and, when they decide a flip (the same in every fold), an image the
+      flip reads whose foreground leaves [0, 1].
+    """
+    cfg = cfgs[0]
+    scored = [*ds.val_abnormal, *ds.test_abnormal]
+    splits = [("validation", ds.val_abnormal), ("test", ds.test_abnormal)]
+    train = []
+    if cfg.blur_sigma is None:
+        train = ds.train_healthy
+        splits.append(("training", train))
+    for name, split in splits:
+        if not split:
+            raise ValueError(f"{cfg.dataset_path}: the {name} split is empty")
     patch = cfg.patch()
-    for s in (*ds.val_abnormal, *ds.test_abnormal):
-        img = s.image
-        try:
-            diffusion.placements(patch.resolve(img.height, img.width),
-                                 img.height, img.width)
-        except ValueError as exc:
-            raise ValueError(
-                f"{cfg.dataset_path}: sample {s.id}: {exc}") from None
-
-
-def _require_trainable(cfg: RunConfig, ds: Dataset) -> None:
-    """Reject a disk dataset's training split that :func:`denoise.train`
-    cannot use, which would otherwise fail every fold and group alike."""
-    images = [s.image for s in ds.train_healthy]
-    if not images:
-        raise ValueError(f"{cfg.dataset_path}: the training split is empty")
-    for i, s in enumerate(ds.train_healthy):
-        try:
-            denoise.check_training_image(images, i)
-        except ValueError as exc:
-            raise ValueError(
-                f"{cfg.dataset_path}: sample {s.id}: {exc}") from None
+    _require_each(cfg, scored, lambda _, s: diffusion.placements(
+        patch.resolve(s.image.height, s.image.width),
+        s.image.height, s.image.width))
+    images = [s.image for s in train]
+    _require_each(cfg, train,
+                  lambda i, _: denoise.check_training_image(images, i))
+    if not any(c.uses_air() for c in cfgs):
+        return
+    try:
+        flip = airprep.decide(airprep.dataset_stats(ds.val_abnormal))
+    except ValueError as exc:
+        raise ValueError(f"{cfg.dataset_path}: {exc}") from None
+    if flip:
+        _require_each(cfg, scored + train,
+                      lambda _, s: airprep.check_normalized(s.image))
 
 
 def _run_variants(cfgs: Sequence[RunConfig], workers: int,
@@ -324,9 +346,7 @@ def _run_variants(cfgs: Sequence[RunConfig], workers: int,
     dataset = None
     if cfg.dataset_kind == "disk":
         dataset = datasetio.load_dataset(cfg.dataset_path)
-        _require_patches_fit(cfg, dataset)
-        if cfg.blur_sigma is None:  # the blur baseline ignores the train split
-            _require_trainable(cfg, dataset)
+        _require_usable(cfgs, dataset)
     outs = [fileio.ensure_dir(c.out) for c in cfgs]
     by_fold, pool = [], None
     try:

@@ -15,7 +15,7 @@ def _two_level_sample(lo=0.3, hi=0.7, sid="s0"):
     fg = BinaryMask(np.ones((8, 8), dtype=bool))
     gt = np.zeros((8, 8), dtype=bool)
     gt[:, 4:] = True
-    return LabeledSample(sid, Image2D(px, fg), BinaryMask(gt), "test")
+    return LabeledSample(sid, Image2D(px, fg), BinaryMask(gt))
 
 
 def test_stats_two_level_image():
@@ -91,7 +91,7 @@ def test_stats_after_flip_are_reflected():
     st = dataset_stats(ds.val_abnormal)
     d = decide(st)
     assert d
-    flipped = [LabeledSample(s.id, apply(s.image, d), s.anomaly_gt, s.profile)
+    flipped = [LabeledSample(s.id, apply(s.image, d), s.anomaly_gt)
                for s in ds.val_abnormal]
     st2 = dataset_stats(flipped)
     assert st2.mu_n == pytest.approx(1.0 - st.mu_n, abs=1e-12)

@@ -74,16 +74,43 @@ def test_pgm_reader_rejects_wrong_magic_and_maxval(tmp_path):
 def test_dataset_roundtrip(tmp_path):
     ds = phantom.gen_dataset(2, 32, phantom.PROFILES["t2_like"], 2, 2, 2)
     datasetio.save_dataset(ds, tmp_path)
+    rows = (tmp_path / "dataset.tsv").read_text(encoding="utf-8").splitlines()
+    assert rows == [f"{s.id}\t{split}" for split, samples in
+                    zip(datasetio.SPLITS, (ds.train_healthy, ds.val_abnormal,
+                                           ds.test_abnormal))
+                    for s in samples]
     back = datasetio.load_dataset(tmp_path)
     for orig, loaded in zip(ds.all_samples(), back.all_samples()):
         assert loaded.id == orig.id
-        assert loaded.profile == orig.profile
         # images pass through float32 storage
         assert np.array_equal(
             loaded.image.pixels,
             orig.image.pixels.astype(np.float32).astype(np.float64))
         assert np.array_equal(loaded.foreground.bits, orig.foreground.bits)
         assert np.array_equal(loaded.anomaly_gt.bits, orig.anomaly_gt.bits)
+
+
+def test_load_dataset_ignores_a_third_manifest_column(tmp_path):
+    s = _saved_dataset(tmp_path)
+    manifest = tmp_path / "dataset.tsv"
+    rows = manifest.read_text(encoding="utf-8").splitlines()
+    manifest.write_text("".join(f"{r}\tno_such_profile\n" for r in rows),
+                        encoding="utf-8")
+    (loaded,) = datasetio.load_dataset(tmp_path).val_abnormal
+    assert loaded.id == s.id
+    assert np.array_equal(loaded.image.pixels, s.image.pixels.astype(np.float32))
+
+
+def test_load_dataset_rejects_a_four_column_line(tmp_path):
+    s = _saved_dataset(tmp_path)
+    manifest = tmp_path / "dataset.tsv"
+    rows = manifest.read_text(encoding="utf-8").splitlines()
+    line = 1 + next(i for i, r in enumerate(rows) if r.startswith(f"{s.id}\t"))
+    rows[line - 1] += "\tflair_like\textra"
+    manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{manifest}:{line}: ')}"
+                                         ".*got 4 fields$"):
+        datasetio.load_dataset(tmp_path)
 
 
 def test_load_dataset_requires_manifest(tmp_path):
@@ -180,7 +207,7 @@ def test_load_dataset_rejects_a_repeated_sample_id(tmp_path, split):
     lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
     first = 1 + next(i for i, line in enumerate(lines)
                      if line.startswith(f"{s.id}\t"))
-    manifest.write_text("".join(lines) + f"{s.id}\t{split}\t{s.profile}\n",
+    manifest.write_text("".join(lines) + f"{s.id}\t{split}\n",
                         encoding="utf-8")
     expect = (f"{manifest}:{len(lines) + 1}: sample id {s.id!r} "
               f"repeats line {first}")

@@ -266,25 +266,20 @@ def _loss_inputs(draw):
             FusionParams(draw(st.sampled_from([0.0, 0.84, 1.0]))), BinaryMask(bits))
 
 
-@settings(max_examples=200, deadline=None)
-@given(H=st.integers(1, 12), Wd=st.integers(1, 12),
-       W=st.sampled_from([1, 3, 5, 7, 9, 11]), seed=st.integers(0, 2 ** 32 - 1))
-def test_fold_equals_scatter_add(H, Wd, W, seed):
-    r = W // 2
-    g_pad = np.random.default_rng(seed).normal(size=(H + 2 * r, Wd + 2 * r))
-    assert np.array_equal(iqa._fold_replicated(g_pad, H, Wd, r),
-                          _add_at_fold(g_pad, H, Wd, r))
-
-
 @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (2, 2), (1, 1), (2, 7)])
 @pytest.mark.parametrize("W", [1, 3, 5, 7, 9, 11])
 def test_fold_on_thin_images_and_wide_windows(shape, W):
-    H, Wd = shape
-    r = W // 2
-    g_pad = np.random.default_rng(H * 100 + Wd * 10 + W).normal(
-        size=(H + 2 * r, Wd + 2 * r))
-    assert np.array_equal(iqa._fold_replicated(g_pad, H, Wd, r),
-                          _add_at_fold(g_pad, H, Wd, r))
+    # thin images and windows wider than the image fold many padded
+    # positions onto each border pixel
+    rng = np.random.default_rng(shape[0] * 100 + shape[1] * 10 + W)
+    x = Image2D(rng.uniform(0, 1, shape))
+    y = Image2D(rng.uniform(0, 1, shape))
+    p, f = SsimParams(W=W), FusionParams()
+    bits = np.ones(shape, dtype=bool)
+    _, grad = fusion_loss_and_grad(x, y, p, f)
+    ref = _reference_grad(x, y, p, f, bits)
+    assert np.array_equal(grad, ref)
+    assert np.array_equal(np.signbit(grad), np.signbit(ref))
 
 
 @settings(max_examples=200, deadline=None)
@@ -365,7 +360,7 @@ def _allocating_loss_and_grad(x, y, p, f, mask):
     xp = np.pad(xa, r, mode="edge")
     yp = np.pad(ya, r, mode="edge")
     g_pad = (s_mu + 2.0 * (yp * s_var - s_var_my) + (xp * s_cov - s_cov_mx)) / n
-    grad = iqa._fold_replicated(g_pad, H, Wd, r)
+    grad = _add_at_fold(g_pad, H, Wd, r)
     grad[bits] += (1.0 - f.alpha) * np.sign(ya - xa)[bits] / K
     return loss, grad
 

@@ -123,7 +123,7 @@ def test_flipped_group_error_fails_every_variant_of_its_fold(monkeypatch,
     real_apply, real_recon = pipeline._apply_decision, evalkit.reconstruct
 
     def apply(samples, flip):
-        return [Flipped(s.id, s.image, s.anomaly_gt, s.profile)
+        return [Flipped(s.id, s.image, s.anomaly_gt)
                 for s in real_apply(samples, flip)]
 
     raised = []
@@ -337,7 +337,7 @@ def test_empty_disk_training_split_fails_before_any_fold(tmp_path,
                                np.ones((32, 32), bool))
     manifest = tmp_path / "ds" / "dataset.tsv"
     rows = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
-    manifest.write_text("".join(r for r in rows if "\ttrain\t" not in r),
+    manifest.write_text("".join(r for r in rows if r.split()[1] != "train"),
                         encoding="utf-8")
     folds = _counting(monkeypatch, pipeline, "run_fold")
     with pytest.raises(ValueError, match="the training split is empty$"):
@@ -356,6 +356,64 @@ def test_blur_baseline_ignores_the_disk_training_split(tmp_path):
     report = pipeline.run(cfg)
     assert report.complete and all(o.flipped for o in report.outcomes)
     assert all(r.complete for r in pipeline.ablate(cfg).values())
+
+
+@pytest.mark.parametrize("split, name", [("val", "validation"),
+                                         ("test", "test")])
+def test_empty_disk_scored_split_fails_before_any_fold(tmp_path, monkeypatch,
+                                                       split, name):
+    cfg = _disk_config(tmp_path)
+    manifest = tmp_path / "ds" / "dataset.tsv"
+    rows = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+    manifest.write_text("".join(r for r in rows if r.split()[1] != split),
+                        encoding="utf-8")
+    folds = _counting(monkeypatch, pipeline, "run_fold")
+    for entry in (pipeline.run, pipeline.ablate):
+        with pytest.raises(ValueError) as exc:
+            entry(cfg)
+        assert str(exc.value) == f"{tmp_path / 'ds'}: the {name} split is empty"
+    assert not folds and not (tmp_path / "out").exists()
+
+
+def test_unnormalized_disk_image_fails_the_air_flip_before_any_fold(
+        tmp_path, monkeypatch):
+    cfg = _disk_training_split(tmp_path, np.full((32, 32), 2.0),
+                               np.ones((32, 32), bool))
+    folds = _counting(monkeypatch, pipeline, "run_fold")
+    for entry, c in ((pipeline.run, replace(cfg, variant="fq_air")),
+                     (pipeline.ablate, cfg)):
+        with pytest.raises(ValueError) as exc:
+            entry(c.validate())
+        assert str(exc.value) == (f"{tmp_path / 'ds'}: sample train-001: "
+                                  "apply requires normalized input")
+    assert not folds and not (tmp_path / "out").exists()
+    # without an AIR variant nothing flips, and the image trains as it is
+    assert pipeline.run(cfg).complete
+
+
+def test_unnormalized_scored_disk_image_fails_the_blur_air_flip(tmp_path):
+    cfg = replace(_disk_config(tmp_path), variant="fq_air").validate()
+    path = tmp_path / "ds" / "test" / "test-001.f32r"
+    pixels = fileio.read_f32r(path)
+    pixels[pixels > 0.0] = 2.0
+    fileio.write_f32r(path, pixels)
+    with pytest.raises(ValueError, match=": sample test-001: apply requires "
+                                         "normalized input$"):
+        pipeline.run(cfg)
+    assert pipeline.run(replace(cfg, variant="fq").validate()).complete
+
+
+def test_air_call_on_disk_validation_without_lesions_fails_before_any_fold(
+        tmp_path, monkeypatch):
+    cfg = replace(_disk_config(tmp_path), variant="fq_air").validate()
+    for path in (tmp_path / "ds" / "val").glob("*.gt.pgm"):
+        fileio.write_pgm_mask(path, imagecore.BinaryMask(np.zeros((64, 64), bool)))
+    folds = _counting(monkeypatch, pipeline, "run_fold")
+    with pytest.raises(ValueError) as exc:
+        pipeline.run(cfg)
+    assert str(exc.value) == (f"{tmp_path / 'ds'}: "
+                              "stats require unhealthy validation data")
+    assert not folds
 
 
 def test_stride_beyond_the_patch_that_still_covers_runs(tmp_path):
