@@ -89,8 +89,9 @@ def cmd_iqa(args) -> int:
     a = fileio.read_f32r(args.image_a)
     b = fileio.read_f32r(args.image_b)
     if a.shape != b.shape:
-        print(f"error: size mismatch {a.shape} vs {b.shape}", file=sys.stderr)
-        return 1
+        raise ValueError(f"size mismatch: {args.image_a} is {a.shape[1]}x"
+                         f"{a.shape[0]} px, {args.image_b} is {b.shape[1]}x"
+                         f"{b.shape[0]} px")
     x, y = Image2D(a), Image2D(b)
     p = iqa.SsimParams(W=args.window)
     f = iqa.FusionParams(alpha=args.alpha)
@@ -105,7 +106,10 @@ def cmd_iqa(args) -> int:
 
 def cmd_stats(args) -> int:
     ds = datasetio.load_dataset(args.dataset)
-    stats = airprep.dataset_stats(ds.val_abnormal)
+    try:
+        stats = airprep.dataset_stats(ds.val_abnormal)
+    except ValueError as exc:
+        raise ValueError(f"{args.dataset}: {exc}") from None
     csv_text = airprep.stats_csv(stats)
     if args.out:
         Path(args.out).write_text(csv_text, encoding="utf-8")

@@ -4,12 +4,15 @@ A "fold" in phantom mode is one generator seed.  All randomness is derived
 from (config, seed), so reports are byte-identical across runs and worker
 counts.  :func:`run` and :func:`ablate` share one fold loop, :func:`run_fold`,
 which takes every variant of the call at once in three stages:
-:func:`prepare` fixes what the variants share and groups those whose
-reconstructions cannot differ; :func:`train_group` builds one group's model;
-:func:`score` maps every scored sample for every group in one ordered pass,
-then evaluates each variant.  With several workers a call scores every fold
-in one process pool; a pool that a dead worker broke fails only the fold
-that was using it, and the next fold gets a fresh one.
+:func:`prepare` checks a dataset, fixes what the variants share and groups
+those whose reconstructions cannot differ; :func:`train_group` builds one
+group's model; :func:`score` maps every scored sample for every group in one
+ordered pass, then evaluates each variant.  A phantom fold prepares its own
+dataset; a disk dataset does not depend on the fold, so a call reads and
+prepares it once, before any fold, and only the fold's seed differs.  With
+several workers a call scores every fold in one process pool; a pool that a
+dead worker broke fails only the fold that was using it, and the next fold
+gets a fresh one.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .config import VARIANTS, RunConfig, render
 from .denoise import KernelMixtureModel, TrainConfig
 from .diffusion import DiffusionSchedule
 from .evalkit import EvalConfig, FoldResult
-from .imagecore import BinaryMask
+from .imagecore import BinaryMask, Image2D
 from .iqa import FusionParams, SsimParams
 from .phantom import Dataset, LabeledSample
 
@@ -43,7 +46,6 @@ class FoldOutcome:
     fold: int
     result: Optional[FoldResult]
     error: Optional[str]
-    stats: Optional[airprep.DatasetStats]
     flipped: bool
     loss_trace: List[float]
 
@@ -121,19 +123,18 @@ def _maps(args):
 
 def _failed(fold: int, exc: Exception) -> FoldOutcome:
     log.error("fold %d failed: %s", fold, exc)
-    return FoldOutcome(fold, None, str(exc), None, False, [])
+    return FoldOutcome(fold, None, str(exc), False, [])
 
 
 @dataclass
 class FoldPlan:
-    """What :func:`prepare` fixes for a fold before any model is built."""
+    """What :func:`prepare` fixes for a dataset before any model is built;
+    nothing in it depends on the fold's seed."""
     cfgs: Sequence[RunConfig]
-    fold: int
     ds: Dataset
     scored: List[LabeledSample]  # validation, then test
-    stats: airprep.DatasetStats
+    train: List[LabeledSample]  # none for the blur baseline
     regions: Dict[str, BinaryMask]
-    seed: int
     sched: DiffusionSchedule
     groups: List[Tuple[List[int], bool]]  # (members, flipped)
 
@@ -147,65 +148,94 @@ class Trained(NamedTuple):
     loss_trace: List[float]
 
 
-def prepare(cfgs: Sequence[RunConfig], fold: int,
-            dataset: Optional[Dataset] = None) -> FoldPlan:
-    """The fold's shared inputs (``dataset`` if given, else built from the
-    first config).  Variants form one group when they see the same images
-    after the flip and, unless blurring, train under the same ``alpha``."""
+def _check_each(samples, check) -> None:
+    """``check(i, image)`` for each sample; an error names the sample id."""
+    for i, s in enumerate(samples):
+        try:
+            check(i, s.image)
+        except ValueError as exc:
+            raise ValueError(f"sample {s.id}: {exc}") from None
+
+
+def prepare(cfgs: Sequence[RunConfig], ds: Dataset) -> FoldPlan:
+    """The plan of ``ds`` for the variants ``cfgs``.  Raises on the first
+    rule ``ds`` breaks, in this order:
+
+    - an empty validation or test split, or, unless the config blurs (the
+      blur baseline reads no training image), an empty training split;
+    - a patch grid that does not fit or cover a scored image (the rasters
+      of a disk dataset need not be ``[dataset] size``);
+    - a training image :func:`denoise.train` cannot use;
+    - an ``erosion_iters`` that empties every test sample's region;
+    - only with an AIR variant, validation statistics that cannot be
+      computed, and, when they decide a flip, an image the flip reads whose
+      foreground leaves [0, 1].
+
+    Variants form one group when they see the same images after the flip
+    and, unless blurring, train under the same ``alpha``.
+    """
     cfg = cfgs[0]
-    ds = dataset if dataset is not None else load_fold_dataset(cfg, fold)
-    stats = airprep.dataset_stats(ds.val_abnormal)
     scored = [*ds.val_abnormal, *ds.test_abnormal]
+    train = ds.train_healthy if cfg.blur_sigma is None else []
+    splits = [("validation", ds.val_abnormal), ("test", ds.test_abnormal)]
+    if cfg.blur_sigma is None:
+        splits.append(("training", train))
+    for name, split in splits:
+        if not split:
+            raise ValueError(f"the {name} split is empty")
+    patch = cfg.patch()
+    _check_each(scored, lambda _, im: diffusion.placements(
+        patch.resolve(im.height, im.width), im.height, im.width))
+    images = [s.image for s in train]
+    _check_each(train, lambda i, _: denoise.check_training_image(images, i))
     regions = {s.id: evalkit.eval_region(s, eval_config(cfg)) for s in scored}
-    if ds.test_abnormal and not any(regions[s.id].count()
-                                    for s in ds.test_abnormal):
+    if not any(regions[s.id].count() for s in ds.test_abnormal):
         # no test pixel left to score: AUPRC would be undefined
         raise ValueError(f"erosion_iters = {cfg.erosion_iters} empties "
                          "the scored region of every test sample, "
                          f"first {ds.test_abnormal[0].id}")
-    flip = any(c.uses_air() for c in cfgs) and airprep.decide(stats)
+    flip = (any(c.uses_air() for c in cfgs)
+            and airprep.decide(airprep.dataset_stats(ds.val_abnormal)))
+    if flip:
+        _check_each(scored + train,
+                    lambda _, im: airprep.check_normalized(im))
     groups = {}
     for i, c in enumerate(cfgs):
         alpha = None if c.blur_sigma is not None else c.resolved_alpha()
         groups.setdefault((c.uses_air() and flip, alpha), []).append(i)
-    log.info("fold %d: %d variant(s) in %d reconstruction group(s)",
-             fold, len(cfgs), len(groups))
-    return FoldPlan(cfgs, fold, ds, scored, stats, regions,
-                    diffusion.derive_seed(cfg.seed, 100 + fold),
+    return FoldPlan(cfgs, ds, scored, train, regions,
                     diffusion.linear_schedule(cfg.T, cfg.beta_1, cfg.beta_T),
                     [(m, flipped) for (flipped, _), m in groups.items()])
 
 
-def train_group(plan: FoldPlan, members: Sequence[int], flipped: bool):
-    """The group's model and training loss trace: the blur baseline, which
-    reads no training image, or a kernel mixture trained on the healthy
-    split, flipped or not, under the group's loss blend."""
-    cfg = plan.cfgs[members[0]]
+def train_group(cfg: RunConfig, images: Sequence[Image2D], seed: int,
+                sched: DiffusionSchedule):
+    """The model of ``cfg``'s group and its training loss trace: the blur
+    baseline, which reads no training image, or a kernel mixture trained on
+    ``images`` (the healthy split, flipped or not) under ``cfg``'s loss
+    blend."""
     if cfg.blur_sigma is not None:
         return denoise.blur_denoiser(cfg.blur_sigma), []
-    train_set = plan.ds.train_healthy
-    train_set = _apply_decision(train_set, True) if flipped else train_set
     ecfg = eval_config(cfg)
     tcfg = TrainConfig(epochs=cfg.epochs, learning_rate=cfg.learning_rate,
-                       batch_size=cfg.batch_size, seed=plan.seed,
+                       batch_size=cfg.batch_size, seed=seed,
                        noise_kind=cfg.noise)
-    trained = denoise.train(KernelMixtureModel(T=cfg.T),
-                            [s.image for s in train_set], plan.sched, tcfg,
+    trained = denoise.train(KernelMixtureModel(T=cfg.T), images, sched, tcfg,
                             ecfg.ssim, ecfg.fusion)
     return trained.model, trained.loss_trace
 
 
-def score(plan: FoldPlan, live: Sequence[Trained],
+def score(plan: FoldPlan, fold: int, seed: int, live: Sequence[Trained],
           pool: Optional[ProcessPoolExecutor],
           dump_maps: bool) -> Dict[int, FoldOutcome]:
     """Each member's outcome, by its index in ``plan.cfgs``; raises if the
     shared pass fails.  Each task draws a sample's placement noise once,
     reconstructs it once per group and maps it for every member, so no
     reconstruction leaves the process that made it."""
-    ds, fold = plan.ds, plan.fold
+    ds = plan.ds
     ecfgs = [[eval_config(plan.cfgs[i]) for i in g.members] for g in live]
     tasks = [([(g.model, g.samples[k], e) for g, e in zip(live, ecfgs)],
-              plan.sched, plan.seed, plan.regions[s.id])
+              plan.sched, seed, plan.regions[s.id])
              for k, s in enumerate(plan.scored)]
     # in order either way, so the pool never changes the results
     per_sample = list((map if pool is None else pool.map)(_maps, tasks))
@@ -223,8 +253,8 @@ def score(plan: FoldPlan, live: Sequence[Trained],
                                           / f"fold{fold}")
                     for s in ds.test_abnormal:
                         fileio.write_f32r(d / f"{s.id}.f32r", maps[s.id].scores)
-                outcomes[i] = FoldOutcome(fold, result, None, plan.stats,
-                                          g.flipped, g.loss_trace)
+                outcomes[i] = FoldOutcome(fold, result, None, g.flipped,
+                                          g.loss_trace)
             except Exception as exc:
                 outcomes[i] = _failed(fold, exc)
     return outcomes
@@ -233,13 +263,15 @@ def score(plan: FoldPlan, live: Sequence[Trained],
 def run_fold(cfgs: Sequence[RunConfig], fold: int,
              pool: Optional[ProcessPoolExecutor] = None,
              dump_maps: bool = False,
-             dataset: Optional[Dataset] = None) -> List[FoldOutcome]:
+             plan: Optional[FoldPlan] = None) -> List[FoldOutcome]:
     """One fold of every variant in ``cfgs``, which differ only in
-    ``variant`` and ``out``: :func:`prepare`, then :func:`train_group` for
-    each group in order, then :func:`score` over ``pool`` (or in this
-    process).  Errors are captured, not raised:
+    ``variant`` and ``out``: ``plan``, or without one :func:`prepare` of
+    the fold's phantom dataset, then :func:`train_group` for each group in
+    order, then :func:`score` over ``pool`` (or in this process), both under
+    the fold's seed.  Errors are captured, not raised:
 
-    - an error in ``prepare`` fails every variant;
+    - an error preparing the fold fails every variant (a call raises a disk
+      dataset's error, with its path, before any fold);
     - an error flipping a group's images or training its model fails only
       that group's variants;
     - an error in the shared scoring pass fails every live variant;
@@ -248,17 +280,25 @@ def run_fold(cfgs: Sequence[RunConfig], fold: int,
     With ``dump_maps`` each variant's test maps go to
     ``<out>/maps/fold<k>/<id>.f32r``.
     """
+    seed = diffusion.derive_seed(cfgs[0].seed, 100 + fold)
     try:
-        plan = prepare(cfgs, fold, dataset)
+        if plan is None:
+            plan = prepare(cfgs, load_fold_dataset(cfgs[0], fold))
     except Exception as exc:  # fold failures are reported, not fatal
         return [_failed(fold, exc) for _ in cfgs]
+    log.info("fold %d: %d variant(s) in %d reconstruction group(s)",
+             fold, len(cfgs), len(plan.groups))
     outcomes: List[Optional[FoldOutcome]] = [None] * len(cfgs)
     live = []
     for members, flipped in plan.groups:
+        samples, train = plan.scored, plan.train
         try:
-            samples = (_apply_decision(plan.scored, True) if flipped
-                       else plan.scored)
-            model, loss_trace = train_group(plan, members, flipped)
+            if flipped:
+                samples = _apply_decision(samples, True)
+                train = _apply_decision(train, True)
+            model, loss_trace = train_group(cfgs[members[0]],
+                                            [s.image for s in train], seed,
+                                            plan.sched)
         except Exception as exc:
             for i in members:
                 outcomes[i] = _failed(fold, exc)
@@ -267,7 +307,7 @@ def run_fold(cfgs: Sequence[RunConfig], fold: int,
     if not live:
         return outcomes
     try:
-        scores = score(plan, live, pool, dump_maps)
+        scores = score(plan, fold, seed, live, pool, dump_maps)
     except Exception as exc:
         scores = {i: _failed(fold, exc) for g in live for i in g.members}
     return [scores.get(i, o) for i, o in enumerate(outcomes)]
@@ -283,57 +323,6 @@ def _broken(pool: ProcessPoolExecutor) -> bool:
     return False
 
 
-def _require_each(cfg: RunConfig, samples, check) -> None:
-    """``check(i, sample)`` for each sample of a disk dataset; an error
-    names the dataset path and the sample id."""
-    for i, s in enumerate(samples):
-        try:
-            check(i, s)
-        except ValueError as exc:
-            raise ValueError(
-                f"{cfg.dataset_path}: sample {s.id}: {exc}") from None
-
-
-def _require_usable(cfgs: Sequence[RunConfig], ds: Dataset) -> None:
-    """Reject a disk dataset that would fail every fold of a variant:
-
-    - an empty validation or test split, or, unless the config blurs (the
-      blur baseline reads no training image), an empty training split;
-    - a patch grid that does not fit or cover a scored image, whose rasters
-      ``[dataset] size`` does not describe;
-    - a training image :func:`denoise.train` cannot use;
-    - with an AIR variant, validation statistics that cannot be computed,
-      and, when they decide a flip (the same in every fold), an image the
-      flip reads whose foreground leaves [0, 1].
-    """
-    cfg = cfgs[0]
-    scored = [*ds.val_abnormal, *ds.test_abnormal]
-    splits = [("validation", ds.val_abnormal), ("test", ds.test_abnormal)]
-    train = []
-    if cfg.blur_sigma is None:
-        train = ds.train_healthy
-        splits.append(("training", train))
-    for name, split in splits:
-        if not split:
-            raise ValueError(f"{cfg.dataset_path}: the {name} split is empty")
-    patch = cfg.patch()
-    _require_each(cfg, scored, lambda _, s: diffusion.placements(
-        patch.resolve(s.image.height, s.image.width),
-        s.image.height, s.image.width))
-    images = [s.image for s in train]
-    _require_each(cfg, train,
-                  lambda i, _: denoise.check_training_image(images, i))
-    if not any(c.uses_air() for c in cfgs):
-        return
-    try:
-        flip = airprep.decide(airprep.dataset_stats(ds.val_abnormal))
-    except ValueError as exc:
-        raise ValueError(f"{cfg.dataset_path}: {exc}") from None
-    if flip:
-        _require_each(cfg, scored + train,
-                      lambda _, s: airprep.check_normalized(s.image))
-
-
 def _run_variants(cfgs: Sequence[RunConfig], workers: int,
                   dump_maps: bool = False) -> List[RunReport]:
     """Every fold of every variant in ``cfgs`` through :func:`run_fold`; writes
@@ -342,11 +331,14 @@ def _run_variants(cfgs: Sequence[RunConfig], workers: int,
     require_workers(workers)
     start = time.monotonic()
     cfg = cfgs[0]
-    # a disk dataset does not depend on the fold: read it once per run
-    dataset = None
+    # a disk dataset does not depend on the fold: read and prepare it once
+    plan = None
     if cfg.dataset_kind == "disk":
-        dataset = datasetio.load_dataset(cfg.dataset_path)
-        _require_usable(cfgs, dataset)
+        ds = datasetio.load_dataset(cfg.dataset_path)
+        try:
+            plan = prepare(cfgs, ds)
+        except Exception as exc:
+            raise ValueError(f"{cfg.dataset_path}: {exc}") from exc
     outs = [fileio.ensure_dir(c.out) for c in cfgs]
     by_fold, pool = [], None
     try:
@@ -355,7 +347,7 @@ def _run_variants(cfgs: Sequence[RunConfig], workers: int,
                 if pool is not None:
                     pool.shutdown()
                 pool = ProcessPoolExecutor(workers)
-            by_fold.append(run_fold(cfgs, fold, pool, dump_maps, dataset))
+            by_fold.append(run_fold(cfgs, fold, pool, dump_maps, plan))
     finally:
         if pool is not None:
             pool.shutdown()

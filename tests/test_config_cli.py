@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from anomap import cli, config, diffusion, fileio
+from anomap.imagecore import BinaryMask
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -353,9 +354,10 @@ def test_cli_iqa_rejects_size_mismatch(tmp_path, capsys):
     a = tmp_path / "a.f32r"
     b = tmp_path / "b.f32r"
     fileio.write_f32r(a, np.zeros((4, 4)))
-    fileio.write_f32r(b, np.zeros((5, 5)))
+    fileio.write_f32r(b, np.zeros((5, 3)))
     assert cli.main(["iqa", str(a), str(b)]) == 1
-    assert "size mismatch" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"error: size mismatch: {a} is 4x4 px, "
+                                       f"{b} is 3x5 px\n")
 
 
 def test_cli_stats_reports_flip(tmp_path, capsys):
@@ -369,6 +371,19 @@ def test_cli_stats_reports_flip(tmp_path, capsys):
     text = csv_out.read_text(encoding="utf-8")
     assert text.splitlines()[0] == "mu_n,mu_a,air_before,air_after,flip"
     assert capsys.readouterr().out == text
+
+
+def test_cli_stats_names_the_dataset_it_cannot_compute(tmp_path, capsys):
+    cfgp = _write_cfg(tmp_path, TINY)
+    ds_dir = tmp_path / "ds2"
+    assert cli.main(["phantom", "--config", cfgp, "--out", str(ds_dir)]) == 0
+    capsys.readouterr()
+    for path in (ds_dir / "val").glob("*.gt.pgm"):
+        mask = fileio.read_pgm_mask(path)
+        fileio.write_pgm_mask(path, BinaryMask(np.zeros_like(mask.bits)))
+    assert cli.main(["stats", str(ds_dir)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ds_dir}: stats require unhealthy validation data\n")
 
 
 def test_cli_bad_config_exit_code(tmp_path, capsys):

@@ -13,8 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from anomap import (cli, config, datasetio, denoise, diffusion, evalkit,
-                    fileio, imagecore, phantom, pipeline)
+from anomap import (airprep, cli, config, datasetio, denoise, diffusion,
+                    evalkit, fileio, imagecore, phantom, pipeline)
 from anomap.config import VARIANTS
 
 REPORTS = ("report.csv", "per_sample.csv", "config_echo.cfg")
@@ -190,15 +190,18 @@ def test_evaluation_error_fails_only_its_member(monkeypatch, tmp_path):
                 assert got.error is None and got.result == want.result
 
 
-def test_train_group_gives_the_same_bits_on_an_unpickled_plan():
-    # a pool worker would train from a pickled copy of the fold's plan
+def test_train_group_gives_the_same_bits_on_unpickled_arguments():
+    # a pool worker would train from pickled copies of a group's arguments
     cfgs = [replace(TRAINED, variant=v).validate() for v in VARIANTS]
-    plan = pipeline.prepare(cfgs, 0)
-    copy = pickle.loads(pickle.dumps(plan))
+    plan = pipeline.prepare(cfgs, pipeline.load_fold_dataset(TRAINED, 0))
+    seed = diffusion.derive_seed(TRAINED.seed, 100)
     assert len(plan.groups) == 4
     for members, flipped in plan.groups:
-        model, trace = pipeline.train_group(plan, members, flipped)
-        model2, trace2 = pipeline.train_group(copy, members, flipped)
+        train = plan.train
+        train = pipeline._apply_decision(train, True) if flipped else train
+        args = (cfgs[members[0]], [s.image for s in train], seed, plan.sched)
+        model, trace = pipeline.train_group(*args)
+        model2, trace2 = pipeline.train_group(*pickle.loads(pickle.dumps(args)))
         assert model.weights.tobytes() == model2.weights.tobytes()
         assert model.biases.tobytes() == model2.biases.tobytes()
         assert np.array(trace).tobytes() == np.array(trace2).tobytes()
@@ -213,6 +216,23 @@ def test_disk_dataset_is_read_once_per_run(tmp_path, monkeypatch):
     loads = _counting(monkeypatch, datasetio, "load_dataset")
     report = pipeline.run(disk)
     assert len(loads) == 1
+    assert report.complete and len(report.outcomes) == 3
+
+
+@pytest.mark.parametrize("variant, stats", [("fq", 0), ("fq_air", 1)])
+def test_disk_dataset_is_prepared_once_per_run(tmp_path, monkeypatch,
+                                               variant, stats):
+    # regions and statistics hold for every fold; only an AIR call needs
+    # the statistics
+    cfg = replace(BLUR, folds=3).validate()
+    datasetio.save_dataset(pipeline.load_fold_dataset(cfg, 0), tmp_path / "ds")
+    disk = replace(cfg, dataset_kind="disk", dataset_path=str(tmp_path / "ds"),
+                   variant=variant, out=str(tmp_path / "out")).validate()
+    erosions = _counting(monkeypatch, imagecore, "erode")
+    computed = _counting(monkeypatch, airprep, "dataset_stats")
+    report = pipeline.run(disk)
+    assert len(erosions) == cfg.n_val + cfg.n_test
+    assert len(computed) == stats
     assert report.complete and len(report.outcomes) == 3
 
 
@@ -403,17 +423,30 @@ def test_unnormalized_scored_disk_image_fails_the_blur_air_flip(tmp_path):
     assert pipeline.run(replace(cfg, variant="fq").validate()).complete
 
 
-def test_air_call_on_disk_validation_without_lesions_fails_before_any_fold(
-        tmp_path, monkeypatch):
-    cfg = replace(_disk_config(tmp_path), variant="fq_air").validate()
+def _lesion_free_validation(tmp_path, **overrides):
+    """:func:`_disk_config` with every validation lesion mask cleared."""
+    cfg = _disk_config(tmp_path, **overrides)
     for path in (tmp_path / "ds" / "val").glob("*.gt.pgm"):
         fileio.write_pgm_mask(path, imagecore.BinaryMask(np.zeros((64, 64), bool)))
+    return cfg
+
+
+def test_air_call_on_disk_validation_without_lesions_fails_before_any_fold(
+        tmp_path, monkeypatch):
+    cfg = _lesion_free_validation(tmp_path, variant="fq_air")
     folds = _counting(monkeypatch, pipeline, "run_fold")
     with pytest.raises(ValueError) as exc:
         pipeline.run(cfg)
     assert str(exc.value) == (f"{tmp_path / 'ds'}: "
                               "stats require unhealthy validation data")
     assert not folds
+
+
+def test_plain_call_on_disk_validation_without_lesions_runs_every_fold(
+        tmp_path):
+    # no AIR variant, so no statistics to compute
+    report = pipeline.run(_lesion_free_validation(tmp_path, folds=3))
+    assert report.complete and len(report.outcomes) == 3
 
 
 def test_stride_beyond_the_patch_that_still_covers_runs(tmp_path):
@@ -431,6 +464,19 @@ def test_erosion_that_empties_every_region_names_a_sample(tmp_path):
         assert outcome.result is None
         assert "erosion_iters = 40" in outcome.error
         assert "test-000" in outcome.error
+
+
+def test_disk_erosion_that_empties_every_region_fails_before_any_fold(
+        tmp_path, monkeypatch):
+    cfg = _disk_config(tmp_path, erosion_iters=40)
+    folds = _counting(monkeypatch, pipeline, "run_fold")
+    for entry in (pipeline.run, pipeline.ablate):
+        with pytest.raises(ValueError) as exc:
+            entry(cfg)
+        assert str(exc.value) == (
+            f"{tmp_path / 'ds'}: erosion_iters = 40 empties the scored region "
+            "of every test sample, first test-000")
+    assert not folds and not (tmp_path / "out").exists()
 
 
 def test_missing_disk_dataset_is_reported_with_its_path(tmp_path):
