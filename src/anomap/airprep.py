@@ -77,21 +77,16 @@ def air_after(stats: DatasetStats) -> float:
     return air(replace(stats, mu_n=1.0 - stats.mu_n, mu_a=1.0 - stats.mu_a))
 
 
-def check_normalized(img: Image2D) -> None:
-    """Reject an image whose foreground leaves [0, 1], as :func:`apply` does."""
-    vals = img.pixels[img.fg_bits()]
-    if np.any(vals < 0.0) or np.any(vals > 1.0):
-        raise ValueError("apply requires normalized input")
-
-
 def apply(img: Image2D, flip: bool) -> Image2D:
     """Intensity flip 1 - x on the foreground if ``flip``; background untouched."""
-    check_normalized(img)
+    fg = img.fg_bits()
+    vals = img.pixels[fg]
+    if np.any(vals < 0.0) or np.any(vals > 1.0):
+        raise ValueError("apply requires normalized input")
     if not flip:
         return img
-    fg = img.fg_bits()
     out = img.pixels.copy()
-    out[fg] = 1.0 - out[fg]
+    out[fg] = 1.0 - vals
     return Image2D(out, img.foreground)
 
 

@@ -59,6 +59,8 @@ def _load_config(args) -> config.RunConfig:
 
 def cmd_phantom(args) -> int:
     cfg = _load_config(args)
+    if cfg.dataset_kind != "phantom":
+        raise ValueError("phantom needs [dataset] kind = phantom, not disk")
     ds = pipeline.load_fold_dataset(cfg, fold=0)
     datasetio.save_dataset(ds, cfg.out)
     print(f"wrote {len(ds.all_samples())} samples to {cfg.out}")

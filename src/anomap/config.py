@@ -1,7 +1,7 @@
 """Flat ``key = value`` run configuration with bracketed section headers.
 
-Unknown keys and malformed lines are hard errors reported with their line
-number.  A parsed :class:`RunConfig` can be serialized back with
+Unknown or repeated keys and malformed lines are hard errors reported with
+their line number.  A parsed :class:`RunConfig` can be serialized back with
 :func:`render` and re-parses to an equivalent configuration.
 """
 
@@ -189,6 +189,7 @@ class ConfigError(ValueError):
 def parse(text: str, source: str = "<config>") -> RunConfig:
     cfg = RunConfig()
     section = None
+    first_line = {}  # (section, key) -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -206,6 +207,10 @@ def parse(text: str, source: str = "<config>") -> RunConfig:
         entry = _SCHEMA[section].get(key)
         if entry is None:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r} in [{section}]")
+        first = first_line.setdefault((section, key), lineno)
+        if first != lineno:
+            raise ConfigError(f"{source}:{lineno}: key {key!r} in [{section}] "
+                              f"repeats line {first}")
         attr, caster = entry
         try:
             setattr(cfg, attr, caster(value))

@@ -7,10 +7,11 @@ Layout::
     <root>/<split>/<id>.fg.pgm  # foreground mask
     <root>/<split>/<id>.gt.pgm  # anomaly ground truth
 
-Each id is listed once and both masks have their image's dimensions;
-:func:`load_dataset` names the manifest line or the file that does not.
-:func:`save_dataset` writes two columns; a third, which older datasets
-carry (a modality profile name), is accepted and ignored.
+Each id is listed once, both masks have their image's dimensions and the
+ground truth lies inside the foreground; :func:`load_dataset` names the
+manifest line or the file that does not.  :func:`save_dataset` writes two
+columns; a third, which older datasets carry (a modality profile name), is
+accepted and ignored.
 """
 
 from __future__ import annotations
@@ -75,6 +76,9 @@ def load_dataset(root) -> Dataset:
             img = fileio.read_f32r(d / f"{sid}.f32r")
             fg = _read_mask(d / f"{sid}.fg.pgm", img.shape)
             gt = _read_mask(d / f"{sid}.gt.pgm", img.shape)
-            by_split[split].append(
-                LabeledSample(sid, Image2D(img, fg), gt))
+            image = Image2D(img, fg)
+            try:
+                by_split[split].append(LabeledSample(sid, image, gt))
+            except ValueError as exc:  # the lesion leaves the foreground
+                raise ValueError(f"{d / sid}.gt.pgm: {exc}") from None
     return Dataset(by_split["train"], by_split["val"], by_split["test"])

@@ -4,15 +4,15 @@ A "fold" in phantom mode is one generator seed.  All randomness is derived
 from (config, seed), so reports are byte-identical across runs and worker
 counts.  :func:`run` and :func:`ablate` share one fold loop, :func:`run_fold`,
 which takes every variant of the call at once in three stages:
-:func:`prepare` checks a dataset, fixes what the variants share and groups
-those whose reconstructions cannot differ; :func:`train_group` builds one
-group's model; :func:`score` maps every scored sample for every group in one
-ordered pass, then evaluates each variant.  A phantom fold prepares its own
-dataset; a disk dataset does not depend on the fold, so a call reads and
-prepares it once, before any fold, and only the fold's seed differs.  With
-several workers a call scores every fold in one process pool; a pool that a
-dead worker broke fails only the fold that was using it, and the next fold
-gets a fresh one.
+:func:`prepare` checks a dataset, groups the variants whose reconstructions
+cannot differ and gives each group its images, flipped once for AIR;
+:func:`train_group` builds one group's model; :func:`score` maps every
+scored sample for every group in one ordered pass, then evaluates each
+variant.  A phantom fold prepares its own dataset; a disk dataset does not
+depend on the fold, so a call reads, prepares and flips it once, before any
+fold.  With several workers a call scores every fold in one process pool; a
+pool that a dead worker broke fails only the fold that was using it, and
+the next fold gets a fresh one.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -93,10 +93,6 @@ def eval_config(cfg: RunConfig) -> EvalConfig:
     )
 
 
-def _apply_decision(samples, flip: bool) -> List[LabeledSample]:
-    return [replace(s, image=airprep.apply(s.image, flip)) for s in samples]
-
-
 def require_workers(workers: int) -> int:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -126,35 +122,35 @@ def _failed(fold: int, exc: Exception) -> FoldOutcome:
     return FoldOutcome(fold, None, str(exc), False, [])
 
 
+class Group(NamedTuple):
+    """Variants whose reconstructions cannot differ and the images they see."""
+    members: List[int]
+    flipped: bool
+    scored: List[LabeledSample]  # validation, then test
+    train: List[LabeledSample]  # none for the blur baseline
+
+
 @dataclass
 class FoldPlan:
     """What :func:`prepare` fixes for a dataset before any model is built;
     nothing in it depends on the fold's seed."""
     cfgs: Sequence[RunConfig]
     ds: Dataset
-    scored: List[LabeledSample]  # validation, then test
-    train: List[LabeledSample]  # none for the blur baseline
+    scored: List[LabeledSample]  # validation, then test, unflipped
     regions: Dict[str, BinaryMask]
     sched: DiffusionSchedule
-    groups: List[Tuple[List[int], bool]]  # (members, flipped)
+    groups: List[Group]
 
 
-class Trained(NamedTuple):
-    """A group ready to score: its model and its scored samples."""
-    members: List[int]
-    flipped: bool
-    samples: List[LabeledSample]
-    model: object
-    loss_trace: List[float]
-
-
-def _check_each(samples, check) -> None:
-    """``check(i, image)`` for each sample; an error names the sample id."""
+def _each(samples, f) -> list:
+    """``f(i, image)`` for each sample; an error names the sample id."""
+    out = []
     for i, s in enumerate(samples):
         try:
-            check(i, s.image)
+            out.append(f(i, s.image))
         except ValueError as exc:
             raise ValueError(f"sample {s.id}: {exc}") from None
+    return out
 
 
 def prepare(cfgs: Sequence[RunConfig], ds: Dataset) -> FoldPlan:
@@ -171,8 +167,8 @@ def prepare(cfgs: Sequence[RunConfig], ds: Dataset) -> FoldPlan:
       computed, and, when they decide a flip, an image the flip reads whose
       foreground leaves [0, 1].
 
-    Variants form one group when they see the same images after the flip
-    and, unless blurring, train under the same ``alpha``.
+    Variants form one group when they see the same images after the flip,
+    made here once, and, unless blurring, train under the same ``alpha``.
     """
     cfg = cfgs[0]
     scored = [*ds.val_abnormal, *ds.test_abnormal]
@@ -184,10 +180,10 @@ def prepare(cfgs: Sequence[RunConfig], ds: Dataset) -> FoldPlan:
         if not split:
             raise ValueError(f"the {name} split is empty")
     patch = cfg.patch()
-    _check_each(scored, lambda _, im: diffusion.placements(
+    _each(scored, lambda _, im: diffusion.placements(
         patch.resolve(im.height, im.width), im.height, im.width))
     images = [s.image for s in train]
-    _check_each(train, lambda i, _: denoise.check_training_image(images, i))
+    _each(train, lambda i, _: denoise.check_training_image(images, i))
     regions = {s.id: evalkit.eval_region(s, eval_config(cfg)) for s in scored}
     if not any(regions[s.id].count() for s in ds.test_abnormal):
         # no test pixel left to score: AUPRC would be undefined
@@ -196,16 +192,19 @@ def prepare(cfgs: Sequence[RunConfig], ds: Dataset) -> FoldPlan:
                          f"first {ds.test_abnormal[0].id}")
     flip = (any(c.uses_air() for c in cfgs)
             and airprep.decide(airprep.dataset_stats(ds.val_abnormal)))
+    seen = {False: scored + train}  # the images a group sees, by its flip
     if flip:
-        _check_each(scored + train,
-                    lambda _, im: airprep.check_normalized(im))
+        seen[True] = [replace(s, image=im) for s, im in zip(
+            seen[False], _each(seen[False],
+                               lambda _, im: airprep.apply(im, True)))]
     groups = {}
     for i, c in enumerate(cfgs):
         alpha = None if c.blur_sigma is not None else c.resolved_alpha()
         groups.setdefault((c.uses_air() and flip, alpha), []).append(i)
-    return FoldPlan(cfgs, ds, scored, train, regions,
+    return FoldPlan(cfgs, ds, scored, regions,
                     diffusion.linear_schedule(cfg.T, cfg.beta_1, cfg.beta_T),
-                    [(m, flipped) for (flipped, _), m in groups.items()])
+                    [Group(m, f, seen[f][:len(scored)], seen[f][len(scored):])
+                     for (f, _), m in groups.items()])
 
 
 def train_group(cfg: RunConfig, images: Sequence[Image2D], seed: int,
@@ -225,22 +224,23 @@ def train_group(cfg: RunConfig, images: Sequence[Image2D], seed: int,
     return trained.model, trained.loss_trace
 
 
-def score(plan: FoldPlan, fold: int, seed: int, live: Sequence[Trained],
+def score(plan: FoldPlan, fold: int, seed: int, live: Sequence[tuple],
           pool: Optional[ProcessPoolExecutor],
           dump_maps: bool) -> Dict[int, FoldOutcome]:
-    """Each member's outcome, by its index in ``plan.cfgs``; raises if the
-    shared pass fails.  Each task draws a sample's placement noise once,
-    reconstructs it once per group and maps it for every member, so no
-    reconstruction leaves the process that made it."""
+    """Each member's outcome, by its index in ``plan.cfgs``, for the live
+    ``(group, model, loss_trace)`` triples; raises if the shared pass fails.
+    Each task draws a sample's placement noise once, reconstructs it once
+    per group and maps it for every member, so no reconstruction leaves the
+    process that made it."""
     ds = plan.ds
-    ecfgs = [[eval_config(plan.cfgs[i]) for i in g.members] for g in live]
-    tasks = [([(g.model, g.samples[k], e) for g, e in zip(live, ecfgs)],
+    ecfgs = [[eval_config(plan.cfgs[i]) for i in g.members] for g, _, _ in live]
+    tasks = [([(model, g.scored[k], e) for (g, model, _), e in zip(live, ecfgs)],
               plan.sched, seed, plan.regions[s.id])
              for k, s in enumerate(plan.scored)]
     # in order either way, so the pool never changes the results
     per_sample = list((map if pool is None else pool.map)(_maps, tasks))
     outcomes = {}
-    for col, g in enumerate(live):
+    for col, (g, _, loss_trace) in enumerate(live):
         for j, (i, ecfg) in enumerate(zip(g.members, ecfgs[col])):
             try:
                 maps = {s.id: m[col][j] for s, m in zip(plan.scored, per_sample)}
@@ -254,7 +254,7 @@ def score(plan: FoldPlan, fold: int, seed: int, live: Sequence[Trained],
                     for s in ds.test_abnormal:
                         fileio.write_f32r(d / f"{s.id}.f32r", maps[s.id].scores)
                 outcomes[i] = FoldOutcome(fold, result, None, g.flipped,
-                                          g.loss_trace)
+                                          loss_trace)
             except Exception as exc:
                 outcomes[i] = _failed(fold, exc)
     return outcomes
@@ -270,10 +270,9 @@ def run_fold(cfgs: Sequence[RunConfig], fold: int,
     order, then :func:`score` over ``pool`` (or in this process), both under
     the fold's seed.  Errors are captured, not raised:
 
-    - an error preparing the fold fails every variant (a call raises a disk
-      dataset's error, with its path, before any fold);
-    - an error flipping a group's images or training its model fails only
-      that group's variants;
+    - an error preparing the fold (its flip too) fails every variant (a
+      call raises a disk dataset's error, with its path, before any fold);
+    - an error training a group's model fails only that group's variants;
     - an error in the shared scoring pass fails every live variant;
     - an error evaluating a member fails only that member.
 
@@ -290,26 +289,20 @@ def run_fold(cfgs: Sequence[RunConfig], fold: int,
              fold, len(cfgs), len(plan.groups))
     outcomes: List[Optional[FoldOutcome]] = [None] * len(cfgs)
     live = []
-    for members, flipped in plan.groups:
-        samples, train = plan.scored, plan.train
+    for g in plan.groups:
         try:
-            if flipped:
-                samples = _apply_decision(samples, True)
-                train = _apply_decision(train, True)
-            model, loss_trace = train_group(cfgs[members[0]],
-                                            [s.image for s in train], seed,
-                                            plan.sched)
+            live.append((g, *train_group(cfgs[g.members[0]],
+                                         [s.image for s in g.train], seed,
+                                         plan.sched)))
         except Exception as exc:
-            for i in members:
+            for i in g.members:
                 outcomes[i] = _failed(fold, exc)
-            continue
-        live.append(Trained(members, flipped, samples, model, loss_trace))
     if not live:
         return outcomes
     try:
         scores = score(plan, fold, seed, live, pool, dump_maps)
     except Exception as exc:
-        scores = {i: _failed(fold, exc) for g in live for i in g.members}
+        scores = {i: _failed(fold, exc) for g, _, _ in live for i in g.members}
     return [scores.get(i, o) for i, o in enumerate(outcomes)]
 
 

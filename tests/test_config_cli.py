@@ -62,6 +62,18 @@ def test_parse_reports_line_numbers():
         config.parse("[train]\nepochs = many\n")
 
 
+def test_parse_rejects_a_key_given_twice_in_a_section():
+    with pytest.raises(config.ConfigError) as exc:
+        config.parse("[run]\nseed = 1\nseed = 2\n", source="a.cfg")
+    assert str(exc.value) == "a.cfg:3: key 'seed' in [run] repeats line 2"
+    # a repeated section header may add keys, but not repeat one
+    text = "[run]\nseed = 1\n[train]\nepochs = 2\n[run]\nfolds = 2\n"
+    assert config.parse(text).folds == 2
+    with pytest.raises(config.ConfigError) as exc:
+        config.parse(text + "seed = 2\n")
+    assert str(exc.value) == "<config>:7: key 'seed' in [run] repeats line 2"
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         config.RunConfig(variant="l2").validate()
@@ -277,6 +289,21 @@ def test_cli_phantom_writes_dataset(tmp_path, capsys):
     assert rc == 0
     assert (out / "dataset.tsv").exists()
     assert "wrote 6 samples" in capsys.readouterr().out
+
+
+def test_cli_phantom_rejects_a_disk_config(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert cli.main(["phantom", "--config", _write_cfg(tmp_path, TINY),
+                     "--out", str(ds)]) == 0
+    written = {p: p.read_bytes() for p in ds.rglob("*") if p.is_file()}
+    disk = _write_cfg(tmp_path, f"[dataset]\nkind = disk\npath = {ds}\n")
+    capsys.readouterr()
+    for out in (ds, tmp_path / "new"):  # onto itself, or a new directory
+        assert cli.main(["phantom", "--config", disk, "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: phantom needs [dataset] kind = phantom, not disk\n")
+    assert {p: p.read_bytes() for p in ds.rglob("*") if p.is_file()} == written
+    assert not (tmp_path / "new").exists()
 
 
 def test_cli_run_emits_reports(tmp_path, capsys):

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from anomap import datasetio, fileio, phantom
+from anomap import cli, datasetio, fileio, phantom
 from anomap.imagecore import BinaryMask
 
 
@@ -149,6 +149,18 @@ def test_load_dataset_rejects_mask_shape_mismatch(tmp_path, suffix):
     with pytest.raises(ValueError, match=re.escape(
             f"{s.id}.{suffix}.pgm: mask is 31x32, its image is 32x32")):
         datasetio.load_dataset(tmp_path)
+
+
+def test_load_dataset_names_a_ground_truth_outside_the_foreground(tmp_path,
+                                                                  capsys):
+    s = _saved_dataset(tmp_path)
+    path = tmp_path / "val" / f"{s.id}.gt.pgm"
+    fileio.write_pgm_mask(path, BinaryMask(np.ones((32, 32), dtype=bool)))
+    expect = f"{path}: anomaly ground truth must lie inside foreground"
+    with pytest.raises(ValueError, match=f"^{re.escape(expect)}$"):
+        datasetio.load_dataset(tmp_path)
+    assert cli.main(["stats", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {expect}\n"
 
 
 def test_load_dataset_rejects_non_binary_mask(tmp_path):

@@ -120,11 +120,15 @@ def test_flipped_group_error_fails_every_variant_of_its_fold(monkeypatch,
     class Flipped(phantom.LabeledSample):
         pass
 
-    real_apply, real_recon = pipeline._apply_decision, evalkit.reconstruct
+    real_prepare, real_recon = pipeline.prepare, evalkit.reconstruct
 
-    def apply(samples, flip):
-        return [Flipped(s.id, s.image, s.anomaly_gt)
-                for s in real_apply(samples, flip)]
+    def prepare(*args):
+        # retag the flipped group's scored samples
+        plan = real_prepare(*args)
+        return replace(plan, groups=[
+            g._replace(scored=[Flipped(s.id, s.image, s.anomaly_gt)
+                               for s in g.scored]) if g.flipped else g
+            for g in plan.groups])
 
     raised = []
 
@@ -135,7 +139,7 @@ def test_flipped_group_error_fails_every_variant_of_its_fold(monkeypatch,
             raise RuntimeError("flipped reconstruction failed")
         return real_recon(model, sample, *args)
 
-    monkeypatch.setattr(pipeline, "_apply_decision", apply)
+    monkeypatch.setattr(pipeline, "prepare", prepare)
     monkeypatch.setattr(evalkit, "reconstruct", reconstruct)
     reports = pipeline.ablate(cfg)
     assert raised
@@ -196,10 +200,9 @@ def test_train_group_gives_the_same_bits_on_unpickled_arguments():
     plan = pipeline.prepare(cfgs, pipeline.load_fold_dataset(TRAINED, 0))
     seed = diffusion.derive_seed(TRAINED.seed, 100)
     assert len(plan.groups) == 4
-    for members, flipped in plan.groups:
-        train = plan.train
-        train = pipeline._apply_decision(train, True) if flipped else train
-        args = (cfgs[members[0]], [s.image for s in train], seed, plan.sched)
+    for g in plan.groups:
+        args = (cfgs[g.members[0]], [s.image for s in g.train], seed,
+                plan.sched)
         model, trace = pipeline.train_group(*args)
         model2, trace2 = pipeline.train_group(*pickle.loads(pickle.dumps(args)))
         assert model.weights.tobytes() == model2.weights.tobytes()
@@ -234,6 +237,26 @@ def test_disk_dataset_is_prepared_once_per_run(tmp_path, monkeypatch,
     assert len(erosions) == cfg.n_val + cfg.n_test
     assert len(computed) == stats
     assert report.complete and len(report.outcomes) == 3
+
+
+@pytest.mark.parametrize("cfg, entry", [(BLUR, "run"), (TRAINED, "ablate")],
+                         ids=["blur_run", "trained_ablate"])
+def test_disk_flip_is_applied_once_per_image_per_call(tmp_path, monkeypatch,
+                                                      cfg, entry):
+    # the flip depends on the dataset, not the fold: each image it reads
+    # (scored, then training unless blurring) is flipped once per call
+    cfg = replace(cfg, folds=3).validate()
+    datasetio.save_dataset(pipeline.load_fold_dataset(cfg, 0), tmp_path / "ds")
+    disk = replace(cfg, dataset_kind="disk", dataset_path=str(tmp_path / "ds"),
+                   variant="fq_air", out=str(tmp_path / "out")).validate()
+    applied = _counting(monkeypatch, airprep, "apply")
+    reports = getattr(pipeline, entry)(disk)
+    if entry == "run":
+        reports = {"fq_air": reports}
+    assert all(o.flipped for o in reports["fq_air"].outcomes)
+    images = cfg.n_val + cfg.n_test + (0 if cfg.blur_sigma else cfg.n_train)
+    assert len(applied) == images
+    assert all(len(r.outcomes) == 3 and r.complete for r in reports.values())
 
 
 def test_disk_patches_follow_the_image_not_the_config_size(tmp_path):
