@@ -1,16 +1,20 @@
 """Flat ``key = value`` run configuration with bracketed section headers.
 
-Unknown or repeated keys and malformed lines are hard errors reported with
-their line number.  A parsed :class:`RunConfig` can be serialized back with
-:func:`render` and re-parses to an equivalent configuration.
+Each key is a :class:`RunConfig` field, parsed by its annotated type, in the
+section where the field is declared; only ``[dataset]`` renames two, as
+``kind`` (``dataset_kind``) and ``path`` (``dataset_path``).  An optional
+value reads ``none`` as unset.  Unknown or repeated keys and malformed lines
+are hard errors reported with their line number.  A parsed
+:class:`RunConfig` can be serialized back with :func:`render` and re-parses
+to an equivalent configuration.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import phantom
 from .denoise import TrainConfig
@@ -133,53 +137,34 @@ class RunConfig:
         return self
 
 
-# section -> key -> (field name, parser)
-def _opt(parser):
-    return lambda v: None if v.lower() == "none" else parser(v)
+# each section holds its first field and the fields declared after it
+_SECTION_STARTS = {"dataset_kind": "dataset", "T": "diffusion",
+                   "epochs": "train", "median_k": "eval", "variant": "run"}
+_RENAMED = {"dataset_kind": "kind", "dataset_path": "path"}  # field -> key
 
 
-_SCHEMA = {
-    "dataset": {
-        "kind": ("dataset_kind", str),
-        "path": ("dataset_path", str),
-        "profile": ("profile", str),
-        "size": ("size", int),
-        "n_train": ("n_train", int),
-        "n_val": ("n_val", int),
-        "n_test": ("n_test", int),
-        "lesion_gap": ("lesion_gap", _opt(float)),
-    },
-    "diffusion": {
-        "T": ("T", int),
-        "beta_1": ("beta_1", float),
-        "beta_T": ("beta_T", float),
-        "t_test": ("t_test", _opt(int)),
-        "noise": ("noise", str),
-        "patch_h": ("patch_h", _opt(int)),
-        "patch_w": ("patch_w", _opt(int)),
-        "stride_h": ("stride_h", _opt(int)),
-        "stride_w": ("stride_w", _opt(int)),
-    },
-    "train": {
-        "epochs": ("epochs", int),
-        "learning_rate": ("learning_rate", float),
-        "batch_size": ("batch_size", int),
-    },
-    "eval": {
-        "median_k": ("median_k", int),
-        "erosion_iters": ("erosion_iters", int),
-        "n_thresholds": ("n_thresholds", int),
-        "ssim_window": ("ssim_window", int),
-        "alpha": ("alpha", float),
-        "blur_sigma": ("blur_sigma", _opt(float)),
-    },
-    "run": {
-        "variant": ("variant", str),
-        "folds": ("folds", int),
-        "seed": ("seed", int),
-        "out": ("out", str),
-    },
-}
+def _parser(hint):
+    """The parser of a field annotated ``hint``: the type itself, or for
+    ``Optional[X]``, ``X`` that also reads ``none``, in any case, as
+    ``None``."""
+    if get_origin(hint) is not Union:
+        return hint
+    inner = get_args(hint)[0]
+    return lambda v: None if v.lower() == "none" else inner(v)
+
+
+def _schema():
+    """section -> key -> (field name, parser), in declaration order."""
+    hints = get_type_hints(RunConfig)
+    schema = {}
+    for f in fields(RunConfig):
+        if f.name in _SECTION_STARTS:
+            keys = schema[_SECTION_STARTS[f.name]] = {}
+        keys[_RENAMED.get(f.name, f.name)] = (f.name, _parser(hints[f.name]))
+    return schema
+
+
+_SCHEMA = _schema()
 
 
 class ConfigError(ValueError):

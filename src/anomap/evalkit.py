@@ -43,7 +43,6 @@ class EvalConfig:
     fusion: FusionParams = field(default_factory=FusionParams)
     median_k: int = 5
     erosion_iters: int = 3
-    n_thresholds: int = DEFAULT_GRID_SIZE        # grid points over [0, max]
     patch: PatchSpec = field(default_factory=PatchSpec)  # unset: from the image
     noise_kind: str = "simplex"
 

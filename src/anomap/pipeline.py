@@ -87,7 +87,6 @@ def eval_config(cfg: RunConfig) -> EvalConfig:
         fusion=FusionParams(alpha=cfg.resolved_alpha()),
         median_k=cfg.median_k,
         erosion_iters=cfg.erosion_iters,
-        n_thresholds=cfg.n_thresholds,
         patch=cfg.patch(),
         noise_kind=cfg.noise,
     )
@@ -241,13 +240,13 @@ def score(plan: FoldPlan, fold: int, seed: int, live: Sequence[tuple],
     per_sample = list((map if pool is None else pool.map)(_maps, tasks))
     outcomes = {}
     for col, (g, _, loss_trace) in enumerate(live):
-        for j, (i, ecfg) in enumerate(zip(g.members, ecfgs[col])):
+        for j, i in enumerate(g.members):
             try:
                 maps = {s.id: m[col][j] for s, m in zip(plan.scored, per_sample)}
                 # flipping changes no sample id and no ground truth
                 result = evalkit.evaluate_fold(ds.val_abnormal, ds.test_abnormal,
                                                maps, plan.regions,
-                                               ecfg.n_thresholds)
+                                               plan.cfgs[i].n_thresholds)
                 if dump_maps:
                     d = fileio.ensure_dir(Path(plan.cfgs[i].out) / "maps"
                                           / f"fold{fold}")
@@ -320,7 +319,8 @@ def _run_variants(cfgs: Sequence[RunConfig], workers: int,
                   dump_maps: bool = False) -> List[RunReport]:
     """Every fold of every variant in ``cfgs`` through :func:`run_fold`; writes
     each variant's reports to its own ``out``.  With several workers the
-    folds share one process pool, replaced only after a worker died."""
+    folds share one process pool, replaced only after a worker died, of at
+    most one process per scored sample of a fold (its number of tasks)."""
     require_workers(workers)
     start = time.monotonic()
     cfg = cfgs[0]
@@ -332,6 +332,8 @@ def _run_variants(cfgs: Sequence[RunConfig], workers: int,
             plan = prepare(cfgs, ds)
         except Exception as exc:
             raise ValueError(f"{cfg.dataset_path}: {exc}") from exc
+    workers = min(workers, cfg.n_val + cfg.n_test if plan is None
+                  else len(plan.scored))
     outs = [fileio.ensure_dir(c.out) for c in cfgs]
     by_fold, pool = [], None
     try:
@@ -358,32 +360,28 @@ def run(cfg: RunConfig, workers: int = 1, dump_maps: bool = False) -> RunReport:
     return _run_variants([cfg], workers, dump_maps)[0]
 
 
+def _write_csv(path: Path, rows) -> None:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    path.write_text(buf.getvalue(), encoding="utf-8")
+
+
 def write_report(report: RunReport, out_dir) -> None:
     out_dir = Path(out_dir)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["fold", "dice", "auprc", "threshold"])
+    rows = [["fold", "dice", "auprc", "threshold"]]
     for o in report.outcomes:
         if o.result is None:
-            w.writerow([o.fold, "error", "error", ""])
+            rows.append([o.fold, "error", "error", ""])
         else:
-            w.writerow([o.fold, f"{o.result.dice:.6f}", f"{o.result.auprc:.6f}",
-                        f"{o.result.threshold:.6g}"])
+            rows.append([o.fold, f"{o.result.dice:.6f}", f"{o.result.auprc:.6f}",
+                         f"{o.result.threshold:.6g}"])
     dm, dsd, am, asd = report.mean_std()
-    w.writerow(["mean", f"{dm:.6f}", f"{am:.6f}", ""])
-    w.writerow(["std", f"{dsd:.6f}", f"{asd:.6f}", ""])
-    (out_dir / "report.csv").write_text(buf.getvalue(), encoding="utf-8")
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["fold", "sample_id", "dice"])
-    for o in report.outcomes:
-        if o.result is None:
-            continue
-        for sid, d in zip(o.result.per_sample_ids, o.result.per_sample_dice):
-            w.writerow([o.fold, sid, f"{d:.6f}"])
-    (out_dir / "per_sample.csv").write_text(buf.getvalue(), encoding="utf-8")
-
+    rows.append(["mean", f"{dm:.6f}", f"{am:.6f}", ""])
+    rows.append(["std", f"{dsd:.6f}", f"{asd:.6f}", ""])
+    _write_csv(out_dir / "report.csv", rows)
+    _write_csv(out_dir / "per_sample.csv", [["fold", "sample_id", "dice"]] + [
+        [o.fold, sid, f"{d:.6f}"] for o in report.outcomes if o.result is not None
+        for sid, d in zip(o.result.per_sample_ids, o.result.per_sample_dice)])
     (out_dir / "config_echo.cfg").write_text(report.config_echo, encoding="utf-8")
 
 
@@ -397,12 +395,8 @@ def ablate(cfg: RunConfig, workers: int = 1, dump_maps: bool = False) -> dict:
     """
     cfgs = [replace(cfg, variant=v, out=str(Path(cfg.out) / v)) for v in VARIANTS]
     reports = dict(zip(VARIANTS, _run_variants(cfgs, workers, dump_maps)))
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["variant", "dice_mean", "dice_std", "auprc_mean", "auprc_std"])
-    for variant, report in reports.items():
-        dm, dsd, am, asd = report.mean_std()
-        w.writerow([variant, f"{dm:.6f}", f"{dsd:.6f}", f"{am:.6f}", f"{asd:.6f}"])
-    (Path(cfg.out) / "ablate.csv").write_text(buf.getvalue(), encoding="utf-8")
+    _write_csv(Path(cfg.out) / "ablate.csv",
+               [["variant", "dice_mean", "dice_std", "auprc_mean", "auprc_std"]]
+               + [[v, *(f"{x:.6f}" for x in r.mean_std())]
+                  for v, r in reports.items()])
     return reports

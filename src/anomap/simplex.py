@@ -15,8 +15,7 @@ A field is drawn in two steps:
   and each corner's index into the distinct lattice points the coordinates
   touch.  :func:`octave_grids` keeps the geometry of its last pixel-grid
   shape (width, height, octaves, base scale) in a one-entry memo of
-  read-only arrays, since a caller draws many fields of one shape in a row;
-  :func:`simplex2d` builds it afresh for its coordinates.
+  read-only arrays, since a caller draws many fields of one shape in a row.
 * **Per seed**, each distinct lattice point is hashed once through the
   permutation table into gradient tables ``gx``, ``gy`` of shape
   ``(seeds, points)``; every corner then gathers its gradient from those
@@ -134,21 +133,6 @@ def _noise(g: _Geometry, perms: np.ndarray) -> np.ndarray:
     out += 0.0  # -0.0 -> +0.0, as the reference's zeroed dead corners give
     out *= 70.0
     return out
-
-
-def simplex2d(xs: np.ndarray, ys: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Raw simplex noise at the given coordinates; output in [-1, 1].
-
-    ``perm`` is one permutation table of shape ``(512,)``, giving an array
-    shaped like ``xs``, or a stack ``(N, 512)``, giving ``(N, *xs.shape)``
-    with row n equal to the noise for table n alone.
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    perm = np.asarray(perm, dtype=np.int64)
-    if perm.ndim == 1:
-        return simplex2d(xs, ys, perm[None])[0]
-    return _noise(_geometry(xs, ys), perm)
 
 
 @functools.lru_cache(maxsize=1)

@@ -254,8 +254,58 @@ def test_render_parse_roundtrip():
     assert again == cfg
 
 
+# the empty path keeps the space after "="
+DEFAULT_TEXT = """\
+[dataset]
+kind = phantom
+path =\x20
+profile = flair_like
+size = 64
+n_train = 200
+n_val = 30
+n_test = 60
+lesion_gap = none
+
+[diffusion]
+T = 1000
+beta_1 = 0.0001
+beta_T = 0.02
+t_test = none
+noise = simplex
+patch_h = none
+patch_w = none
+stride_h = none
+stride_w = none
+
+[train]
+epochs = 300
+learning_rate = 0.1
+batch_size = 8
+
+[eval]
+median_k = 5
+erosion_iters = 3
+n_thresholds = 200
+ssim_window = 5
+alpha = 0.84
+blur_sigma = none
+
+[run]
+variant = fq
+folds = 5
+seed = 0
+out = out
+"""
+
+
+def test_render_of_the_defaults_is_the_written_layout():
+    # section order, key names and "none" are what config_echo.cfg holds
+    assert config.render(config.RunConfig()) == DEFAULT_TEXT
+
+
 def test_shipped_configs_parse():
     default = config.parse_file(REPO / "configs" / "default.cfg")
+    assert default == config.RunConfig()
     assert default.variant == "fq"
     ablate = config.parse_file(REPO / "configs" / "ablate_flair.cfg")
     assert ablate.blur_sigma == 4.0

@@ -341,7 +341,6 @@ def test_evaluate_fold_scores_the_given_maps():
 
 
 def test_n_thresholds_sets_the_grid_the_threshold_comes_from():
-    from anomap import config, pipeline
     sched = linear_schedule(1000, 1e-4, 0.02)
     ds = phantom.gen_dataset(1, 64, phantom.PROFILES["flair_like"], 1, 3, 2)
     model = blur_denoiser(2.0)
@@ -357,6 +356,20 @@ def test_n_thresholds_sets_the_grid_the_threshold_comes_from():
         assert result.threshold in default_grid(val_maps, n)
         chosen[n] = result.threshold
     assert chosen[200] != chosen[4]
-    assert pipeline.eval_config(
-        config.RunConfig(n_thresholds=4).validate()).n_thresholds == 4
-    assert EvalConfig().n_thresholds == 200
+
+
+def test_n_thresholds_key_reaches_evaluate_fold(tmp_path, monkeypatch):
+    from anomap import config, evalkit, pipeline
+    grids = []
+    real = evalkit.evaluate_fold
+
+    def spy(*args):
+        grids.append(args[4])
+        return real(*args)
+
+    monkeypatch.setattr(evalkit, "evaluate_fold", spy)
+    cfg = config.RunConfig(size=32, n_train=1, n_val=2, n_test=2, folds=1,
+                           blur_sigma=2.0, t_test=50, n_thresholds=4,
+                           out=str(tmp_path / "out")).validate()
+    assert pipeline.run(cfg).complete
+    assert grids == [4]

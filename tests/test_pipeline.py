@@ -552,6 +552,21 @@ def test_one_pool_per_call_and_reports_equal_one_worker(tmp_path, monkeypatch,
     assert [_read(d) for d in dirs] == one
 
 
+@pytest.mark.parametrize("disk", [False, True])
+def test_pool_never_outnumbers_a_folds_scored_samples(tmp_path, monkeypatch,
+                                                      disk):
+    # 3 validation + 3 test samples; a disk dataset's splits come from its
+    # files, not from the n_val and n_test it leaves unread
+    cfg = (_disk_config(tmp_path, n_val=1, n_test=1) if disk
+           else replace(BLUR, folds=1, out=str(tmp_path / "out")).validate())
+    sizes = []
+    real = pipeline.ProcessPoolExecutor
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor",
+                        lambda n: sizes.append(n) or real(n))
+    pipeline.run(cfg, workers=8)
+    assert sizes == [6]
+
+
 def test_dead_worker_fails_only_its_fold(tmp_path, monkeypatch):
     cfg = replace(BLUR, out=str(tmp_path / "out")).validate()
     pipeline.run(cfg)
