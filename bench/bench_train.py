@@ -1,8 +1,11 @@
 """Microbenchmarks of the kernel-mixture training loop.
 
 Sizes follow perfbench's ``train_km`` workload: 64 px flair-like phantoms,
-24 training images, batches of 8, T = 1000; ``test_fusion_loss_and_grad``
-also runs at 128 px and records the minor page faults per call.
+24 training images, batches of 8, T = 1000.  ``test_sample_gradients`` and
+``test_trial_loss`` time one gradient and one backtracking trial with the
+kernel responses and loss target that ``train`` holds per image;
+``test_fusion_loss_and_grad`` also runs at 128 px and records the minor
+page faults per call.
 ``test_train`` runs 1 and 5 epochs: every call corrupts and blurs each
 training image once, so the difference of the two, divided by 4, is the
 cost of one epoch alone.  Run from the repository root::
@@ -42,42 +45,50 @@ def setting():
     return images, sched, model, x0, x_t, t
 
 
+def _held(model, x0, x_t, p):
+    # what train holds per image: its kernel responses and its loss target
+    return (model.kernel_responses(x_t.pixels),
+            iqa.loss_target(x0, p, BinaryMask(x0.fg_bits())))
+
+
 def test_sample_gradients(benchmark, setting):
     _, _, model, x0, x_t, t = setting
-    resp = model.kernel_responses(x_t.pixels)
     p, f = SsimParams(), FusionParams()
-    benchmark(sample_gradients, model, x0, x_t, t, p, f, resp)
+    resp, target = _held(model, x0, x_t, p)
+    benchmark(sample_gradients, model, x0, x_t, t, p, f, resp, target)
 
 
 @pytest.mark.parametrize("size", [64, 128])
 def test_fusion_loss_and_grad(benchmark, size):
-    # a perturbed prediction scored in its foreground, as sample_gradients
-    # calls it; the first call builds the workspace outside the timed rounds
+    # a perturbed prediction scored against its foreground's loss target, as
+    # sample_gradients calls it; the first call builds the workspace outside
+    # the timed rounds
     x0 = phantom.gen_dataset(0, size, phantom.PROFILES["flair_like"], 1, 1, 1
                              ).train_healthy[0].image
-    fg = BinaryMask(x0.fg_bits())
     y = denoise._foreground_prediction(
         x0.pixels + 0.05 * np.sin(np.arange(x0.pixels.size)).reshape(x0.pixels.shape),
         x0)
     p, f = SsimParams(), FusionParams()
-    iqa.fusion_loss_and_grad(x0, y, p, f, fg)
+    target = iqa.loss_target(x0, p, BinaryMask(x0.fg_bits()))
+    iqa.fusion_loss_and_grad(x0, y, p, f, target=target)
     rounds = 200
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    benchmark.pedantic(iqa.fusion_loss_and_grad, (x0, y, p, f, fg),
-                       rounds=rounds, iterations=1)
+    benchmark.pedantic(iqa.fusion_loss_and_grad, (x0, y, p, f),
+                       {"target": target}, rounds=rounds, iterations=1)
     after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     benchmark.extra_info["minor_faults_per_call"] = (after - before) / rounds
 
 
 def test_trial_loss(benchmark, setting):
     # one backtracking trial: mix the held responses, score with fusion_loss
+    # against the held target
     _, _, model, x0, x_t, t = setting
-    resp = model.kernel_responses(x_t.pixels)
-    p, f, fg = SsimParams(), FusionParams(), BinaryMask(x0.fg_bits())
+    p, f = SsimParams(), FusionParams()
+    resp, target = _held(model, x0, x_t, p)
 
     def trial():
         y = denoise._foreground_prediction(model.mix(resp, t), x0)
-        return iqa.fusion_loss(x0, y, p, f, fg)
+        return iqa.fusion_loss(x0, y, p, f, target=target)
 
     benchmark(trial)
 

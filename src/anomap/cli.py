@@ -119,11 +119,20 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _workers(text: str) -> int:
-    try:
-        return pipeline.require_workers(int(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _checked(parse, check):
+    """An argparse type: ``check(parse(text))``, whose ``ValueError``
+    argparse reports under the flag's name."""
+    def convert(text: str):
+        try:
+            return check(parse(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return convert
+
+
+_workers = _checked(int, pipeline.require_workers)
+_window = _checked(int, lambda W: iqa.SsimParams(W=W).W)
+_alpha = _checked(float, lambda alpha: iqa.FusionParams(alpha=alpha).alpha)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,8 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iqa", help="compare two F32R rasters")
     p.add_argument("image_a")
     p.add_argument("image_b")
-    p.add_argument("--alpha", type=float, default=0.84)
-    p.add_argument("--window", type=int, default=5)
+    p.add_argument("--alpha", type=_alpha, default=0.84,
+                   help="weight of the SSIM term, in [0, 1]")
+    p.add_argument("--window", type=_window, default=5,
+                   help="SSIM window size, odd and >= 1")
     p.add_argument("--map", help="write the fusion anomaly map here")
     p.set_defaults(fn=cmd_iqa)
 

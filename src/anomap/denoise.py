@@ -178,23 +178,26 @@ def _foreground_prediction(pre: np.ndarray, x0: Image2D) -> Image2D:
 
 def sample_gradients(m: KernelMixtureModel, x0: Image2D, x_t: Image2D, t: int,
                      p: SsimParams, f: FusionParams,
-                     resp: Optional[Sequence[np.ndarray]] = None):
+                     resp: Optional[Sequence[np.ndarray]] = None,
+                     target: Optional[iqa.LossTarget] = None):
     """Loss value and parameter gradients of L_FQ(x0, denoise(x_t, t)).
 
-    ``resp`` may pass in ``m.kernel_responses(x_t.pixels)`` when the caller
-    already holds it.  The clamp is treated as pass-through inside (0, 1) and
-    zero-gradient outside, so the chain rule through the linear prediction is
-    exact away from the clamp boundary.
+    ``resp`` may pass in ``m.kernel_responses(x_t.pixels)`` and ``target``
+    ``iqa.loss_target(x0, p, BinaryMask(x0.fg_bits()))`` when the caller
+    already holds them.  The clamp is treated as pass-through inside (0, 1)
+    and zero-gradient outside, so the chain rule through the linear
+    prediction is exact away from the clamp boundary.
     """
-    fg = BinaryMask(x0.fg_bits())
     b = m.bucket(t)
     if resp is None:
         resp = m.kernel_responses(x_t.pixels)
+    if target is None:
+        target = iqa.loss_target(x0, p, BinaryMask(x0.fg_bits()))
     pre = m.mix(resp, t)
     y = _foreground_prediction(pre, x0)
 
-    loss, g = iqa.fusion_loss_and_grad(x0, y, p, f, fg)
-    passthrough = (pre > 0.0) & (pre < 1.0) & fg.bits
+    loss, g = iqa.fusion_loss_and_grad(x0, y, p, f, target=target)
+    passthrough = (pre > 0.0) & (pre < 1.0) & target.bits
     g = np.where(passthrough, g, 0.0)
 
     gw = np.zeros_like(m.weights)
@@ -246,15 +249,19 @@ def train(m: KernelMixtureModel, data: Sequence[Image2D], sched: DiffusionSchedu
     Each corrupted x_t is blurred once, when the corrupted dataset is built,
     and its kernel responses are kept read-only for the rest of the call:
     the prediction is linear in the parameters, so every gradient call and
-    every backtracking trial only mixes them.  They hold
-    ``len(data) * len(m.sigmas) * H * W * 8`` bytes (the identity response
-    is x_t itself) until training returns: 3 MiB for 24 images of
-    64 x 64 px with the default four Gaussians, 25 MiB for 200.  Each
+    every backtracking trial only mixes them.  Beside them, each image's
+    :func:`iqa.loss_target` (its foreground and the box mean and variance
+    of x0) is built once and kept read-only, so no gradient or trial
+    filters x0 again.  Together they hold
+    ``len(data) * (len(m.sigmas) + 2) * H * W * 8`` bytes (the identity
+    response is x_t itself) until training returns: 4.5 MiB for 24 images
+    of 64 x 64 px with the default four Gaussians, 37.5 MiB for 200.  Each
     gradient call gets its loss and gradient from one
     :func:`iqa.fusion_loss_and_grad`; each trial loss is one
-    :func:`iqa.fusion_loss`.  Both score the very prediction ``m.denoise``
-    returns.  Every image needs the first image's dimensions and a
-    non-empty foreground (see :func:`check_training_image`).
+    :func:`iqa.fusion_loss`; both are given the image's target.  Both score
+    the very prediction ``m.denoise`` returns.  Every image needs the first
+    image's dimensions and a non-empty foreground (see
+    :func:`check_training_image`).
     """
     n = len(data)
     if n == 0:
@@ -265,6 +272,7 @@ def train(m: KernelMixtureModel, data: Sequence[Image2D], sched: DiffusionSchedu
     rng = np.random.default_rng(cfg.seed)
     corrupted = []
     responses = []  # per image, m.kernel_responses(x_t.pixels), read-only
+    targets = []    # per image, the x0 half of its fusion loss, read-only
     for i, x0 in enumerate(data):
         t = int(rng.integers(1, sched.T + 1))
         noise = make_field(cfg.noise_kind, derive_seed(cfg.seed, i),
@@ -275,13 +283,12 @@ def train(m: KernelMixtureModel, data: Sequence[Image2D], sched: DiffusionSchedu
         for rk in resp:
             rk.flags.writeable = False
         responses.append(resp)
-
-    masks = [BinaryMask(x0.fg_bits()) for x0 in data]
+        targets.append(iqa.loss_target(x0, p, BinaryMask(x0.fg_bits())))
 
     def sample_loss(i: int) -> float:
         x0, _, t = corrupted[i]
         y = _foreground_prediction(m.mix(responses[i], t), x0)
-        return iqa.fusion_loss(x0, y, p, f, masks[i])
+        return iqa.fusion_loss(x0, y, p, f, target=targets[i])
 
     lr = cfg.learning_rate
     trace: List[float] = []
@@ -298,7 +305,7 @@ def train(m: KernelMixtureModel, data: Sequence[Image2D], sched: DiffusionSchedu
             batch_pre = 0.0
             for i in batch:
                 li, gwi, gbi = sample_gradients(m, *corrupted[i], p, f,
-                                                responses[i])
+                                                responses[i], targets[i])
                 gw += gwi
                 gb += gbi
                 batch_pre += li

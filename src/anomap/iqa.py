@@ -17,23 +17,34 @@ from one computation of the window moments; training calls it once per
 sample gradient.  The gradient is taken on the edge-padded raster and
 folded back onto the image by one weighted ``np.bincount``.
 
-Its large buffers (the five window moments, the five zero-embedded center
-maps and the two edge-padded images, about 420 KB at 64 px with W = 5) are
-one workspace per thread, kept for the last image shape and window radius
-and overwritten by the next call.  Allocated afresh each call, they went
-back to the OS whenever the heap top crossed glibc's trim threshold, and
-every call faulted them in again (about 180 minor page faults per 64 px
-gradient); the smaller per-pixel intermediates are dropped as soon as they
-are used, so that they too stay under the threshold.  Nothing a caller
-receives aliases the workspace: the loss is a Python float and the gradient
-a fresh array.
+Both training losses compare a fixed image x with a reconstruction y.  The
+half that depends on x alone is a :class:`LossTarget` (:func:`loss_target`):
+x's pixels, the mask bits and their count K, the window size, and x's box
+mean ``mx`` and clamped box variance ``vx`` from one 2-slice filter of
+``(x, x*x)``; every array in it is read-only.  A caller that scores many
+reconstructions against one x (``denoise.train``) builds it once and
+passes it as ``target=``; without one, each call builds its own.  Each
+slice is box-filtered exactly as on its own, so the results are the same
+bits either way, and the same as :func:`ssim_map`'s single 5-slice filter.
+
+The large buffers of a call are one workspace per thread, kept for the last
+image shape and window radius and overwritten by the next call: y's half of
+the moments ``(3, H, W)`` (``y``, ``y*y``, ``x*y``), the five zero-embedded
+center maps and the two edge-padded images, each ``(H + 2r, W + 2r)``, and
+the bincount fold index over the padded raster; about 390 KB at 64 px with
+W = 5.  Allocated afresh each call, they went back to the OS whenever the
+heap top crossed glibc's trim threshold, and every call faulted them in
+again (about 180 minor page faults per 64 px gradient); the smaller
+per-pixel intermediates are dropped as soon as they are used, so that they
+too stay under the threshold.  Nothing a caller receives aliases the
+workspace: the loss is a Python float and the gradient a fresh array.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -41,8 +52,8 @@ from scipy import ndimage
 from .imagecore import AnomalyMap, BinaryMask, Image2D
 
 __all__ = [
-    "SsimParams", "FusionParams", "AnomalyMap",
-    "ssim_map", "ssim_loss", "l1_loss", "fusion_loss",
+    "SsimParams", "FusionParams", "AnomalyMap", "LossTarget",
+    "ssim_map", "ssim_loss", "l1_loss", "loss_target", "fusion_loss",
     "fusion_anomaly_map", "fusion_loss_and_grad", "fusion_loss_grad",
 ]
 
@@ -73,12 +84,11 @@ class FusionParams:
             raise ValueError(f"alpha = {self.alpha} must lie in [0, 1]")
 
 
-def _window_moments(x: np.ndarray, y: np.ndarray, W: int,
-                    out: np.ndarray | None = None):
+def _window_moments(x: np.ndarray, y: np.ndarray, W: int):
     # replicate-edge box means of x, y, x*x, y*y and x*y, filtered in place
     # as one stack: a size-1 axis is skipped, so each slice is filtered
-    # exactly as on its own; ``out`` is a (5, *x.shape) buffer to fill
-    buf = np.empty((5, *x.shape)) if out is None else out
+    # exactly as on its own
+    buf = np.empty((5, *x.shape))
     buf[0], buf[1] = x, y
     np.multiply(x, x, out=buf[2])
     np.multiply(y, y, out=buf[3])
@@ -132,11 +142,146 @@ def l1_loss(x: Image2D, y: Image2D, mask: BinaryMask | None = None) -> float:
     return float(np.abs(x.pixels - y.pixels)[bits].mean())
 
 
+@dataclass(frozen=True)
+class LossTarget:
+    """The half of the masked fusion loss that depends on x alone.
+
+    ``x`` is x's pixels, ``bits`` the mask and ``K`` its count, ``W`` the
+    window size, and ``mx`` / ``vx`` x's replicate-edge box mean and
+    variance (clamped at 0).  Every array is read-only; ``x`` and ``bits``
+    are views of the caller's arrays, not copies.  Build it with
+    :func:`loss_target`.
+    """
+
+    x: np.ndarray
+    bits: np.ndarray
+    K: int
+    W: int
+    mx: np.ndarray
+    vx: np.ndarray
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+def loss_target(x: Image2D, p: SsimParams = SsimParams(),
+                mask: BinaryMask | None = None) -> LossTarget:
+    """The x half of :func:`fusion_loss` and :func:`fusion_loss_and_grad`
+    for x, window ``p.W`` and ``mask`` (all pixels when None), for any y and
+    alpha: one 2-slice box filter of ``(x, x*x)``, ``2 * H * W * 8`` bytes."""
+    bits = _require_mask(x, mask)
+    xa = x.pixels
+    m = np.empty((2, *xa.shape))
+    m[0] = xa
+    np.multiply(xa, xa, out=m[1])
+    ndimage.uniform_filter(m, size=(1, p.W, p.W), output=m, mode="nearest")
+    mx, vx = m
+    vx -= mx * mx
+    np.maximum(vx, 0.0, out=vx)
+    m.flags.writeable = False
+    return LossTarget(_read_only(xa), _read_only(bits), int(bits.sum()), p.W,
+                      m[0], m[1])
+
+
+class _Workspace(NamedTuple):
+    moments: np.ndarray   # (3, H, W): y's box mean, variance, covariance
+    centers: np.ndarray   # (5, H + 2r, W + 2r)
+    pads: np.ndarray      # (2, H + 2r, W + 2r)
+    fold: np.ndarray      # (H + 2r) * (W + 2r) row-major pixel indices
+
+
+_workspace = threading.local()
+
+
+def _thread_workspace(H: int, Wd: int, r: int) -> _Workspace:
+    """This thread's scratch buffers for an H x Wd image and window radius
+    r.  Only the last shape's buffers are kept."""
+    if getattr(_workspace, "key", None) != (H, Wd, r):
+        P, Q = H + 2 * r, Wd + 2 * r
+        # each padded position folds onto the pixel it copies
+        rows = np.clip(np.arange(P) - r, 0, H - 1)
+        cols = np.clip(np.arange(Q) - r, 0, Wd - 1)
+        _workspace.buffers = _Workspace(
+            np.empty((3, H, Wd)), np.empty((5, P, Q)), np.empty((2, P, Q)),
+            (rows[:, None] * Wd + cols).ravel())
+        _workspace.key = (H, Wd, r)
+    return _workspace.buffers
+
+
+def _edge_pad(a: np.ndarray, r: int, out: np.ndarray) -> np.ndarray:
+    """``np.pad(a, r, mode="edge")`` written into ``out``."""
+    H, Wd = a.shape
+    out[r:r + H, r:r + Wd] = a
+    out[:r, r:r + Wd] = a[0]
+    out[r + H:, r:r + Wd] = a[-1]
+    out[:, :r] = out[:, r:r + 1]
+    out[:, r + Wd:] = out[:, r + Wd - 1:r + Wd]
+    return out
+
+
+def _target_for(x: Image2D, y: Image2D, p: SsimParams,
+                mask: BinaryMask | None, target: LossTarget | None) -> LossTarget:
+    """``target``, checked against the call's images and window, or a new one."""
+    if target is None:
+        target = loss_target(x, p, mask)
+    elif mask is not None:
+        raise ValueError("pass a mask or a loss target, not both")
+    elif target.x.shape != x.pixels.shape or target.W != p.W:
+        (h, w), (H, Wd) = target.x.shape, x.pixels.shape
+        raise ValueError(f"loss target is for {w}x{h} px with window {target.W}, "
+                         f"not {Wd}x{H} px with window {p.W}")
+    if y.pixels.shape != target.x.shape:
+        raise ValueError("image dimensions do not match")
+    return target
+
+
+def _ssim_factors(t: LossTarget, ya: np.ndarray, p: SsimParams,
+                  moments: np.ndarray):
+    """y's box mean and the four SSIM factors of every window, from the
+    target and one 3-slice filter of ``(y, y*y, x*y)`` in ``moments``:
+    ``SSIM = A1 * A2 / (B1 * B2)``."""
+    moments[0] = ya
+    np.multiply(ya, ya, out=moments[1])
+    np.multiply(t.x, ya, out=moments[2])
+    ndimage.uniform_filter(moments, size=(1, t.W, t.W), output=moments,
+                           mode="nearest")
+    my, vy, cov = moments
+    vy -= my * my
+    cov -= t.mx * my
+    np.maximum(vy, 0.0, out=vy)
+    A1 = 2.0 * t.mx * my + p.C1
+    A2 = 2.0 * cov + p.C2
+    B1 = t.mx * t.mx + my * my + p.C1
+    B2 = t.vx + vy + p.C2
+    return my, A1, A2, B1, B2
+
+
+def _masked_loss(t: LossTarget, ya: np.ndarray, f: FusionParams,
+                 A1A2: np.ndarray, B1B2: np.ndarray) -> float:
+    # the same operations, in the same order, as ssim_loss and l1_loss; the
+    # SSIM map is dropped before the L1 term's two (H, W) temporaries exist
+    ssim = float((1.0 - (A1A2 / B1B2)[t.bits].mean()) / 2.0)
+    return f.alpha * ssim + (1.0 - f.alpha) * float(np.abs(t.x - ya)[t.bits].mean())
+
+
 def fusion_loss(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
                 f: FusionParams = FusionParams(),
-                mask: BinaryMask | None = None) -> float:
-    """alpha * ssim_loss + (1 - alpha) * masked mean absolute error."""
-    return f.alpha * ssim_loss(x, y, p, mask) + (1.0 - f.alpha) * l1_loss(x, y, mask)
+                mask: BinaryMask | None = None, *,
+                target: LossTarget | None = None) -> float:
+    """alpha * ssim_loss + (1 - alpha) * masked mean absolute error.
+
+    ``target`` may pass in ``loss_target(x, p, mask)``, built once for many
+    calls, in place of ``mask``; the result is the same bits.  A target of
+    another shape or window is rejected.
+    """
+    t = _target_for(x, y, p, mask, target)
+    ya = y.pixels
+    ws = _thread_workspace(*ya.shape, t.W // 2)
+    _, A1, A2, B1, B2 = _ssim_factors(t, ya, p, ws.moments)
+    return _masked_loss(t, ya, f, A1 * A2, B1 * B2)
 
 
 def fusion_anomaly_map(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
@@ -158,35 +303,11 @@ def fusion_loss_grad(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
     return fusion_loss_and_grad(x, y, p, f, mask)[1]
 
 
-_workspace = threading.local()
-
-
-def _grad_workspace(H: int, Wd: int, r: int):
-    """This thread's scratch buffers for an H x Wd image and window radius r:
-    the moments ``(5, H, Wd)``, the centers and the two edge pads, each
-    ``(H + 2r, Wd + 2r)``.  Only the last shape's buffers are kept."""
-    if getattr(_workspace, "key", None) != (H, Wd, r):
-        P, Q = H + 2 * r, Wd + 2 * r
-        _workspace.buffers = (np.empty((5, H, Wd)), np.empty((5, P, Q)),
-                              np.empty((2, P, Q)))
-        _workspace.key = (H, Wd, r)
-    return _workspace.buffers
-
-
-def _edge_pad(a: np.ndarray, r: int, out: np.ndarray) -> np.ndarray:
-    """``np.pad(a, r, mode="edge")`` written into ``out``."""
-    H, Wd = a.shape
-    out[r:r + H, r:r + Wd] = a
-    out[:r, r:r + Wd] = a[0]
-    out[r + H:, r:r + Wd] = a[-1]
-    out[:, :r] = out[:, r:r + 1]
-    out[:, r + Wd:] = out[:, r + Wd - 1:r + Wd]
-    return out
-
-
 def fusion_loss_and_grad(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
                          f: FusionParams = FusionParams(),
-                         mask: BinaryMask | None = None) -> tuple[float, np.ndarray]:
+                         mask: BinaryMask | None = None, *,
+                         target: LossTarget | None = None
+                         ) -> tuple[float, np.ndarray]:
     """:func:`fusion_loss` and its exact gradient with respect to y, per pixel.
 
     Both come from one computation of the window moments; the loss is
@@ -198,53 +319,45 @@ def fusion_loss_and_grad(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
     position, in row-major order, onto the pixel it copies, so the result
     matches finite differences of the actual loss.
     The gradient of |t| at t = 0 is taken to be 0.  Returns
-    ``(loss, grad)`` with ``grad`` shaped like the image.
+    ``(loss, grad)`` with ``grad`` shaped like the image.  ``target`` may
+    pass in ``loss_target(x, p, mask)`` as for :func:`fusion_loss`.
 
     The intermediate stacks live in this thread's workspace for the image
     shape and window (see the module docstring); ``loss`` is a Python float
     and ``grad`` a fresh array, so neither changes when the next call reuses
     the workspace.
     """
-    bits = _require_mask(x, mask)
-    if x.pixels.shape != y.pixels.shape:
-        raise ValueError("image dimensions do not match")
-
-    xa, ya = x.pixels, y.pixels
-    H, Wd = xa.shape
-    W = p.W
+    t = _target_for(x, y, p, mask, target)
+    xa, ya, bits, mx = t.x, y.pixels, t.bits, t.mx
+    H, Wd = ya.shape
+    W = t.W
     r = W // 2
     n = W * W
-    K = int(bits.sum())
 
-    moments, centers, pads = _grad_workspace(H, Wd, r)
-    mx, my, vx, vy, cov = _window_moments(xa, ya, W, out=moments)
-    A1 = 2.0 * mx * my + p.C1
-    A2 = 2.0 * cov + p.C2
-    B1 = mx * mx + my * my + p.C1
-    B2 = vx + vy + p.C2
+    ws = _thread_workspace(H, Wd, r)
+    my, A1, A2, B1, B2 = _ssim_factors(t, ya, p, ws.moments)
+    A1A2 = A1 * A2
+    B1B2 = B1 * B2
+    loss = _masked_loss(t, ya, f, A1A2, B1B2)
 
-    # the same operations, in the same order, as ssim_loss and l1_loss
-    smap = A1 * A2 / (B1 * B2)
-    loss = (f.alpha * float((1.0 - smap[bits].mean()) / 2.0)
-            + (1.0 - f.alpha) * float(np.abs(xa - ya)[bits].mean()))
-
-    # each (H, W) intermediate is dropped once used: the call's heap peak
-    # then stays under glibc's trim threshold, and the next call does not
-    # fault the freed pages in again
-    del smap
-    # dSSIM / d(window y-statistics), one value per window center
+    # dSSIM / d(window y-statistics), one value per window center; each
+    # (H, W) intermediate is dropped once used: the call's heap peak then
+    # stays under glibc's trim threshold, and the next call does not fault
+    # the freed pages in again
+    d_var = -A1A2 / (B1B2 * B2)
+    d_cov = 2.0 * A1 / B1B2
+    del A1A2, B1B2
     d_mu = 2.0 * A2 * (mx * B1 - my * A1) / (B1 * B1 * B2)
-    d_var = -A1 * A2 / (B1 * B2 * B2)
-    d_cov = 2.0 * A1 / (B1 * B2)
     del A1, A2, B1, B2
 
     # chain through L_SSIM = (1 - mean_k SSIM_k) / 2 and the fusion blend
-    scale = -f.alpha / (2.0 * K)
+    scale = -f.alpha / (2.0 * t.K)
 
     # box-sum each center map over the windows containing every padded
     # pixel: the five maps, zero off the mask and zero-embedded, filtered as
     # one stack; the last call's filter left the border non-zero, so the
     # whole stack is cleared
+    centers = ws.centers
     centers.fill(0.0)
     inner = centers[:, r:r + H, r:r + Wd]
     np.multiply(scale, d_mu, out=inner[0], where=bits)
@@ -260,14 +373,11 @@ def fusion_loss_and_grad(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
     centers *= n
     s_mu, s_var, s_var_my, s_cov, s_cov_mx = centers
 
-    xp = _edge_pad(xa, r, pads[0])
-    yp = _edge_pad(ya, r, pads[1])
+    xp = _edge_pad(xa, r, ws.pads[0])
+    yp = _edge_pad(ya, r, ws.pads[1])
     g_pad = (s_mu + 2.0 * (yp * s_var - s_var_my) + (xp * s_cov - s_cov_mx)) / n
     # bincount sums each bin in input order from 0.0: np.add.at's exact bits
-    rows = np.clip(np.arange(H + 2 * r) - r, 0, H - 1)
-    cols = np.clip(np.arange(Wd + 2 * r) - r, 0, Wd - 1)
-    grad = np.bincount((rows[:, None] * Wd + cols).ravel(),
-                       weights=g_pad.ravel()).reshape(H, Wd)
+    grad = np.bincount(ws.fold, weights=g_pad.ravel()).reshape(H, Wd)
 
-    grad[bits] += (1.0 - f.alpha) * np.sign(ya - xa)[bits] / K
+    grad[bits] += (1.0 - f.alpha) * np.sign(ya - xa)[bits] / t.K
     return loss, grad

@@ -437,6 +437,29 @@ def test_cli_iqa_rejects_size_mismatch(tmp_path, capsys):
                                        f"{b} is 3x5 px\n")
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--window", "4", "window size must be odd and positive"),
+    ("--window", "-1", "window size must be odd and positive"),
+    ("--window", "x", "invalid literal for int() with base 10: 'x'"),
+    ("--alpha", "1.5", "alpha = 1.5 must lie in [0, 1]"),
+    ("--alpha", "nan", "alpha = nan must lie in [0, 1]"),
+])
+def test_cli_iqa_names_the_flag_of_a_bad_value(flag, value, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["iqa", "a.f32r", "b.f32r", flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"anomap iqa: error: argument {flag}: {message}\n")
+
+
+def test_cli_iqa_accepts_the_edges_of_its_ranges(tmp_path, capsys):
+    a = tmp_path / "a.f32r"
+    fileio.write_f32r(a, np.full((4, 4), 0.5))
+    for flags in (["--window", "1", "--alpha", "0"], ["--alpha", "1"]):
+        assert cli.main(["iqa", str(a), str(a), *flags]) == 0
+        assert "fusion_loss 0\n" in capsys.readouterr().out
+
+
 def test_cli_stats_reports_flip(tmp_path, capsys):
     cfgp = _write_cfg(tmp_path, TINY)
     ds_dir = tmp_path / "ds2"

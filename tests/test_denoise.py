@@ -193,21 +193,38 @@ def test_train_blurs_each_image_once_and_keeps_the_responses_read_only(
         epochs, monkeypatch):
     counts = {"blur": 0}
     held = []
+    built = {}    # id(x0) -> the one target train built for that image
+    scored = []   # (x0, target) of every gradient and trial loss
     blur = KernelMixtureModel.kernel_responses
     gradients = denoise.sample_gradients
+    make_target = iqa.loss_target
+    trial_loss = iqa.fusion_loss
 
     def counted(self, pixels):
         counts["blur"] += 1
         return blur(self, pixels)
 
-    def recorded(m, x0, x_t, t, p, f, resp=None):
+    def recorded(m, x0, x_t, t, p, f, resp=None, target=None):
         held.append(resp)
-        return gradients(m, x0, x_t, t, p, f, resp)
+        scored.append((x0, target))
+        return gradients(m, x0, x_t, t, p, f, resp, target)
+
+    def targeted(x, p, mask=None):
+        assert id(x) not in built
+        built[id(x)] = make_target(x, p, mask)
+        return built[id(x)]
+
+    def trial(x, y, p, f, mask=None, *, target=None):
+        scored.append((x, target))
+        return trial_loss(x, y, p, f, mask, target=target)
 
     monkeypatch.setattr(KernelMixtureModel, "kernel_responses", counted)
     monkeypatch.setattr(denoise, "sample_gradients", recorded)
+    monkeypatch.setattr(iqa, "loss_target", targeted)
+    monkeypatch.setattr(iqa, "fusion_loss", trial)
     sched = linear_schedule(100, 1e-3, 0.02)
-    train(KernelMixtureModel(T=100), _phantom_images(5, 5, size=32), sched,
+    images = _phantom_images(5, 5, size=32)
+    train(KernelMixtureModel(T=100), images, sched,
           TrainConfig(epochs=epochs, batch_size=2, seed=3))
     assert counts["blur"] == 5
     assert len(held) == 5 * epochs
@@ -216,6 +233,19 @@ def test_train_blurs_each_image_once_and_keeps_the_responses_read_only(
         assert not any(rk.flags.writeable for rk in resp)
         with pytest.raises(ValueError, match="read-only"):
             resp[1][0, 0] = 1.0
+    # one target per image per call, each gradient and trial given its own
+    # image's, with the image's foreground as the mask
+    assert sorted(built) == sorted(id(x0) for x0 in images)
+    assert len(scored) >= 5 * max(epochs, 1)
+    for x0, target in scored:
+        assert target is built[id(x0)]
+    for x0 in images:
+        target = built[id(x0)]
+        assert np.array_equal(target.bits, x0.fg_bits())
+        for a in (target.x, target.bits, target.mx, target.vx):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = a[0, 0]
 
 
 def _reference_train(m, data, sched, cfg, p, f):

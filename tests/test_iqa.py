@@ -1,3 +1,4 @@
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -396,15 +397,56 @@ def _workspace_calls(draw):
     return [a, again, b, a]
 
 
+def _same_bits(got, ref):
+    loss, grad = got
+    ref_loss, ref_grad = ref
+    assert loss == ref_loss
+    assert math.copysign(1.0, loss) == math.copysign(1.0, ref_loss)
+    assert np.array_equal(grad, ref_grad)
+    assert np.array_equal(np.signbit(grad), np.signbit(ref_grad))
+
+
 @settings(max_examples=150, deadline=None)
 @given(_workspace_calls())
 def test_loss_and_grad_equal_the_allocating_implementation(calls):
+    # one target per x and mask, reused by every call of its shape and
+    # window: a's serves a, a's x against the next case's y, and a again
+    # after b rebuilt the workspace
+    (x, _, p, _, mask), (_, y, _, f, _) = calls[:2]
+    calls = calls[:2] + [(x, y, p, f, mask)] + calls[2:]
+    targets = {}
     for x, y, p, f, mask in calls:
-        loss, grad = fusion_loss_and_grad(x, y, p, f, mask)
-        ref_loss, ref_grad = _allocating_loss_and_grad(x, y, p, f, mask)
-        assert loss == ref_loss
-        assert np.array_equal(grad, ref_grad)
-        assert np.array_equal(np.signbit(grad), np.signbit(ref_grad))
+        ref = _allocating_loss_and_grad(x, y, p, f, mask)
+        _same_bits(fusion_loss_and_grad(x, y, p, f, mask), ref)
+        _same_bits((fusion_loss(x, y, p, f, mask), ref[1]), ref)
+        if (id(x), id(mask)) not in targets:
+            target = iqa.loss_target(x, p, mask)
+            kept = {k: np.copy(getattr(target, k)) for k in ("x", "bits", "mx", "vx")}
+            targets[id(x), id(mask)] = target, kept
+        target, _ = targets[id(x), id(mask)]
+        _same_bits(fusion_loss_and_grad(x, y, p, f, target=target), ref)
+        _same_bits((fusion_loss(x, y, p, f, target=target), ref[1]), ref)
+    for target, kept in targets.values():
+        for name, a in kept.items():
+            assert np.array_equal(getattr(target, name), a)
+            assert not getattr(target, name).flags.writeable
+
+
+def test_a_loss_target_must_match_the_call():
+    x, y = _rand_pair(20, (8, 8))
+    target = iqa.loss_target(x, SsimParams(W=5))
+    other = iqa.loss_target(Image2D(np.zeros((8, 9))), SsimParams(W=5))
+    with pytest.raises(ValueError, match="^loss target is for 9x8 px with "
+                                         "window 5, not 8x8 px with window 5$"):
+        fusion_loss_and_grad(x, y, target=other)
+    with pytest.raises(ValueError, match="^loss target is for 8x8 px with "
+                                         "window 5, not 8x8 px with window 3$"):
+        fusion_loss(x, y, SsimParams(W=3), target=target)
+    with pytest.raises(ValueError, match="^image dimensions do not match$"):
+        fusion_loss(x, Image2D(np.zeros((8, 9))), target=target)
+    with pytest.raises(ValueError, match="^pass a mask or a loss target, not both$"):
+        fusion_loss(x, y, mask=BinaryMask(np.ones((8, 8), dtype=bool)),
+                    target=target)
 
 
 def test_returned_gradient_does_not_alias_the_workspace():
