@@ -58,8 +58,11 @@ def dataset_stats(samples) -> DatasetStats:
 
 def air(stats: DatasetStats) -> float:
     """max(mu_a, mu_n) / min(mu_a, mu_n); always >= 1."""
-    if stats.mu_a <= 0.0 or stats.mu_n <= 0.0:
-        raise ValueError("AIR undefined")
+    for name, mean in (("normal mean mu_n", stats.mu_n),
+                       ("lesion mean mu_a", stats.mu_a)):
+        if mean <= 0.0:
+            raise ValueError(f"AIR undefined: {name} = {mean:.12g} "
+                             "is not positive")
     hi = max(stats.mu_a, stats.mu_n)
     lo = min(stats.mu_a, stats.mu_n)
     return hi / lo
@@ -74,7 +77,10 @@ def air_after(stats: DatasetStats) -> float:
     """The AIR after :func:`decide`'s transform; a flip maps m to 1 - m."""
     if not decide(stats):
         return air(stats)
-    return air(replace(stats, mu_n=1.0 - stats.mu_n, mu_a=1.0 - stats.mu_a))
+    try:
+        return air(replace(stats, mu_n=1.0 - stats.mu_n, mu_a=1.0 - stats.mu_a))
+    except ValueError as exc:
+        raise ValueError(f"{exc} after the flip") from None
 
 
 def apply(img: Image2D, flip: bool) -> Image2D:

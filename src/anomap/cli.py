@@ -109,10 +109,9 @@ def cmd_iqa(args) -> int:
 def cmd_stats(args) -> int:
     ds = datasetio.load_dataset(args.dataset)
     try:
-        stats = airprep.dataset_stats(ds.val_abnormal)
+        csv_text = airprep.stats_csv(airprep.dataset_stats(ds.val_abnormal))
     except ValueError as exc:
         raise ValueError(f"{args.dataset}: {exc}") from None
-    csv_text = airprep.stats_csv(stats)
     if args.out:
         Path(args.out).write_text(csv_text, encoding="utf-8")
     print(csv_text, end="")

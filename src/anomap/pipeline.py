@@ -10,14 +10,17 @@ cannot differ and gives each group its images, flipped once for AIR;
 scored sample for every group in one ordered pass, then evaluates each
 variant.  A phantom fold prepares its own dataset; a disk dataset does not
 depend on the fold, so a call reads, prepares and flips it once, before any
-fold.  With several workers a call scores every fold in one process pool; a
-pool that a dead worker broke fails only the fold that was using it, and
-the next fold gets a fresh one.
+fold.  With several workers a call scores every fold in one process pool,
+sending a fold's samples in chunks of :func:`chunk_size` (about
+``CHUNKS_PER_WORKER`` messages per worker) rather than one message per
+sample; a pool that a dead worker broke fails only the fold that was using
+it, and the next fold gets a fresh one.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import logging
 import time
@@ -25,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +42,11 @@ from .iqa import FusionParams, SsimParams
 from .phantom import Dataset, LabeledSample
 
 log = logging.getLogger("anomap")
+
+# a fold's scoring reaches the pool in about this many messages per worker:
+# enough that the last ones leave no worker idle for long, few enough that
+# the parent is not woken once per sample while every worker is busy
+CHUNKS_PER_WORKER = 8
 
 
 @dataclass
@@ -96,6 +104,13 @@ def require_workers(workers: int) -> int:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     return workers
+
+
+def chunk_size(n: int, workers: int) -> int:
+    """The samples per pool message when ``workers`` processes score a fold
+    of ``n``: ``ceil(n / (CHUNKS_PER_WORKER * workers))``.  At ``n >=
+    workers`` that leaves at least one chunk per worker."""
+    return -(-n // (CHUNKS_PER_WORKER * workers))
 
 
 def _maps(args):
@@ -162,6 +177,7 @@ def prepare(cfgs: Sequence[RunConfig], ds: Dataset) -> FoldPlan:
       of a disk dataset need not be ``[dataset] size``);
     - a training image :func:`denoise.train` cannot use;
     - an ``erosion_iters`` that empties every test sample's region;
+    - test samples none of which marks a lesion pixel inside its region;
     - only with an AIR variant, validation statistics that cannot be
       computed, and, when they decide a flip, an image the flip reads whose
       foreground leaves [0, 1].
@@ -189,6 +205,11 @@ def prepare(cfgs: Sequence[RunConfig], ds: Dataset) -> FoldPlan:
         raise ValueError(f"erosion_iters = {cfg.erosion_iters} empties "
                          "the scored region of every test sample, "
                          f"first {ds.test_abnormal[0].id}")
+    if not any((regions[s.id].bits & s.anomaly_gt.bits).any()
+               for s in ds.test_abnormal):
+        # no positive pixel to score: AUPRC would be undefined
+        raise ValueError("no test sample marks a lesion pixel inside its "
+                         "scored region")
     flip = (any(c.uses_air() for c in cfgs)
             and airprep.decide(airprep.dataset_stats(ds.val_abnormal)))
     seen = {False: scored + train}  # the images a group sees, by its flip
@@ -224,20 +245,21 @@ def train_group(cfg: RunConfig, images: Sequence[Image2D], seed: int,
 
 
 def score(plan: FoldPlan, fold: int, seed: int, live: Sequence[tuple],
-          pool: Optional[ProcessPoolExecutor],
-          dump_maps: bool) -> Dict[int, FoldOutcome]:
+          mapper: Callable, dump_maps: bool) -> Dict[int, FoldOutcome]:
     """Each member's outcome, by its index in ``plan.cfgs``, for the live
     ``(group, model, loss_trace)`` triples; raises if the shared pass fails.
     Each task draws a sample's placement noise once, reconstructs it once
     per group and maps it for every member, so no reconstruction leaves the
-    process that made it."""
+    process that made it.  ``mapper`` runs the tasks and returns their
+    results in order: the built-in ``map`` in this process, or a pool's
+    ``map``, which sends them in chunks (see :func:`chunk_size`)."""
     ds = plan.ds
     ecfgs = [[eval_config(plan.cfgs[i]) for i in g.members] for g, _, _ in live]
     tasks = [([(model, g.scored[k], e) for (g, model, _), e in zip(live, ecfgs)],
               plan.sched, seed, plan.regions[s.id])
              for k, s in enumerate(plan.scored)]
     # in order either way, so the pool never changes the results
-    per_sample = list((map if pool is None else pool.map)(_maps, tasks))
+    per_sample = list(mapper(_maps, tasks))
     outcomes = {}
     for col, (g, _, loss_trace) in enumerate(live):
         for j, i in enumerate(g.members):
@@ -259,15 +281,14 @@ def score(plan: FoldPlan, fold: int, seed: int, live: Sequence[tuple],
     return outcomes
 
 
-def run_fold(cfgs: Sequence[RunConfig], fold: int,
-             pool: Optional[ProcessPoolExecutor] = None,
+def run_fold(cfgs: Sequence[RunConfig], fold: int, mapper: Callable = map,
              dump_maps: bool = False,
              plan: Optional[FoldPlan] = None) -> List[FoldOutcome]:
     """One fold of every variant in ``cfgs``, which differ only in
     ``variant`` and ``out``: ``plan``, or without one :func:`prepare` of
     the fold's phantom dataset, then :func:`train_group` for each group in
-    order, then :func:`score` over ``pool`` (or in this process), both under
-    the fold's seed.  Errors are captured, not raised:
+    order, then :func:`score` through ``mapper``, both under the fold's
+    seed.  Errors are captured, not raised:
 
     - an error preparing the fold (its flip too) fails every variant (a
       call raises a disk dataset's error, with its path, before any fold);
@@ -299,7 +320,7 @@ def run_fold(cfgs: Sequence[RunConfig], fold: int,
     if not live:
         return outcomes
     try:
-        scores = score(plan, fold, seed, live, pool, dump_maps)
+        scores = score(plan, fold, seed, live, mapper, dump_maps)
     except Exception as exc:
         scores = {i: _failed(fold, exc) for g, _, _ in live for i in g.members}
     return [scores.get(i, o) for i, o in enumerate(outcomes)]
@@ -320,7 +341,8 @@ def _run_variants(cfgs: Sequence[RunConfig], workers: int,
     """Every fold of every variant in ``cfgs`` through :func:`run_fold`; writes
     each variant's reports to its own ``out``.  With several workers the
     folds share one process pool, replaced only after a worker died, of at
-    most one process per scored sample of a fold (its number of tasks)."""
+    most one process per scored sample of a fold (its number of tasks), and
+    each fold's samples reach it in chunks of :func:`chunk_size`."""
     require_workers(workers)
     start = time.monotonic()
     cfg = cfgs[0]
@@ -332,17 +354,19 @@ def _run_variants(cfgs: Sequence[RunConfig], workers: int,
             plan = prepare(cfgs, ds)
         except Exception as exc:
             raise ValueError(f"{cfg.dataset_path}: {exc}") from exc
-    workers = min(workers, cfg.n_val + cfg.n_test if plan is None
-                  else len(plan.scored))
+    n = cfg.n_val + cfg.n_test if plan is None else len(plan.scored)
+    workers = min(workers, n)
     outs = [fileio.ensure_dir(c.out) for c in cfgs]
-    by_fold, pool = [], None
+    by_fold, pool, mapper = [], None, map
     try:
         for fold in range(cfg.folds):
             if workers > 1 and (pool is None or _broken(pool)):
                 if pool is not None:
                     pool.shutdown()
                 pool = ProcessPoolExecutor(workers)
-            by_fold.append(run_fold(cfgs, fold, pool, dump_maps, plan))
+                mapper = functools.partial(pool.map,
+                                           chunksize=chunk_size(n, workers))
+            by_fold.append(run_fold(cfgs, fold, mapper, dump_maps, plan))
     finally:
         if pool is not None:
             pool.shutdown()

@@ -128,3 +128,13 @@ def test_stats_csv_layout():
     assert float(before) == pytest.approx(4.0 / 3.0, rel=1e-10)
     assert float(after) == pytest.approx(2.0, rel=1e-10)
     assert flip == "1"
+
+
+def test_stats_csv_names_the_mean_that_is_not_positive():
+    with pytest.raises(ValueError, match="^AIR undefined: normal mean mu_n = "
+                                         "0 is not positive$"):
+        stats_csv(DatasetStats(0.0, 0.4, 10, 5))
+    # all-white normal tissue: the flip takes its mean to 0
+    with pytest.raises(ValueError, match="^AIR undefined: normal mean mu_n = "
+                                         "0 is not positive after the flip$"):
+        stats_csv(DatasetStats(1.0, 0.8, 10, 5))

@@ -486,6 +486,23 @@ def test_cli_stats_names_the_dataset_it_cannot_compute(tmp_path, capsys):
         f"error: {ds_dir}: stats require unhealthy validation data\n")
 
 
+def test_cli_stats_names_the_dataset_and_the_mean_without_an_air(tmp_path,
+                                                                  capsys):
+    cfgp = _write_cfg(tmp_path, TINY)
+    ds_dir = tmp_path / "ds2"
+    assert cli.main(["phantom", "--config", cfgp, "--out", str(ds_dir)]) == 0
+    capsys.readouterr()
+    for path in (ds_dir / "val").glob("*.f32r"):
+        lesion = fileio.read_pgm_mask(path.with_suffix(".gt.pgm")).bits
+        pixels = fileio.read_f32r(path)
+        pixels[lesion] = 0.0
+        fileio.write_f32r(path, pixels)
+    assert cli.main(["stats", str(ds_dir)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ds_dir}: AIR undefined: lesion mean mu_a = 0 "
+        "is not positive\n")
+
+
 def test_cli_bad_config_exit_code(tmp_path, capsys):
     cfgp = _write_cfg(tmp_path, "[train]\nbogus = 1\n")
     assert cli.main(["run", "--config", cfgp]) == 2

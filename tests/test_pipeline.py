@@ -4,7 +4,7 @@ each group of variants that share a model and images builds its model once,
 and the fold makes one pass over its samples in which each sample's patch
 noise is drawn once and the sample is reconstructed once per group, in the
 same task that maps it for every member.  A call scores every fold in one
-process pool."""
+process pool, which takes each fold's samples in chunks."""
 
 import os
 import pickle
@@ -502,6 +502,36 @@ def test_disk_erosion_that_empties_every_region_fails_before_any_fold(
     assert not folds and not (tmp_path / "out").exists()
 
 
+def test_disk_test_split_without_a_lesion_fails_before_any_fold(
+        tmp_path, monkeypatch):
+    cfg = _disk_config(tmp_path)
+    for path in (tmp_path / "ds" / "test").glob("*.gt.pgm"):
+        fileio.write_pgm_mask(path, imagecore.BinaryMask(np.zeros((64, 64), bool)))
+    folds = _counting(monkeypatch, pipeline, "run_fold")
+    for entry in (pipeline.run, pipeline.ablate):
+        with pytest.raises(ValueError) as exc:
+            entry(cfg)
+        assert str(exc.value) == (f"{tmp_path / 'ds'}: no test sample marks "
+                                  "a lesion pixel inside its scored region")
+    assert not folds and not (tmp_path / "out").exists()
+
+
+def test_lesions_only_outside_the_scored_regions_are_rejected(tmp_path):
+    # each test lesion keeps its pixels, but only where the eroded region
+    # no longer reaches
+    cfg = replace(BLUR, folds=1, out=str(tmp_path / "out")).validate()
+    ds = pipeline.load_fold_dataset(cfg, 0)
+    regions = [evalkit.eval_region(s, pipeline.eval_config(cfg))
+               for s in ds.test_abnormal]
+    test = [replace(s, anomaly_gt=imagecore.BinaryMask(
+                s.foreground.bits & ~r.bits))
+            for s, r in zip(ds.test_abnormal, regions)]
+    assert all(s.anomaly_gt.count() for s in test)
+    with pytest.raises(ValueError, match="^no test sample marks a lesion "
+                                         "pixel inside its scored region$"):
+        pipeline.prepare([cfg], replace(ds, test_abnormal=test))
+
+
 def test_missing_disk_dataset_is_reported_with_its_path(tmp_path):
     cfg = replace(BLUR, dataset_kind="disk", dataset_path=str(tmp_path / "none"),
                   out=str(tmp_path / "out")).validate()
@@ -550,6 +580,73 @@ def test_one_pool_per_call_and_reports_equal_one_worker(tmp_path, monkeypatch,
     call(cfg, workers=2)
     assert len(pools) == 1
     assert [_read(d) for d in dirs] == one
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8, 16])
+def test_chunk_size_sends_every_sample_in_at_least_one_chunk_per_worker(
+        workers):
+    for n in range(1, 200):
+        c = pipeline.chunk_size(n, workers)
+        chunks = -(-n // c)
+        assert c >= 1
+        assert chunks <= pipeline.CHUNKS_PER_WORKER * workers
+        assert chunks >= min(n, workers)
+        if n <= pipeline.CHUNKS_PER_WORKER * workers:
+            assert c == 1  # one sample per message, as many as there are
+
+
+def test_chunk_size_at_its_edges():
+    assert pipeline.chunk_size(1, 1) == 1
+    assert pipeline.chunk_size(1, 4) == 1  # fewer samples than workers
+    assert pipeline.chunk_size(3, 8) == 1
+    assert pipeline.chunk_size(40, 2) == 3  # 14 chunks, the last of 1
+    assert pipeline.chunk_size(17, 2) == 2  # not a multiple of the chunk
+    assert pipeline.chunk_size(16, 2) == 1
+
+
+def _recording_chunks(monkeypatch):
+    """Pools whose ``map`` records the chunk size it was given."""
+    sizes = []
+
+    class Recording(pipeline.ProcessPoolExecutor):
+        def map(self, fn, *iterables, chunksize=1, **kwargs):
+            sizes.append(chunksize)
+            return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Recording)
+    return sizes
+
+
+def _scored_25(tmp_path, disk):
+    """A 2-fold blur config of 12 validation and 13 test samples: 25 per
+    fold, which 2 or 3 workers take in chunks of 2, the last one short."""
+    cfg = replace(BLUR, n_val=12, n_test=13, out=str(tmp_path / "out"))
+    if disk:
+        datasetio.save_dataset(pipeline.load_fold_dataset(cfg, 0),
+                               tmp_path / "ds")
+        cfg = replace(cfg, dataset_kind="disk", dataset_path=str(tmp_path / "ds"))
+    return cfg.validate()
+
+
+@pytest.mark.parametrize("disk", [False, True])
+@pytest.mark.parametrize("entry", ["run", "ablate"])
+def test_chunked_pool_reports_equal_one_worker(tmp_path, monkeypatch, disk,
+                                               entry):
+    cfg = _scored_25(tmp_path, disk)
+    dirs = [tmp_path / "out"]
+    if entry == "ablate":
+        dirs = [tmp_path / "out" / v for v in VARIANTS]
+    call = getattr(pipeline, entry)
+    sizes = _recording_chunks(monkeypatch)
+    call(cfg, workers=1)
+    assert sizes == []  # one worker takes the built-in map
+    one = [_read(d) for d in dirs]
+    for workers in (2, 3):
+        assert pipeline.chunk_size(25, workers) == 2
+        call(cfg, workers=workers)
+        assert sizes == [2] * cfg.folds
+        assert [_read(d) for d in dirs] == one, workers
+        sizes.clear()
 
 
 @pytest.mark.parametrize("disk", [False, True])
