@@ -1,7 +1,7 @@
 """Microbenchmarks of the scoring hot path: simplex noise (placement
 fields, plus the phantom texture and training field shapes), patched
-reconstruction, the SSIM window moments, the region median filter and the
-pooled metrics.
+reconstruction, the SSIM window moments and fusion anomaly map, the region
+median filter and the pooled metrics.
 
 Sizes follow perfbench's ``ablate_flair`` workload (``configs/ablate_flair.cfg``):
 64 px flair-like phantoms, default half-size patches at quarter stride (nine
@@ -119,6 +119,15 @@ def test_window_moments(benchmark, size, W):
     # the box moments behind every SSIM map, trial loss and gradient
     x, y = np.random.default_rng(0).random((2, size, size))
     benchmark(iqa._window_moments, x, y, W)
+
+
+@pytest.mark.parametrize("size", [64, 127, 128, 256])
+def test_fusion_anomaly_map(benchmark, size):
+    # the map every scored sample gets; an even width's moment stack gets a
+    # spare column, and 127 px rows are odd already
+    x, y = (imagecore.Image2D(a)
+            for a in np.random.default_rng(0).random((2, size, size)))
+    benchmark(iqa.fusion_anomaly_map, x, y, iqa.SsimParams(CFG.ssim_window))
 
 
 def _score_raster(size, seed=0):

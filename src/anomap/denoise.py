@@ -33,9 +33,9 @@ from .iqa import FusionParams, SsimParams
 
 
 def _mask_background(pixels: np.ndarray, x_t: Image2D) -> Image2D:
-    out = pixels.copy()
-    out[~x_t.fg_bits()] = 0.0
-    return Image2D(out, x_t.foreground)
+    """``pixels``, zeroed in place off x_t's foreground, as an image."""
+    pixels[~x_t.fg_bits()] = 0.0
+    return Image2D(pixels, x_t.foreground)
 
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
@@ -80,7 +80,7 @@ class OracleDenoiser:
     def denoise(self, x_t: Image2D, t: int) -> Image2D:
         if self.original.pixels.shape != x_t.pixels.shape:
             raise ValueError("oracle image dimensions do not match input")
-        return _mask_background(self.original.pixels, x_t)
+        return _mask_background(self.original.pixels.copy(), x_t)
 
 
 DEFAULT_KERNEL_SIGMAS = (0.5, 1.0, 2.0, 4.0)
@@ -171,9 +171,7 @@ class TrainConfig:
 
 def _foreground_prediction(pre: np.ndarray, x0: Image2D) -> Image2D:
     # the clamped prediction with x0's background zeroed, as denoise returns it
-    pred = np.clip(pre, 0.0, 1.0)
-    pred[~x0.fg_bits()] = 0.0
-    return Image2D(pred, x0.foreground)
+    return _mask_background(np.clip(pre, 0.0, 1.0), x0)
 
 
 def sample_gradients(m: KernelMixtureModel, x0: Image2D, x_t: Image2D, t: int,

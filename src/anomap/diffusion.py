@@ -200,8 +200,11 @@ def reconstruct_from_fields(model, x: Image2D, t_test: int,
 
     ``noises`` holds one patch-sized field per placement, in
     :func:`placements` order (see :func:`placement_fields`).  The model sees
-    the image with only that patch corrupted, and its prediction is kept
-    inside the patch.  Overlaps are averaged with uniform weights via a
+    the image with only that patch corrupted, as :func:`forward_noise`
+    corrupts an image: ``sqrt(abar) * x + sqrt(1 - abar) * eps`` on its
+    foreground pixels and 0 off it, one ``np.where`` over the patch with
+    both square roots taken once per call.  Its prediction is kept inside
+    the patch.  Overlaps are averaged with uniform weights via a
     running mean in fixed placement order (bit-identical merge when
     predictions agree).
 
@@ -215,6 +218,7 @@ def reconstruct_from_fields(model, x: Image2D, t_test: int,
     plist = placements(spec, x.height, x.width)
     fg = x.fg_bits()
     ab = sched.alpha_bar(t_test)
+    s_signal, s_noise = np.sqrt(ab), np.sqrt(1.0 - ab)
     halo = getattr(model, "receptive_radius", None)
     if halo is None:
         halo = max(x.height, x.width)
@@ -228,11 +232,9 @@ def reconstruct_from_fields(model, x: Image2D, t_test: int,
         window = (slice(wr0, wr1), slice(wc0, wc1))
         inner = (slice(r0 - wr0, r1 - wr0), slice(c0 - wc0, c1 - wc0))
         noisy = x.pixels[window].copy()
-        patch_fg = fg[r0:r1, c0:c1]
         patch = noisy[inner]
-        patch[patch_fg] = (np.sqrt(ab) * patch[patch_fg]
-                           + np.sqrt(1.0 - ab) * noise[patch_fg])
-        patch[~patch_fg] = 0.0
+        patch[...] = np.where(fg[r0:r1, c0:c1],
+                              s_signal * patch + s_noise * noise, 0.0)
         pred = model.denoise(Image2D(noisy, BinaryMask(fg[window])), t_test)
         count[r0:r1, c0:c1] += 1
         k = count[r0:r1, c0:c1]

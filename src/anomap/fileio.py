@@ -18,13 +18,23 @@ from .imagecore import BinaryMask
 
 
 def write_f32r(path, arr: np.ndarray) -> None:
+    """Write ``arr`` as float32; a value that is not finite as float32 (NaN,
+    infinite, or beyond float32's range) is rejected before the file is
+    opened."""
     arr = np.asarray(arr)
     if arr.ndim != 2:
         raise ValueError("F32R stores 2-D rasters")
+    with np.errstate(over="ignore"):
+        f32 = arr.astype("<f4")
+    finite = np.isfinite(f32)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise ValueError(f"{path}: pixel {arr[r, c]} at row {r}, column {c} "
+                         "is not a finite float32")
     h, w = arr.shape
     with open(path, "wb") as f:
         f.write(f"F32R {w} {h}\n".encode("ascii"))
-        f.write(arr.astype("<f4").tobytes(order="C"))
+        f.write(f32.tobytes(order="C"))
 
 
 def _header_ints(path, fmt: str, tokens) -> list:

@@ -38,6 +38,21 @@ again (about 180 minor page faults per 64 px gradient); the smaller
 per-pixel intermediates are dropped as soon as they are used, so that they
 too stay under the threshold.  Nothing a caller receives aliases the
 workspace: the loss is a Python float and the gradient a fresh array.
+
+:func:`ssim_map` keeps its five window moments in one ``(5, H, Wd | 1)``
+stack: an even-width image gets a spare zero column, so every row has odd
+length.  The box filter's pass along the image columns steps from row to
+row by the row length; at 1 KiB rows (128 px) every step lands on the same
+cache sets, and ``uniform_filter`` on the ``(5, H, Wd)`` view of 129-long
+rows took 215 us against 460 us on the contiguous 128 px stack (2.1x; 2.7x
+at 256 px, 1.6x at 192 px, none at 64 px; 2-core AMD EPYC, scipy 1.17.1).
+The filter runs on the view, so the bits are the same; the products and
+the SSIM formula run on the whole rows, where the spare column stays at 0
+and 1, and an even width's map is copied out as a contiguous ``(H, Wd)``
+array.  Whole rows keep a 64 px map within about 2% of the contiguous
+stack; the same math on strided ``(H, Wd)`` views cost 21% more.  The
+training stacks (:func:`loss_target`, the gradient workspace) keep rows as
+long as the image's; no workload trains on 128 px images.
 """
 
 from __future__ import annotations
@@ -87,13 +102,20 @@ class FusionParams:
 def _window_moments(x: np.ndarray, y: np.ndarray, W: int):
     # replicate-edge box means of x, y, x*x, y*y and x*y, filtered in place
     # as one stack: a size-1 axis is skipped, so each slice is filtered
-    # exactly as on its own
-    buf = np.empty((5, *x.shape))
-    buf[0], buf[1] = x, y
-    np.multiply(x, x, out=buf[2])
-    np.multiply(y, y, out=buf[3])
-    np.multiply(x, y, out=buf[4])
-    ndimage.uniform_filter(buf, size=(1, W, W), output=buf, mode="nearest")
+    # exactly as on its own.  The stack's rows are Wd | 1 long (see the
+    # module docstring): the image fills the first Wd columns, and an even
+    # width's spare column holds zeros, which every step below keeps at 0;
+    # the products are taken on the whole rows
+    H, Wd = x.shape
+    buf = np.empty((5, H, Wd | 1))
+    buf[:2, :, Wd:] = 0.0
+    buf[0, :, :Wd], buf[1, :, :Wd] = x, y
+    xs, ys = buf[0], buf[1]
+    np.multiply(xs, xs, out=buf[2])
+    np.multiply(ys, ys, out=buf[3])
+    np.multiply(xs, ys, out=buf[4])
+    img = buf[:, :, :Wd]
+    ndimage.uniform_filter(img, size=(1, W, W), output=img, mode="nearest")
     mx, my, vx, vy, cov = buf
     vx -= mx * mx
     vy -= my * my
@@ -112,7 +134,10 @@ def ssim_map(x: Image2D, y: Image2D, p: SsimParams = SsimParams()) -> np.ndarray
     mx, my, vx, vy, cov = _window_moments(x.pixels, y.pixels, p.W)
     num = (2.0 * mx * my + p.C1) * (2.0 * cov + p.C2)
     den = (mx * mx + my * my + p.C1) * (vx + vy + p.C2)
-    return num / den
+    num /= den
+    # the math ran on whole rows; copy out all but an even width's spare
+    # column (an odd width's rows are returned as they are)
+    return np.ascontiguousarray(num[:, :x.width])
 
 
 def _require_mask(x: Image2D, mask: BinaryMask | None) -> np.ndarray:

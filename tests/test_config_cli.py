@@ -1,4 +1,7 @@
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -546,3 +549,12 @@ def test_unknown_log_level_is_reported_in_one_line(capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "ANOMAP_LOG='verbose'" in err and "warning" in err
+
+
+def test_python_dash_m_anomap_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "anomap", "--help"],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: anomap ")

@@ -33,6 +33,25 @@ def test_blur_preserves_constant_and_background():
     assert np.allclose(out.pixels[7:9, 7:9], 0.6 * np.ones((2, 2)), atol=0.05)
 
 
+def test_blur_leaves_its_input_unchanged_and_zeroes_the_background():
+    rng = np.random.default_rng(4)
+    bits = rng.uniform(size=(20, 23)) < 0.6
+    px = rng.uniform(0.0, 1.0, (20, 23))  # background not zeroed on purpose
+    img = Image2D(px.copy(), BinaryMask(bits))
+    model = blur_denoiser(1.5)
+    out = model.denoise(img, 10)
+    assert np.array_equal(img.pixels, px)
+    assert not np.shares_memory(out.pixels, img.pixels)
+    assert np.all(out.pixels[~bits] == 0.0)
+    assert not np.any(np.signbit(out.pixels[~bits]))
+    blurred = denoise._separable_blur(px, model._k1d)
+    assert np.array_equal(out.pixels[bits], blurred[bits])
+    # the oracle zeroes the background of a copy, not of its stored image
+    oracle = OracleDenoiser(Image2D(px.copy()))
+    assert np.all(oracle.denoise(img, 10).pixels[~bits] == 0.0)
+    assert np.array_equal(oracle.original.pixels, px)
+
+
 def test_oracle_returns_stored_image():
     sample = phantom.gen_healthy(0, 32, phantom.PROFILES["t2_like"])
     model = OracleDenoiser(sample.image)

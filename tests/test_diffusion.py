@@ -194,20 +194,49 @@ def _reference_patched(model, x, t_test, sched, spec, seed, noise_kind):
     return mean
 
 
+def _holed_image(h, w, seed):
+    # a foreground disk in the left part of the image with holes punched
+    # into it: some patches lie partly, and those from column w // 2 on
+    # wholly, outside it; the background is not 0, so that a corrupted
+    # patch shows whether its background was zeroed
+    rng = np.random.default_rng(seed)
+    rr, cc = np.mgrid[:h, :w]
+    bits = (rr - h / 2) ** 2 + (cc - w / 4) ** 2 < (min(h, w) / 5) ** 2
+    bits &= rng.uniform(size=(h, w)) > 0.15
+    bits[h // 2 - 2:h // 2 + 2, w // 4 - 2:w // 4 + 2] = False
+    px = np.where(bits, rng.uniform(0.2, 0.9, (h, w)),
+                  rng.uniform(0.05, 0.1, (h, w)))
+    return Image2D(px, BinaryMask(bits))
+
+
+def _mixture(seed):
+    # a kernel mixture with signed weights on every kernel
+    model = KernelMixtureModel(T=1000)
+    rng = np.random.default_rng(seed)
+    sign = rng.choice([-1.0, 1.0], model.weights.shape)
+    model.weights[:] = sign * rng.uniform(0.05, 0.6, model.weights.shape)
+    model.biases[:] = rng.uniform(-0.2, 0.5, model.biases.shape)
+    return model
+
+
 @pytest.mark.parametrize("noise_kind", ["simplex", "gaussian"])
 @pytest.mark.parametrize("spec", [PatchSpec(32, 32, 16, 16),
                                   PatchSpec(20, 27, 11, 9)])
 def test_patched_reconstruction_equals_per_placement_loop(noise_kind, spec):
+    # a phantom, and a foreground with holes, under the blur and a kernel
+    # mixture, at both ends of the schedule
     sample = phantom.gen_abnormal(5, 64, phantom.PROFILES["flair_like"])
-    model = blur_denoiser(4.0)
+    holed = _holed_image(64, 64, 5)
     s = linear_schedule(1000, 1e-4, 0.02)
-    for seed in (0, 13, 2**40 + 7):
-        out = reconstruct_patched(model, sample.image, 750, s, spec, seed,
-                                  noise_kind)
-        ref = _reference_patched(model, sample.image, 750, s, spec, seed,
-                                 noise_kind)
-        assert np.array_equal(out.pixels, ref)
-        assert np.array_equal(np.signbit(out.pixels), np.signbit(ref))
+    cases = [(blur_denoiser(4.0), sample.image, 750)] + [
+        (model, holed, t) for model in (blur_denoiser(1.5), _mixture(3))
+        for t in (1, s.T)]
+    for model, x, t in cases:
+        for seed in (0, 13, 2**40 + 7):
+            out = reconstruct_patched(model, x, t, s, spec, seed, noise_kind)
+            ref = _reference_patched(model, x, t, s, spec, seed, noise_kind)
+            assert np.array_equal(out.pixels, ref)
+            assert np.array_equal(np.signbit(out.pixels), np.signbit(ref))
 
 
 def test_make_fields_match_make_field():

@@ -38,6 +38,35 @@ def test_f32r_rejects_truncated_payload(tmp_path):
         fileio.read_f32r(path)
 
 
+def _raw_f32r(path, a):
+    """An F32R file of ``a``'s bits, non-finite ones included, which
+    write_f32r refuses to write."""
+    h, w = a.shape
+    path.write_bytes(f"F32R {w} {h}\n".encode("ascii")
+                     + np.asarray(a, "<f4").tobytes())
+
+
+@pytest.mark.parametrize("bad, shown", [(1e39, "1e+39"), (-1e39, "-1e+39"),
+                                        (np.nan, "nan")])
+def test_f32r_writer_rejects_what_its_reader_rejects(tmp_path, bad, shown):
+    a = np.full((3, 4), 0.5)
+    a[1, 2] = bad
+    path = tmp_path / "w.f32r"
+    with pytest.raises(ValueError, match=re.escape(
+            f"w.f32r: pixel {shown} at row 1, column 2 is not a finite float32")):
+        fileio.write_f32r(path, a)
+    assert not path.exists()
+
+
+def test_f32r_in_range_float64_round_trips_as_float32(tmp_path):
+    a = np.array([[0.1, -2.5e30, 3.4e38], [1e-50, 7.0, -0.0]])
+    path = tmp_path / "r.f32r"
+    fileio.write_f32r(path, a)
+    back = fileio.read_f32r(path)
+    assert np.array_equal(back, a.astype(np.float32).astype(np.float64))
+    assert np.array_equal(np.signbit(back), np.signbit(a))
+
+
 def test_f32r_rejects_non_2d():
     with pytest.raises(ValueError):
         fileio.write_f32r("/dev/null", np.zeros(8))
@@ -123,7 +152,7 @@ def test_f32r_rejects_non_finite_pixel(tmp_path, bad):
     a = np.zeros((3, 4), dtype=np.float32)
     a[2, 1] = bad
     path = tmp_path / "nf.f32r"
-    fileio.write_f32r(path, a)
+    _raw_f32r(path, a)
     with pytest.raises(ValueError, match=r"nf\.f32r: non-finite pixel .* row 2, column 1"):
         fileio.read_f32r(path)
 
@@ -179,7 +208,7 @@ def test_load_dataset_rejects_non_finite_image(tmp_path):
     path = tmp_path / "val" / f"{s.id}.f32r"
     px = s.image.pixels.copy()
     px[0, 3] = np.nan
-    fileio.write_f32r(path, px)
+    _raw_f32r(path, px)
     with pytest.raises(ValueError, match=re.escape(
             f"{s.id}.f32r: non-finite pixel nan at row 0, column 3")):
         datasetio.load_dataset(tmp_path)

@@ -221,7 +221,8 @@ def _reference_grad(x, y, p, f, bits):
     r = W // 2
     n = W * W
     K = int(bits.sum())
-    mx, my, vx, vy, cov = iqa._window_moments(xa, ya, W)
+    # the stack's rows carry a spare column; keep the image's Wd
+    mx, my, vx, vy, cov = (m[:, :Wd] for m in iqa._window_moments(xa, ya, W))
     A1 = 2.0 * mx * my + p.C1
     A2 = 2.0 * cov + p.C2
     B1 = mx * mx + my * my + p.C1
@@ -321,6 +322,70 @@ def test_fusion_anomaly_map_is_never_negative(args):
     assert not np.any(np.signbit(scores))   # not even -0.0
 
 
+# --- the odd-length moment stack ---------------------------------------------
+
+def _contiguous_ssim_map(x, y, p):
+    """ssim_map as it was with a (5, H, Wd) stack: rows as long as the
+    image's, the elementwise math on those rows."""
+    xa, ya = x.pixels, y.pixels
+    buf = np.empty((5, *xa.shape))
+    buf[0], buf[1] = xa, ya
+    np.multiply(xa, xa, out=buf[2])
+    np.multiply(ya, ya, out=buf[3])
+    np.multiply(xa, ya, out=buf[4])
+    ndimage.uniform_filter(buf, size=(1, p.W, p.W), output=buf, mode="nearest")
+    mx, my, vx, vy, cov = buf
+    vx -= mx * mx
+    vy -= my * my
+    cov -= mx * my
+    np.maximum(vx, 0.0, out=vx)
+    np.maximum(vy, 0.0, out=vy)
+    num = (2.0 * mx * my + p.C1) * (2.0 * cov + p.C2)
+    den = (mx * mx + my * my + p.C1) * (vx + vy + p.C2)
+    return num / den
+
+
+def _contiguous_anomaly_map(x, y, p, f):
+    ssim_err = (1.0 - _contiguous_ssim_map(x, y, p)) / 2.0
+    scores = f.alpha * ssim_err + (1.0 - f.alpha) * np.abs(x.pixels - y.pixels)
+    np.maximum(scores, 0.0, out=scores)
+    return scores
+
+
+def _same_raster(got, ref):
+    assert got.shape == ref.shape
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+@pytest.mark.parametrize("W", [1, 3, 5, 11, 25])
+@pytest.mark.parametrize("width", [1, 2, 63, 64, 65, 127, 128, 129, 256])
+def test_maps_equal_the_contiguous_stack_bit_for_bit(width, W):
+    # even widths get a spare column in the stack, odd ones none; W = 25
+    # exceeds the height and the narrow widths
+    p = SsimParams(W=W)
+    rng = np.random.default_rng(1000 * width + W)
+    for H in (1, 6):
+        xa = rng.uniform(0, 1, (H, width))
+        for ya in (rng.uniform(0, 1, (H, width)), xa.copy(), 1.0 - np.round(xa)):
+            x, y = Image2D(xa), Image2D(ya)
+            _same_raster(ssim_map(x, y, p), _contiguous_ssim_map(x, y, p))
+            for alpha in (0.0, 0.84, 1.0):
+                f = FusionParams(alpha)
+                _same_raster(fusion_anomaly_map(x, y, p, f).scores,
+                             _contiguous_anomaly_map(x, y, p, f))
+
+
+def test_window_moments_spare_column_is_zero():
+    x, y = _rand_pair(3, shape=(5, 8))
+    for m in iqa._window_moments(x.pixels, y.pixels, 3):
+        assert m.shape == (5, 9)
+        assert np.all(m[:, 8] == 0.0)
+    for m in iqa._window_moments(x.pixels[:, :7], y.pixels[:, :7], 3):
+        assert m.shape == (5, 7)
+
+
 # --- the reused gradient workspace ----------------------------------------
 
 def _allocating_loss_and_grad(x, y, p, f, mask):
@@ -334,7 +399,8 @@ def _allocating_loss_and_grad(x, y, p, f, mask):
     r = W // 2
     n = W * W
     K = int(bits.sum())
-    mx, my, vx, vy, cov = iqa._window_moments(xa, ya, W)
+    # the stack's rows carry a spare column; keep the image's Wd
+    mx, my, vx, vy, cov = (m[:, :Wd] for m in iqa._window_moments(xa, ya, W))
     A1 = 2.0 * mx * my + p.C1
     A2 = 2.0 * cov + p.C2
     B1 = mx * mx + my * my + p.C1
