@@ -9,7 +9,8 @@ Sizes follow perfbench's ``ablate_flair`` workload (``configs/ablate_flair.cfg``
 and t_test = 50.  The ``_128`` benches follow its ``disk128_w2`` workload: the
 same config at 128 px with Gaussian noise (nine 64 x 64 placements); its
 folds pool 24 test maps for ``auprc`` and 16 validation maps for
-``pooled_dice_curve``, each scored inside its eroded brain mask.  Run from
+``pooled_dice_curve``, each scored inside its eroded brain mask, and
+``evaluate_fold`` takes both splits' in-region scores.  Run from
 the repository root::
 
     PYTHONPATH=src python -m pytest bench/bench_scoring.py
@@ -19,6 +20,7 @@ the test suite does not collect it.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,10 +154,11 @@ def test_median_filter_region_128(benchmark, setting128):
 @pytest.fixture(scope="module")
 def pools128():
     """The disk128_w2 dataset's 16 validation and 24 test samples as
-    (maps, lesion masks, eroded regions)."""
+    (maps, lesion masks, eroded regions), and under ``"fold"`` the
+    arguments of their ``evaluate_fold``."""
     ds = phantom.gen_dataset(0, 128, phantom.PROFILES[CFG.profile], 1, 16, 24)
     ecfg = pipeline.eval_config(CFG128)
-    pools = {}
+    pools, scores, by_id = {}, {}, {}
     for name, samples in (("val", ds.val_abnormal), ("test", ds.test_abnormal)):
         regions = [evalkit.eval_region(s, ecfg) for s in samples]
         maps = [imagecore.median_filter(
@@ -163,6 +166,11 @@ def pools128():
                     region)
                 for i, region in enumerate(regions)]
         pools[name] = maps, [s.anomaly_gt for s in samples], regions
+        for s, amap, region in zip(samples, maps, regions):
+            scores[s.id] = amap.scores[region.bits]
+            by_id[s.id] = region
+    pools["fold"] = (ds.val_abnormal, ds.test_abnormal, scores, by_id,
+                     CFG128.n_thresholds)
     return pools
 
 
@@ -174,3 +182,18 @@ def test_pooled_dice_curve_16_maps_128(benchmark, pools128):
     maps, gts, regions = pools128["val"]
     benchmark(evalkit.pooled_dice_curve, maps, gts, regions,
               evalkit.default_grid(maps, CFG128.n_thresholds))
+
+
+def test_evaluate_fold_128(benchmark, pools128):
+    # one member's evaluation, as pipeline.score calls it; extra_info holds
+    # the call's tracemalloc peak, the memory evaluation itself allocates
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        evalkit.evaluate_fold(*pools128["fold"])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["tracemalloc_peak_kib"] = peak / 1024
+    benchmark(evalkit.evaluate_fold, *pools128["fold"])

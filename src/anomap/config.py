@@ -3,15 +3,19 @@
 Each key is a :class:`RunConfig` field, parsed by its annotated type, in the
 section where the field is declared; only ``[dataset]`` renames two, as
 ``kind`` (``dataset_kind``) and ``path`` (``dataset_path``).  An optional
-value reads ``none`` as unset.  Unknown or repeated keys and malformed lines
-are hard errors reported with their line number.  A parsed
-:class:`RunConfig` can be serialized back with :func:`render` and re-parses
-to an equivalent configuration.
+value reads ``none`` as unset.  A ``#`` starts a comment, which runs to the
+end of the line, only at the start of a line or after whitespace; anywhere
+else, as in ``path = /data/brats#2021``, it is part of the value.  Unknown or
+repeated keys and malformed lines are hard errors reported with their line
+number.  A parsed :class:`RunConfig` can be serialized back with
+:func:`render` and re-parses to an equivalent configuration, as long as no
+value has whitespace before a ``#``.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -141,6 +145,7 @@ class RunConfig:
 _SECTION_STARTS = {"dataset_kind": "dataset", "T": "diffusion",
                    "epochs": "train", "median_k": "eval", "variant": "run"}
 _RENAMED = {"dataset_kind": "kind", "dataset_path": "path"}  # field -> key
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def _parser(hint):
@@ -176,7 +181,7 @@ def parse(text: str, source: str = "<config>") -> RunConfig:
     section = None
     first_line = {}  # (section, key) -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):

@@ -3,12 +3,17 @@
 Scoring a sample runs the full post-processed chain: patch-conditioned
 reconstruction, fusion anomaly map, and median filtering (default K=5)
 inside the 3x-eroded foreground, the only pixels any metric reads; the map
-is zero outside it.  The binarization threshold is picked by a greedy grid
-search maximizing pooled Dice on the unhealthy validation set and then
+is zero outside it.  Evaluation therefore reads a sample's in-region scores,
+``amap.scores[region.bits]``, never its map.  The binarization threshold is
+picked by a greedy grid search (from 0 to the largest in-region validation
+score) maximizing pooled Dice on the unhealthy validation set and then
 applied unchanged to the test set; AUPRC is computed threshold-free over all
-pooled in-region pixels.  Both metrics count pixels and positives at or
-above a score by binary search in the sorted pooled scores and the sorted
-positive scores.
+pooled in-region pixels.  Each split is pooled once, into one sorted array
+of its scores and one of its positive scores; both metrics count pixels and
+positives at or above a score by binary search in those two.  AUPRC takes
+one point per distinct score, from the highest down, so a tie group enters
+whole: its precision is the positives over the pixels scoring at least that
+score, and the area sums each point's recall step times its precision.
 
 :func:`score_sample` is that chain for one sample: :func:`patch_noise`,
 :func:`reconstruct`, then :func:`anomaly_map` inside :func:`eval_region`.
@@ -16,7 +21,9 @@ The placement noise depends only on the sample's id and dimensions, so one
 draw serves every model and intensity transform of the sample; to score it
 under several fusion blends, call :func:`reconstruct` once per model and
 :func:`anomaly_map` once per blend, while the reconstruction is at hand.
-:func:`evaluate_fold` takes the finished maps and regions.
+:func:`evaluate_fold` takes the finished in-region scores and the regions;
+:func:`default_grid`, :func:`pooled_dice_curve`, :func:`greedy_threshold`
+and :func:`auprc` compute the same metrics from whole maps.
 """
 
 from __future__ import annotations
@@ -95,56 +102,70 @@ def eval_region(sample: LabeledSample, cfg: EvalConfig) -> BinaryMask:
     return imagecore.erode(sample.foreground, cfg.erosion_iters)
 
 
+def _dice(tp: int, denom: int) -> float:
+    """``2 tp / denom``, where ``denom`` counts predicted plus true pixels;
+    1.0 when both are empty."""
+    return 1.0 if denom == 0 else 2.0 * tp / denom
+
+
 def dice(pred: BinaryMask, gt: BinaryMask) -> float:
     """2 |pred & gt| / (|pred| + |gt|); 1.0 when both masks are empty."""
     if pred.bits.shape != gt.bits.shape:
         raise ValueError("mask dimensions do not match")
-    denom = pred.count() + gt.count()
-    if denom == 0:
-        return 1.0
-    return 2.0 * int((pred.bits & gt.bits).sum()) / denom
+    return _dice(int((pred.bits & gt.bits).sum()), pred.count() + gt.count())
 
 
-def _sorted_pool(maps: Sequence[AnomalyMap], gts: Sequence[BinaryMask],
-                 regions: Sequence[BinaryMask]):
-    """All pooled in-region scores and the positive ones, each sorted
-    ascending: the number of pixels (positives) scoring at least ``v`` is
-    the count minus ``searchsorted(..., v, side="left")``."""
-    scores, labels = [], []
-    for amap, gt, region in zip(maps, gts, regions):
-        bits = region.bits
-        scores.append(amap.scores[bits])
-        labels.append(gt.bits[bits])
-    scores = np.concatenate(scores)
-    positives = np.sort(scores[np.concatenate(labels)])
-    scores.sort()
-    return scores, positives
+def _in_region(maps: Sequence[AnomalyMap], gts: Sequence[BinaryMask],
+               regions: Sequence[BinaryMask]):
+    """Each map's in-region scores and lesion labels."""
+    return ([m.scores[r.bits] for m, r in zip(maps, regions)],
+            [g.bits[r.bits] for g, r in zip(gts, regions)])
+
+
+def _sorted_pool(scores: Sequence[np.ndarray], labels: Sequence[np.ndarray]):
+    """One split's pooled in-region scores and its positive ones, each
+    sorted ascending: the number of pixels (positives) scoring at least
+    ``v`` is the count minus ``searchsorted(..., v, side="left")``."""
+    pool = np.concatenate(scores)
+    positives = np.compress(np.concatenate(labels), pool)
+    positives.sort()
+    pool.sort()
+    return pool, positives
+
+
+def _auprc(s: np.ndarray, pos: np.ndarray) -> float:
+    """:func:`auprc` of a sorted pool and its sorted positives.  Each array
+    is dropped once spent, so at most three as long as the curve are alive
+    beside the two inputs."""
+    n_pos = pos.size
+    if n_pos == 0:
+        raise ValueError("AUPRC undefined")
+    # the first index of each tie group, highest score first
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))[::-1]
+    tp = np.searchsorted(pos, s[starts], side="left")
+    np.subtract(n_pos, tp, out=tp)
+    np.subtract(s.size, starts, out=starts)  # predicted pixels per point
+    precision = tp / starts
+    del starts
+    recall = np.empty(tp.size + 1)
+    recall[0] = 0.0
+    np.divide(tp, n_pos, out=recall[1:])
+    del tp
+    area = np.diff(recall)  # the recall step of each point
+    del recall
+    area *= precision
+    return float(np.sum(area))
 
 
 def auprc(maps: Sequence[AnomalyMap], gts: Sequence[BinaryMask],
           regions: Sequence[BinaryMask]) -> float:
     """Area under the pooled pixel-level PR curve with atomic tie groups:
     one point per distinct score, from the highest down."""
-    s, pos = _sorted_pool(maps, gts, regions)
-    n_pos = pos.size
-    if n_pos == 0:
-        raise ValueError("AUPRC undefined")
-    # the first index of each tie group, highest score first
-    starts = np.flatnonzero(np.diff(s, prepend=np.inf))[::-1]
-    n_pred = s.size - starts
-    tp = n_pos - np.searchsorted(pos, s[starts], side="left")
-    precision = tp / n_pred
-    recall = tp / n_pos
-    prev_recall = np.concatenate([[0.0], recall[:-1]])
-    return float(np.sum((recall - prev_recall) * precision))
+    return _auprc(*_sorted_pool(*_in_region(maps, gts, regions)))
 
 
-def pooled_dice_curve(maps: Sequence[AnomalyMap], gts: Sequence[BinaryMask],
-                      regions: Sequence[BinaryMask],
-                      grid: np.ndarray) -> np.ndarray:
-    """Pooled Dice (counts summed across samples) at every grid threshold;
-    a pixel is predicted anomalous when its score is >= the threshold."""
-    s, pos = _sorted_pool(maps, gts, regions)
+def _dice_curve(s: np.ndarray, pos: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """:func:`pooled_dice_curve` of a sorted pool and its sorted positives."""
     n_pos = pos.size
     tp = n_pos - np.searchsorted(pos, grid, side="left")
     n_pred = s.size - np.searchsorted(s, grid, side="left")
@@ -152,22 +173,37 @@ def pooled_dice_curve(maps: Sequence[AnomalyMap], gts: Sequence[BinaryMask],
     return np.where(denom > 0, 2.0 * tp / np.maximum(denom, 1), 1.0)
 
 
+def pooled_dice_curve(maps: Sequence[AnomalyMap], gts: Sequence[BinaryMask],
+                      regions: Sequence[BinaryMask],
+                      grid: np.ndarray) -> np.ndarray:
+    """Pooled Dice (counts summed across samples) at every grid threshold;
+    a pixel is predicted anomalous when its score is >= the threshold."""
+    return _dice_curve(*_sorted_pool(*_in_region(maps, gts, regions)), grid)
+
+
+def _grid(top: float, size: int) -> np.ndarray:
+    """``size`` thresholds from 0 to ``top``, or to 1 when ``top <= 0``."""
+    return np.linspace(0.0, 1.0 if top <= 0.0 else top, size)
+
+
 def default_grid(maps: Sequence[AnomalyMap],
                  size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
-    top = max(float(m.scores.max()) for m in maps)
-    if top <= 0.0:
-        top = 1.0
-    return np.linspace(0.0, top, size)
+    return _grid(max(float(m.scores.max()) for m in maps), size)
+
+
+def _threshold(s: np.ndarray, pos: np.ndarray, grid: np.ndarray) -> float:
+    """:func:`greedy_threshold` of a sorted pool and its sorted positives."""
+    if grid.size == 0:
+        raise ValueError("threshold grid is empty")
+    curve = _dice_curve(s, pos, grid)
+    return float(grid[np.nonzero(curve == curve.max())[0][-1]])
 
 
 def greedy_threshold(val_maps: Sequence[AnomalyMap], val_gts: Sequence[BinaryMask],
                      regions: Sequence[BinaryMask], grid: np.ndarray) -> float:
     """Grid threshold maximizing pooled validation Dice; ties go to the larger."""
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.size == 0:
-        raise ValueError("threshold grid is empty")
-    curve = pooled_dice_curve(val_maps, val_gts, regions, grid)
-    return float(grid[np.nonzero(curve == curve.max())[0][-1]])
+    return _threshold(*_sorted_pool(*_in_region(val_maps, val_gts, regions)),
+                      np.asarray(grid, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -180,38 +216,41 @@ class FoldResult:
 
 
 def evaluate_fold(val: Sequence[LabeledSample], test: Sequence[LabeledSample],
-                  maps: Mapping[str, AnomalyMap],
+                  scores: Mapping[str, np.ndarray],
                   regions: Mapping[str, BinaryMask],
                   n_thresholds: int = DEFAULT_GRID_SIZE) -> FoldResult:
     """Threshold from validation, metrics on test; splits must not share ids.
 
-    ``maps`` and ``regions`` hold every sample's anomaly map and eroded
-    region by sample id (see :func:`anomaly_map` and :func:`eval_region`).
+    ``scores`` holds every sample's in-region scores by sample id: the
+    scores of its anomaly map at its eroded region's pixels, in row-major
+    order (``amap.scores[region.bits]``, see :func:`anomaly_map` and
+    :func:`eval_region`), and ``regions`` holds those regions.
     """
     val_ids = {s.id for s in val}
     test_ids = {s.id for s in test}
     if val_ids & test_ids:
         raise ValueError("validation/test leakage")
 
-    val_maps = [maps[s.id] for s in val]
-    val_regions = [regions[s.id] for s in val]
-    val_gts = [s.anomaly_gt for s in val]
-    grid = default_grid(val_maps, n_thresholds)
-    thr = greedy_threshold(val_maps, val_gts, val_regions, grid)
+    def split(samples):
+        return ([scores[s.id] for s in samples],
+                [s.anomaly_gt.bits[regions[s.id].bits] for s in samples])
 
-    test_maps = [maps[s.id] for s in test]
-    test_regions = [regions[s.id] for s in test]
-    test_gts = [s.anomaly_gt for s in test]
+    pool, pos = _sorted_pool(*split(val))
+    # the largest in-region score; a map is +0.0 outside its region
+    grid = _grid(float(pool[-1]) if pool.size else 0.0, n_thresholds)
+    thr = _threshold(pool, pos, grid)
 
+    test_scores, test_labels = split(test)
     tp = pred_n = pos_n = 0
     per_sample = []
-    for amap, gt, region in zip(test_maps, test_gts, test_regions):
-        pred = BinaryMask((amap.scores >= thr) & region.bits)
-        gt_in = BinaryMask(gt.bits & region.bits)
-        per_sample.append(dice(pred, gt_in))
-        tp += int((pred.bits & gt_in.bits).sum())
-        pred_n += pred.count()
-        pos_n += gt_in.count()
-    pooled = 1.0 if pred_n + pos_n == 0 else 2.0 * tp / (pred_n + pos_n)
-    area = auprc(test_maps, test_gts, test_regions)
-    return FoldResult(pooled, area, thr, per_sample, [s.id for s in test])
+    for sc, lab in zip(test_scores, test_labels):
+        pred = sc >= thr
+        hit = int(np.count_nonzero(pred & lab))
+        n_pred, n_pos = int(np.count_nonzero(pred)), int(np.count_nonzero(lab))
+        per_sample.append(_dice(hit, n_pred + n_pos))
+        tp += hit
+        pred_n += n_pred
+        pos_n += n_pos
+    pool, pos = _sorted_pool(test_scores, test_labels)
+    return FoldResult(_dice(tp, pred_n + pos_n), _auprc(pool, pos), thr,
+                      per_sample, [s.id for s in test])

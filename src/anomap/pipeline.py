@@ -7,14 +7,15 @@ which takes every variant of the call at once in three stages:
 :func:`prepare` checks a dataset, groups the variants whose reconstructions
 cannot differ and gives each group its images, flipped once for AIR;
 :func:`train_group` builds one group's model; :func:`score` maps every
-scored sample for every group in one ordered pass, then evaluates each
-variant.  A phantom fold prepares its own dataset; a disk dataset does not
-depend on the fold, so a call reads, prepares and flips it once, before any
-fold.  With several workers a call scores every fold in one process pool,
-sending a fold's samples in chunks of :func:`chunk_size` (about
-``CHUNKS_PER_WORKER`` messages per worker) rather than one message per
-sample; a pool that a dead worker broke fails only the fold that was using
-it, and the next fold gets a fresh one.
+scored sample for every group in one ordered pass, keeping of each map only
+its scores inside the sample's eroded region, then evaluates each variant
+from those, so a fold never holds its maps.  A phantom fold prepares its
+own dataset; a disk dataset does not depend on the fold, so a call reads,
+prepares and flips it once, before any fold.  With several workers a call
+scores every fold in one process pool, sending a fold's samples in chunks
+of :func:`chunk_size` (about ``CHUNKS_PER_WORKER`` messages per worker)
+rather than one message per sample; a pool that a dead worker broke fails
+only the fold that was using it, and the next fold gets a fresh one.
 """
 
 from __future__ import annotations
@@ -252,28 +253,39 @@ def score(plan: FoldPlan, fold: int, seed: int, live: Sequence[tuple],
     per group and maps it for every member, so no reconstruction leaves the
     process that made it.  ``mapper`` runs the tasks and returns their
     results in order: the built-in ``map`` in this process, or a pool's
-    ``map``, which sends them in chunks (see :func:`chunk_size`)."""
+    ``map``, which sends them in chunks (see :func:`chunk_size`).  As each
+    sample's maps arrive, every member keeps only the map's scores inside
+    the sample's region, which are all that evaluation reads, so a fold
+    never holds its maps; ``dump_maps`` rebuilds each test map from them."""
     ds = plan.ds
     ecfgs = [[eval_config(plan.cfgs[i]) for i in g.members] for g, _, _ in live]
     tasks = [([(model, g.scored[k], e) for (g, model, _), e in zip(live, ecfgs)],
               plan.sched, seed, plan.regions[s.id])
              for k, s in enumerate(plan.scored)]
+    # by group, by member: sample id -> in-region scores
+    kept = [[{} for _ in g.members] for g, _, _ in live]
     # in order either way, so the pool never changes the results
-    per_sample = list(mapper(_maps, tasks))
+    for s, maps in zip(plan.scored, mapper(_maps, tasks)):
+        bits = plan.regions[s.id].bits
+        for by_member, group_maps in zip(kept, maps):
+            for scores, amap in zip(by_member, group_maps):
+                scores[s.id] = amap.scores[bits]
     outcomes = {}
-    for col, (g, _, loss_trace) in enumerate(live):
-        for j, i in enumerate(g.members):
+    for (g, _, loss_trace), by_member in zip(live, kept):
+        for i, scores in zip(g.members, by_member):
             try:
-                maps = {s.id: m[col][j] for s, m in zip(plan.scored, per_sample)}
                 # flipping changes no sample id and no ground truth
                 result = evalkit.evaluate_fold(ds.val_abnormal, ds.test_abnormal,
-                                               maps, plan.regions,
+                                               scores, plan.regions,
                                                plan.cfgs[i].n_thresholds)
                 if dump_maps:
                     d = fileio.ensure_dir(Path(plan.cfgs[i].out) / "maps"
                                           / f"fold{fold}")
                     for s in ds.test_abnormal:
-                        fileio.write_f32r(d / f"{s.id}.f32r", maps[s.id].scores)
+                        bits = plan.regions[s.id].bits
+                        raster = np.zeros(bits.shape)
+                        raster[bits] = scores[s.id]
+                        fileio.write_f32r(d / f"{s.id}.f32r", raster)
                 outcomes[i] = FoldOutcome(fold, result, None, g.flipped,
                                           loss_trace)
             except Exception as exc:

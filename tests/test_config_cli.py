@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from anomap import cli, config, diffusion, fileio
+from anomap import cli, config, denoise, diffusion, evalkit, fileio, pipeline
 from anomap.imagecore import BinaryMask
 
 REPO = Path(__file__).resolve().parent.parent
@@ -257,6 +257,20 @@ def test_render_parse_roundtrip():
     assert again == cfg
 
 
+def test_render_parse_roundtrip_keeps_a_hash_inside_a_path():
+    cfg = config.RunConfig(dataset_kind="disk", dataset_path="/data/brats#2021",
+                           out="runs/a#1").validate()
+    assert config.parse(config.render(cfg)) == cfg
+
+
+def test_a_hash_starts_a_comment_only_at_line_start_or_after_whitespace():
+    cfg = config.parse("# leading comment\n[run]  # after the header\n"
+                       "  # indented comment\nout = runs/a#1\t# tab, then hash\n"
+                       "seed = 3 #no space after the hash\n")
+    assert cfg.out == "runs/a#1"
+    assert cfg.seed == 3
+
+
 # the empty path keeps the space after "="
 DEFAULT_TEXT = """\
 [dataset]
@@ -379,6 +393,27 @@ def test_cli_dump_maps(tmp_path):
     assert rc == 0
     dumped = sorted((out / "maps" / "fold0").glob("*.f32r"))
     assert len(dumped) == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_dump_maps_equal_the_one_sample_reference_chain(tmp_path, workers):
+    # each dumped raster is the one that score_sample gives its sample under
+    # the fold's seed and the run's config, written by write_f32r
+    text = TINY.replace("n_test = 2", "n_test = 3") + "[eval]\nblur_sigma = 1.0\n"
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", _write_cfg(tmp_path, text), "--out",
+                     str(out), "--workers", str(workers), "--dump-maps"]) == 0
+    cfg = config.parse(text)
+    sched = diffusion.linear_schedule(cfg.T, cfg.beta_1, cfg.beta_T)
+    seed = diffusion.derive_seed(cfg.seed, 100)  # fold 0
+    model = denoise.blur_denoiser(cfg.blur_sigma)
+    ref = tmp_path / "ref.f32r"
+    for s in pipeline.load_fold_dataset(cfg, 0).test_abnormal:
+        amap = evalkit.score_sample(model, s, pipeline.eval_config(cfg), sched,
+                                    seed)
+        fileio.write_f32r(ref, amap.scores)
+        dumped = out / "maps" / "fold0" / f"{s.id}.f32r"
+        assert dumped.read_bytes() == ref.read_bytes()
 
 
 def test_cli_ablate_dump_maps_match_separate_runs(tmp_path):

@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 from anomap import phantom
 from anomap.denoise import blur_denoiser
 from anomap.diffusion import PatchSpec, linear_schedule
-from anomap.evalkit import (EvalConfig, anomaly_map, auprc, dice, default_grid,
-                            eval_region, evaluate_fold, greedy_threshold,
-                            patch_noise, pooled_dice_curve, reconstruct,
-                            sample_seed, score_sample)
-from anomap.imagecore import AnomalyMap, BinaryMask
+from anomap.evalkit import (EvalConfig, FoldResult, anomaly_map, auprc, dice,
+                            default_grid, eval_region, evaluate_fold,
+                            greedy_threshold, patch_noise, pooled_dice_curve,
+                            reconstruct, sample_seed, score_sample)
+from anomap.imagecore import AnomalyMap, BinaryMask, Image2D
 from anomap.iqa import FusionParams, SsimParams
+from anomap.phantom import LabeledSample
 
 
 def _mask(bits):
@@ -287,13 +288,18 @@ def _maps_and_regions(model, samples, cfg, sched, seed):
     return maps, regions
 
 
+def _in_region(maps, regions):
+    """Each map's scores inside its region, as evaluate_fold takes them."""
+    return {k: m.scores[regions[k].bits] for k, m in maps.items()}
+
+
 def test_evaluate_fold_rejects_split_leakage():
     sched = linear_schedule(100, 1e-3, 0.02)
     s = phantom.gen_abnormal(0, 64, phantom.PROFILES["flair_like"], "shared")
     maps, regions = _maps_and_regions(blur_denoiser(1.0), [s], _blur_cfg(t=10),
                                       sched, 0)
     with pytest.raises(ValueError):
-        evaluate_fold([s], [s], maps, regions)
+        evaluate_fold([s], [s], _in_region(maps, regions), regions)
 
 
 def test_evaluate_fold_end_to_end():
@@ -302,7 +308,8 @@ def test_evaluate_fold_end_to_end():
     maps, regions = _maps_and_regions(
         blur_denoiser(2.0), [*ds.val_abnormal, *ds.test_abnormal],
         _blur_cfg(t=50), sched, 5)
-    result = evaluate_fold(ds.val_abnormal, ds.test_abnormal, maps, regions)
+    result = evaluate_fold(ds.val_abnormal, ds.test_abnormal,
+                           _in_region(maps, regions), regions)
     assert 0.0 <= result.dice <= 1.0
     assert 0.0 <= result.auprc <= 1.0
     assert len(result.per_sample_dice) == 4
@@ -310,7 +317,7 @@ def test_evaluate_fold_end_to_end():
     assert result.threshold >= 0.0
 
 
-def test_evaluate_fold_scores_the_given_maps():
+def test_evaluate_fold_scores_the_given_in_region_scores():
     sched = linear_schedule(1000, 1e-4, 0.02)
     ds = phantom.gen_dataset(1, 64, phantom.PROFILES["flair_like"], 1, 2, 2)
     samples = [*ds.val_abnormal, *ds.test_abnormal]
@@ -324,7 +331,8 @@ def test_evaluate_fold_scores_the_given_maps():
             calls.append(key)
             return super().__getitem__(key)
 
-    result = evaluate_fold(ds.val_abnormal, ds.test_abnormal, Spy(maps), regions)
+    result = evaluate_fold(ds.val_abnormal, ds.test_abnormal,
+                           Spy(_in_region(maps, regions)), regions)
     test_ids = {s.id for s in ds.test_abnormal}
     assert len([c for c in calls if c in test_ids]) == 2
     assert set(calls) == {s.id for s in samples}
@@ -335,7 +343,8 @@ def test_evaluate_fold_scores_the_given_maps():
                               regions[s.id], cfg)
             for s in samples}
     assert all(np.array_equal(held[k].scores, maps[k].scores) for k in maps)
-    direct = evaluate_fold(ds.val_abnormal, ds.test_abnormal, held, regions)
+    direct = evaluate_fold(ds.val_abnormal, ds.test_abnormal,
+                           _in_region(held, regions), regions)
     assert direct.dice == result.dice
     assert direct.threshold == result.threshold
 
@@ -351,7 +360,8 @@ def test_n_thresholds_sets_the_grid_the_threshold_comes_from():
 
     chosen = {}
     for n in (200, 4):
-        result = evaluate_fold(ds.val_abnormal, ds.test_abnormal, maps, regions,
+        result = evaluate_fold(ds.val_abnormal, ds.test_abnormal,
+                               _in_region(maps, regions), regions,
                                n_thresholds=n)
         assert result.threshold in default_grid(val_maps, n)
         chosen[n] = result.threshold
@@ -373,3 +383,118 @@ def test_n_thresholds_key_reaches_evaluate_fold(tmp_path, monkeypatch):
                            out=str(tmp_path / "out")).validate()
     assert pipeline.run(cfg).complete
     assert grids == [4]
+
+
+# The map-based evaluation that evaluate_fold replaced, kept as the
+# reference that the in-region version must equal bit for bit.
+def _ref_sorted_pool(maps, gts, regions):
+    scores, labels = [], []
+    for amap, gt, region in zip(maps, gts, regions):
+        bits = region.bits
+        scores.append(amap.scores[bits])
+        labels.append(gt.bits[bits])
+    scores = np.concatenate(scores)
+    positives = np.sort(scores[np.concatenate(labels)])
+    scores.sort()
+    return scores, positives
+
+
+def _ref_auprc(maps, gts, regions):
+    s, pos = _ref_sorted_pool(maps, gts, regions)
+    n_pos = pos.size
+    if n_pos == 0:
+        raise ValueError("AUPRC undefined")
+    starts = np.flatnonzero(np.diff(s, prepend=np.inf))[::-1]
+    n_pred = s.size - starts
+    tp = n_pos - np.searchsorted(pos, s[starts], side="left")
+    precision = tp / n_pred
+    recall = tp / n_pos
+    prev_recall = np.concatenate([[0.0], recall[:-1]])
+    return float(np.sum((recall - prev_recall) * precision))
+
+
+def _ref_greedy_threshold(maps, gts, regions, grid):
+    s, pos = _ref_sorted_pool(maps, gts, regions)
+    n_pos = pos.size
+    tp = n_pos - np.searchsorted(pos, grid, side="left")
+    n_pred = s.size - np.searchsorted(s, grid, side="left")
+    denom = n_pred + n_pos
+    curve = np.where(denom > 0, 2.0 * tp / np.maximum(denom, 1), 1.0)
+    return float(grid[np.nonzero(curve == curve.max())[0][-1]])
+
+
+def _ref_evaluate_fold(val, test, maps, regions, n_thresholds):
+    val_maps = [maps[s.id] for s in val]
+    top = max(float(m.scores.max()) for m in val_maps)
+    if top <= 0.0:
+        top = 1.0
+    grid = np.linspace(0.0, top, n_thresholds)
+    thr = _ref_greedy_threshold(val_maps, [s.anomaly_gt for s in val],
+                                [regions[s.id] for s in val], grid)
+    test_maps = [maps[s.id] for s in test]
+    test_regions = [regions[s.id] for s in test]
+    test_gts = [s.anomaly_gt for s in test]
+    tp = pred_n = pos_n = 0
+    per_sample = []
+    for amap, gt, region in zip(test_maps, test_gts, test_regions):
+        pred = BinaryMask((amap.scores >= thr) & region.bits)
+        gt_in = BinaryMask(gt.bits & region.bits)
+        per_sample.append(dice(pred, gt_in))
+        tp += int((pred.bits & gt_in.bits).sum())
+        pred_n += pred.count()
+        pos_n += gt_in.count()
+    pooled = 1.0 if pred_n + pos_n == 0 else 2.0 * tp / (pred_n + pos_n)
+    area = _ref_auprc(test_maps, test_gts, test_regions)
+    return FoldResult(pooled, area, thr, per_sample, [s.id for s in test])
+
+
+@st.composite
+def _fold_maps(draw):
+    """A fold of zero-padded maps: scores on one-decimal levels, so most
+    tie, with +0.0 and -0.0 among them; empty, whole-image and random
+    regions; and sometimes validation maps that are zero everywhere."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_val, n_test = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    zero_val = draw(st.booleans())
+    samples, maps, regions = [], {}, {}
+    for k in range(n_val + n_test):
+        shape = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+        kind = draw(st.sampled_from(["random", "empty", "whole"]))
+        region = {"random": rng.uniform(size=shape) < draw(st.floats(0, 1)),
+                  "empty": np.zeros(shape, bool),
+                  "whole": np.ones(shape, bool)}[kind]
+        raw = np.round(rng.uniform(0, 1, shape), 1)
+        if zero_val and k < n_val:
+            raw[:] = 0.0
+        raw[rng.uniform(size=shape) < 0.2] = -0.0
+        sid = f"s{k}"
+        samples.append(LabeledSample(
+            sid, Image2D(np.zeros(shape), BinaryMask(np.ones(shape, bool))),
+            _mask(rng.uniform(size=shape) < draw(st.floats(0, 1)))))
+        maps[sid] = AnomalyMap(np.where(region, raw, 0.0))
+        regions[sid] = _mask(region)
+    return samples[:n_val], samples[n_val:], maps, regions
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fold_maps(), st.integers(1, 40))
+def test_evaluate_fold_equals_the_map_based_reference_bit_for_bit(fold, n):
+    val, test, maps, regions = fold
+    scores = _in_region(maps, regions)
+    try:
+        expect = _ref_evaluate_fold(val, test, maps, regions, n)
+    except ValueError:  # no test lesion pixel in any region
+        with pytest.raises(ValueError, match="AUPRC undefined"):
+            evaluate_fold(val, test, scores, regions, n)
+        return
+    got = evaluate_fold(val, test, scores, regions, n)
+    assert _bits(got.dice) == _bits(expect.dice)
+    assert _bits(got.auprc) == _bits(expect.auprc)
+    assert _bits(got.threshold) == _bits(expect.threshold)
+    assert ([_bits(d) for d in got.per_sample_dice]
+            == [_bits(d) for d in expect.per_sample_dice])
+    assert got.per_sample_ids == expect.per_sample_ids
