@@ -55,7 +55,7 @@ def test_sample_gradients(benchmark, setting):
     _, _, model, x0, x_t, t = setting
     p, f = SsimParams(), FusionParams()
     resp, target = _held(model, x0, x_t, p)
-    benchmark(sample_gradients, model, x0, x_t, t, p, f, resp, target)
+    benchmark(sample_gradients, model, x0, t, p, f, resp, target)
 
 
 @pytest.mark.parametrize("size", [64, 128])

@@ -7,9 +7,10 @@ value reads ``none`` as unset.  A ``#`` starts a comment, which runs to the
 end of the line, only at the start of a line or after whitespace; anywhere
 else, as in ``path = /data/brats#2021``, it is part of the value.  Unknown or
 repeated keys and malformed lines are hard errors reported with their line
-number.  A parsed :class:`RunConfig` can be serialized back with
-:func:`render` and re-parses to an equivalent configuration, as long as no
-value has whitespace before a ``#``.
+number.  :func:`render` writes a valid :class:`RunConfig` back in a form that
+re-parses to an equal one, as ``validate`` rejects an ``out`` or ``path`` with
+leading or trailing whitespace, a ``#`` at its start or after whitespace, or
+a line break.
 """
 
 from __future__ import annotations
@@ -98,6 +99,11 @@ class RunConfig:
             raise ValueError(f"unknown dataset kind {self.dataset_kind!r}")
         if self.dataset_kind == "disk" and not self.dataset_path:
             raise ValueError("dataset kind 'disk' requires a path")
+        for name in ("dataset_path", "out"):
+            v = getattr(self, name)
+            if _line_content(v) != v or len(v.splitlines()) > 1:
+                raise ValueError(f"{_RENAMED.get(name, name)} = {v!r} would "
+                                 "not read back from a config line")
         if self.profile not in PROFILE_NAMES:
             raise ValueError(f"unknown profile {self.profile!r}")
         if self.noise not in NOISE_KINDS:
@@ -148,6 +154,11 @@ _RENAMED = {"dataset_kind": "kind", "dataset_path": "path"}  # field -> key
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
+def _line_content(raw: str) -> str:
+    """What :func:`parse` reads of a line: its text before a comment, stripped."""
+    return _COMMENT.split(raw, 1)[0].strip()
+
+
 def _parser(hint):
     """The parser of a field annotated ``hint``: the type itself, or for
     ``Optional[X]``, ``X`` that also reads ``none``, in any case, as
@@ -181,7 +192,7 @@ def parse(text: str, source: str = "<config>") -> RunConfig:
     section = None
     first_line = {}  # (section, key) -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _COMMENT.split(raw, 1)[0].strip()
+        line = _line_content(raw)
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):

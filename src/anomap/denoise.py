@@ -40,8 +40,8 @@ def _mask_background(pixels: np.ndarray, x_t: Image2D) -> Image2D:
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     """Normalized 1-D Gaussian sampled at integer offsets, radius ceil(3*sigma)."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, not {sigma}")
     radius = int(np.ceil(3.0 * sigma))
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-0.5 * (offsets / sigma) ** 2)
@@ -174,23 +174,16 @@ def _foreground_prediction(pre: np.ndarray, x0: Image2D) -> Image2D:
     return _mask_background(np.clip(pre, 0.0, 1.0), x0)
 
 
-def sample_gradients(m: KernelMixtureModel, x0: Image2D, x_t: Image2D, t: int,
+def sample_gradients(m: KernelMixtureModel, x0: Image2D, t: int,
                      p: SsimParams, f: FusionParams,
-                     resp: Optional[Sequence[np.ndarray]] = None,
-                     target: Optional[iqa.LossTarget] = None):
-    """Loss value and parameter gradients of L_FQ(x0, denoise(x_t, t)).
-
-    ``resp`` may pass in ``m.kernel_responses(x_t.pixels)`` and ``target``
-    ``iqa.loss_target(x0, p, BinaryMask(x0.fg_bits()))`` when the caller
-    already holds them.  The clamp is treated as pass-through inside (0, 1)
-    and zero-gradient outside, so the chain rule through the linear
-    prediction is exact away from the clamp boundary.
+                     resp: Sequence[np.ndarray], target: iqa.LossTarget):
+    """Loss value and parameter gradients of L_FQ(x0, denoise(x_t, t)), from
+    the caller's ``resp = m.kernel_responses(x_t.pixels)`` and ``target =
+    iqa.loss_target(x0, p, BinaryMask(x0.fg_bits()))``.  The clamp passes
+    through inside (0, 1) and has zero gradient outside, so the chain rule
+    is exact away from the clamp boundary.
     """
     b = m.bucket(t)
-    if resp is None:
-        resp = m.kernel_responses(x_t.pixels)
-    if target is None:
-        target = iqa.loss_target(x0, p, BinaryMask(x0.fg_bits()))
     pre = m.mix(resp, t)
     y = _foreground_prediction(pre, x0)
 
@@ -254,8 +247,8 @@ def train(m: KernelMixtureModel, data: Sequence[Image2D], sched: DiffusionSchedu
     ``len(data) * (len(m.sigmas) + 2) * H * W * 8`` bytes (the identity
     response is x_t itself) until training returns: 4.5 MiB for 24 images
     of 64 x 64 px with the default four Gaussians, 37.5 MiB for 200.  Each
-    gradient call gets its loss and gradient from one
-    :func:`iqa.fusion_loss_and_grad`; each trial loss is one
+    :func:`sample_gradients` call, given those, gets its loss and gradient
+    from one :func:`iqa.fusion_loss_and_grad`; each trial loss is one
     :func:`iqa.fusion_loss`; both are given the image's target.  Both score
     the very prediction ``m.denoise`` returns.  Every image needs the first
     image's dimensions and a non-empty foreground (see
@@ -275,16 +268,15 @@ def train(m: KernelMixtureModel, data: Sequence[Image2D], sched: DiffusionSchedu
         t = int(rng.integers(1, sched.T + 1))
         noise = make_field(cfg.noise_kind, derive_seed(cfg.seed, i),
                            x0.width, x0.height)
-        x_t = forward_noise(x0, t, noise, sched)
-        corrupted.append((x0, x_t, t))
-        resp = m.kernel_responses(x_t.pixels)
+        corrupted.append((x0, t))
+        resp = m.kernel_responses(forward_noise(x0, t, noise, sched).pixels)
         for rk in resp:
             rk.flags.writeable = False
         responses.append(resp)
         targets.append(iqa.loss_target(x0, p, BinaryMask(x0.fg_bits())))
 
     def sample_loss(i: int) -> float:
-        x0, _, t = corrupted[i]
+        x0, t = corrupted[i]
         y = _foreground_prediction(m.mix(responses[i], t), x0)
         return iqa.fusion_loss(x0, y, p, f, target=targets[i])
 

@@ -65,7 +65,8 @@ def linear_schedule(T: int = DEFAULT_T, beta_1: float = DEFAULT_BETA_1,
     return DiffusionSchedule(np.linspace(beta_1, beta_T, T))
 
 
-def _standardize(v: np.ndarray) -> np.ndarray:
+def standardize(v: np.ndarray) -> np.ndarray:
+    """``v`` shifted to zero mean and scaled to unit variance."""
     v = v - v.mean()
     std = v.std()
     if std == 0.0:
@@ -96,12 +97,17 @@ def make_fields(kind: str, seeds: Sequence[int], width: int,
                for s in seeds]
     else:
         raise ValueError(f"unknown noise kind {kind!r}")
-    return [_standardize(v) for v in raw]
+    return [standardize(v) for v in raw]
 
 
 def make_field(kind: str, seed: int, width: int, height: int) -> np.ndarray:
     """Standardized noise field of the given kind; deterministic in seed."""
     return make_fields(kind, [seed], width, height)[0]
+
+
+def _corrupt(x: np.ndarray, eps: np.ndarray, fg: np.ndarray, ab: float):
+    # sqrt(abar) * x + sqrt(1 - abar) * eps on the foreground, 0 off it
+    return np.where(fg, np.sqrt(ab) * x + np.sqrt(1.0 - ab) * eps, 0.0)
 
 
 def forward_noise(x0: Image2D, t: int, noise: np.ndarray,
@@ -110,10 +116,7 @@ def forward_noise(x0: Image2D, t: int, noise: np.ndarray,
     ab = sched.alpha_bar(t)
     if noise.shape != x0.pixels.shape:
         raise ValueError("noise field dimensions do not match image")
-    fg = x0.fg_bits()
-    out = np.zeros_like(x0.pixels)
-    out[fg] = np.sqrt(ab) * x0.pixels[fg] + np.sqrt(1.0 - ab) * noise[fg]
-    return Image2D(out, x0.foreground)
+    return Image2D(_corrupt(x0.pixels, noise, x0.fg_bits(), ab), x0.foreground)
 
 
 @dataclass(frozen=True)
@@ -202,9 +205,8 @@ def reconstruct_from_fields(model, x: Image2D, t_test: int,
     :func:`placements` order (see :func:`placement_fields`).  The model sees
     the image with only that patch corrupted, as :func:`forward_noise`
     corrupts an image: ``sqrt(abar) * x + sqrt(1 - abar) * eps`` on its
-    foreground pixels and 0 off it, one ``np.where`` over the patch with
-    both square roots taken once per call.  Its prediction is kept inside
-    the patch.  Overlaps are averaged with uniform weights via a
+    foreground pixels and 0 off it, one ``np.where`` over the patch.  Its
+    prediction is kept inside the patch.  Overlaps are averaged with uniform weights via a
     running mean in fixed placement order (bit-identical merge when
     predictions agree).
 
@@ -218,7 +220,6 @@ def reconstruct_from_fields(model, x: Image2D, t_test: int,
     plist = placements(spec, x.height, x.width)
     fg = x.fg_bits()
     ab = sched.alpha_bar(t_test)
-    s_signal, s_noise = np.sqrt(ab), np.sqrt(1.0 - ab)
     halo = getattr(model, "receptive_radius", None)
     if halo is None:
         halo = max(x.height, x.width)
@@ -233,8 +234,7 @@ def reconstruct_from_fields(model, x: Image2D, t_test: int,
         inner = (slice(r0 - wr0, r1 - wr0), slice(c0 - wc0, c1 - wc0))
         noisy = x.pixels[window].copy()
         patch = noisy[inner]
-        patch[...] = np.where(fg[r0:r1, c0:c1],
-                              s_signal * patch + s_noise * noise, 0.0)
+        patch[...] = _corrupt(patch, noise, fg[r0:r1, c0:c1], ab)
         pred = model.denoise(Image2D(noisy, BinaryMask(fg[window])), t_test)
         count[r0:r1, c0:c1] += 1
         k = count[r0:r1, c0:c1]

@@ -1,4 +1,4 @@
-"""On-disk formats: F32R rasters, binary PGM masks, and dataset directories.
+"""On-disk formats: F32R rasters and binary PGM masks (datasets: datasetio).
 
 F32R is the repo-wide raster format: one ASCII header line
 ``F32R <width> <height>\\n`` followed by width*height little-endian 32-bit

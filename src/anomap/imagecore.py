@@ -93,14 +93,6 @@ class AnomalyMap:
             raise ValueError("anomaly scores must be nonnegative")
         object.__setattr__(self, "scores", s)
 
-    @property
-    def height(self) -> int:
-        return self.scores.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.scores.shape[1]
-
 
 class WindowStats(NamedTuple):
     mean_x: float
@@ -134,37 +126,30 @@ def window_stats(x: Image2D, y: Image2D, center_row: int, center_col: int,
     return WindowStats(mx, my, vx, vy, cov)
 
 
-_MEDIAN_STRIP_ROWS = 16  # rows whose region windows are partitioned at once
-
-
 def median_filter(amap: AnomalyMap, K: int, region: BinaryMask) -> AnomalyMap:
     """K x K median filter with replicate-edge padding, computed only at
     ``region`` pixels; every other pixel is +0.0 (paper default K=5).
 
     Inside the region this equals
     ``scipy.ndimage.median_filter(size=K, mode="nearest")``: the median of
-    an odd count is one of the window's own values, found here by
-    ``np.partition`` on the region windows of strips of at most
-    ``_MEDIAN_STRIP_ROWS`` rows, so the transient memory does not grow with
-    the image height.  Metrics read scores only inside the eroded brain
-    mask, so the pixels outside it are never ranked.
+    an odd count is one of the window's own values, found by one
+    ``np.partition`` of all region windows, gathered at once into region
+    pixels x K^2 x 8 transient bytes (1.1-1.7 MB at K = 5 on 128 px
+    phantoms).  Metrics read scores only inside the eroded brain mask, so
+    the pixels outside it are never ranked.
     """
     if K % 2 != 1:
         raise ValueError("kernel size must be odd")
     bits = region.bits
     if bits.shape != amap.scores.shape:
         raise ValueError("region dimensions do not match anomaly map")
-    H = bits.shape[0]
     windows = np.lib.stride_tricks.sliding_window_view(
         np.pad(amap.scores, K // 2, mode="edge"), (K, K))
     mid = K * K // 2
+    flat = windows[bits].reshape(-1, K * K)
+    flat.partition(mid, axis=-1)
     out = np.zeros(bits.shape)
-    for r0 in range(0, H, _MEDIAN_STRIP_ROWS):
-        rows = slice(r0, r0 + _MEDIAN_STRIP_ROWS)
-        sel = bits[rows]
-        flat = windows[rows][sel].reshape(-1, K * K)
-        flat.partition(mid, axis=-1)
-        out[rows][sel] = flat[:, mid]
+    out[bits] = flat[:, mid]
     return AnomalyMap(out)
 
 

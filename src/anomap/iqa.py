@@ -10,12 +10,15 @@ replicate-edge padding, so the quality map has the same shape as the input::
 
 The scalar SSIM loss is (1 - mean SSIM over masked window centers) / 2 and
 the fusion loss blends it with the masked mean absolute error:
-``alpha * ssim_loss + (1 - alpha) * l1``.  ``fusion_loss_and_grad`` returns
-that scalar together with its exact derivative with respect to the
-reconstruction, including the contribution of replicated border pixels,
-from one computation of the window moments; training calls it once per
-sample gradient.  The gradient is taken on the edge-padded raster and
-folded back onto the image by one weighted ``np.bincount``.
+``alpha * ssim_loss + (1 - alpha) * l1``; ``ssim_loss`` and ``l1_loss`` are
+``fusion_loss`` at alpha = 1 and 0 (the latter computes an SSIM term it
+weights by 0), so each masked mean is written once.
+``fusion_loss_and_grad`` returns that scalar together with its exact
+derivative with respect to the reconstruction, including the contribution
+of replicated border pixels, from one computation of the window moments;
+training calls it once per sample gradient.  The gradient is taken on the
+edge-padded raster and folded back onto the image by one weighted
+``np.bincount``.
 
 Both training losses compare a fixed image x with a reconstruction y.  The
 half that depends on x alone is a :class:`LossTarget` (:func:`loss_target`):
@@ -155,16 +158,13 @@ def _require_mask(x: Image2D, mask: BinaryMask | None) -> np.ndarray:
 
 def ssim_loss(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
               mask: BinaryMask | None = None) -> float:
-    """(1 - mean SSIM over masked window centers) / 2; lies in [0, 1]."""
-    bits = _require_mask(x, mask)
-    smap = ssim_map(x, y, p)
-    return float((1.0 - smap[bits].mean()) / 2.0)
+    """(1 - mean SSIM over masked windows) / 2: fusion_loss at alpha = 1."""
+    return fusion_loss(x, y, p, FusionParams(1.0), mask)
 
 
 def l1_loss(x: Image2D, y: Image2D, mask: BinaryMask | None = None) -> float:
-    """Mean absolute error over the masked pixels."""
-    bits = _require_mask(x, mask)
-    return float(np.abs(x.pixels - y.pixels)[bits].mean())
+    """Masked mean absolute error: fusion_loss at alpha = 0."""
+    return fusion_loss(x, y, SsimParams(), FusionParams(0.0), mask)
 
 
 @dataclass(frozen=True)
@@ -286,8 +286,7 @@ def _ssim_factors(t: LossTarget, ya: np.ndarray, p: SsimParams,
 
 def _masked_loss(t: LossTarget, ya: np.ndarray, f: FusionParams,
                  A1A2: np.ndarray, B1B2: np.ndarray) -> float:
-    # the same operations, in the same order, as ssim_loss and l1_loss; the
-    # SSIM map is dropped before the L1 term's two (H, W) temporaries exist
+    # the SSIM map is dropped before the L1 term's two (H, W) temporaries exist
     ssim = float((1.0 - (A1A2 / B1B2)[t.bits].mean()) / 2.0)
     return f.alpha * ssim + (1.0 - f.alpha) * float(np.abs(t.x - ya)[t.bits].mean())
 

@@ -18,7 +18,7 @@ from typing import List, Tuple
 import numpy as np
 from scipy import ndimage
 
-from .diffusion import derive_seed
+from .diffusion import derive_seed, standardize
 from .imagecore import BinaryMask, Image2D
 from .simplex import octave_grid
 
@@ -74,13 +74,10 @@ def _ellipse_mask(rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def _texture(seed: int, size: int, amp: float) -> np.ndarray:
-    if amp == 0.0:
-        return np.zeros((size, size))
-    raw = octave_grid(seed, size, size, octaves=2, persistence=0.5,
-                      base_scale=size / 4.0)
-    raw = raw - raw.mean()
-    std = raw.std()
-    return amp * (raw / std if std > 0 else raw)
+    # a 2-octave field of at least 32 px is never constant
+    return amp * standardize(octave_grid(seed, size, size, octaves=2,
+                                         persistence=0.5,
+                                         base_scale=size / 4.0))
 
 
 _CLIP_EPS = 1e-6  # keep intensities strictly inside (0, 1)

@@ -190,8 +190,12 @@ def test_parse_accepts_boundary_diffusion_and_training_values():
     assert (cfg.T, cfg.resolved_t_test(), cfg.epochs) == (1, 1, 0)
 
 
-_NAMES = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_./-",
-                 min_size=1, max_size=12)
+# paths mostly of plain characters; a space, tab, "#" or line break, which
+# a config line may not carry back, is drawn rarely, so that validate
+# filters out few drawn configs
+_NAMES = st.text(alphabet=st.sampled_from(
+    list("abcdefghijklmnopqrstuvwxyz0123456789_./-") * 4 + list(" \t#\n")),
+    min_size=1, max_size=12)
 
 
 def _floats(lo, hi, **kw):
@@ -247,6 +251,15 @@ def _valid_configs(draw):
 @given(_valid_configs())
 def test_render_parse_roundtrips_any_valid_config(cfg):
     assert config.parse(config.render(cfg)) == cfg
+
+
+@pytest.mark.parametrize("field, key", [("out", "out"), ("dataset_path", "path")])
+@pytest.mark.parametrize("value", [" lead", "trail\t", "runs/a #1", "#1",
+                                   "runs/a\nb", "runs/a\r"])
+def test_validate_rejects_a_path_that_a_config_line_cannot_carry_back(
+        field, key, value):
+    with pytest.raises(ValueError, match=f"^{key} = "):
+        config.RunConfig(**{field: value}).validate()
 
 
 def test_render_parse_roundtrip():

@@ -21,6 +21,12 @@ def test_gaussian_kernel_normalized_and_symmetric():
         gaussian_kernel_1d(0.0)
 
 
+@pytest.mark.parametrize("sigma", [-1.0, float("inf"), float("nan")])
+def test_gaussian_kernel_rejects_a_sigma_that_is_not_positive_and_finite(sigma):
+    with pytest.raises(ValueError, match="^sigma must be positive and finite"):
+        gaussian_kernel_1d(sigma)
+
+
 def test_blur_preserves_constant_and_background():
     bits = np.zeros((16, 16), dtype=bool)
     bits[4:12, 4:12] = True
@@ -105,14 +111,16 @@ def test_sample_gradients_match_finite_differences():
     x_t = forward_noise(x0, 40, make_field("gaussian", 3, 32, 32), sched)
     m = KernelMixtureModel(T=100)  # fresh model: pre-clamp output strictly interior
     p, f = SsimParams(), FusionParams()
-    loss, gw, gb = sample_gradients(m, x0, x_t, 40, p, f)
+    fg = BinaryMask(x0.fg_bits())
+    loss, gw, gb = sample_gradients(m, x0, 40, p, f,
+                                    m.kernel_responses(x_t.pixels),
+                                    iqa.loss_target(x0, p, fg))
     b = m.bucket(40)
     h = 1e-6
 
     def loss_at():
         y = m.denoise(x_t, 40)
-        from anomap.iqa import fusion_loss
-        return fusion_loss(x0, y, p, f, BinaryMask(x0.fg_bits()))
+        return iqa.fusion_loss(x0, y, p, f, fg)
 
     assert loss == pytest.approx(loss_at(), abs=1e-15)
     for k in range(m.n_kernels):
@@ -223,10 +231,10 @@ def test_train_blurs_each_image_once_and_keeps_the_responses_read_only(
         counts["blur"] += 1
         return blur(self, pixels)
 
-    def recorded(m, x0, x_t, t, p, f, resp=None, target=None):
+    def recorded(m, x0, t, p, f, resp, target):
         held.append(resp)
         scored.append((x0, target))
-        return gradients(m, x0, x_t, t, p, f, resp, target)
+        return gradients(m, x0, t, p, f, resp, target)
 
     def targeted(x, p, mask=None):
         assert id(x) not in built

@@ -7,7 +7,8 @@ from anomap import phantom
 from anomap.denoise import KernelMixtureModel, OracleDenoiser, blur_denoiser
 from anomap.diffusion import (DiffusionSchedule, PatchSpec, derive_seed,
                               forward_noise, linear_schedule, make_field,
-                              make_fields, placements, reconstruct_patched)
+                              make_fields, placements, reconstruct_patched,
+                              standardize)
 from anomap.imagecore import BinaryMask, Image2D
 
 
@@ -62,6 +63,11 @@ def test_noise_fields_are_standardized():
         assert field.shape == (32, 48)
         assert abs(field.mean()) < 1e-12
         assert field.std() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_standardize_rejects_a_constant_field():
+    with pytest.raises(ValueError, match="^noise field is constant"):
+        standardize(np.full((4, 6), 0.3))
 
 
 def test_make_field_dispatch():

@@ -110,6 +110,12 @@ def test_shape_mismatch_rejected():
         ssim_map(Image2D(np.zeros((4, 4))), Image2D(np.zeros((5, 5))))
 
 
+@pytest.mark.parametrize("shape", [(4, 1), (2, 4)])
+def test_l1_loss_rejects_a_broadcastable_shape(shape):
+    with pytest.raises(ValueError, match="^image dimensions do not match$"):
+        l1_loss(Image2D(np.zeros((4, 4))), Image2D(np.ones(shape)))
+
+
 def test_l1_uniform_bias():
     x, _ = _rand_pair(11)
     for c in (0.01, 0.05, 0.1, 0.2):

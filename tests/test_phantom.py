@@ -29,9 +29,9 @@ def test_healthy_foreground_mean_on_target():
 def test_textureless_profile_is_constant():
     prof = replace(PROFILES["t2_like"], texture_amp=0.0)
     s = gen_healthy(0, 32, prof)
-    fg_vals = s.image.pixels[s.foreground.bits]
-    assert np.all(fg_vals == fg_vals[0])
-    assert fg_vals[0] == pytest.approx(0.30, abs=1e-12)
+    px, fg = s.image.pixels, s.foreground.bits
+    assert np.all(px[fg] == np.clip(prof.mu_normal_target, 1e-6, 1 - 1e-6))
+    assert not np.signbit(px[~fg]).any()  # the zero texture has -0.0 entries
 
 
 def test_healthy_has_empty_ground_truth():
