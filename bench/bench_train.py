@@ -4,8 +4,10 @@ Sizes follow perfbench's ``train_km`` workload: 64 px flair-like phantoms,
 24 training images, batches of 8, T = 1000.  ``test_sample_gradients`` and
 ``test_trial_loss`` time one gradient and one backtracking trial with the
 kernel responses and loss target that ``train`` holds per image;
-``test_fusion_loss_and_grad`` also runs at 128 px and records the minor
-page faults per call.
+``test_target_loss_and_grad`` times that target's ``loss_and_grad`` alone,
+also at 128 px, and records the minor page faults per call; it replaces
+``test_fusion_loss_and_grad``, which timed ``iqa.fusion_loss_and_grad``
+given the held target, so its history starts afresh.
 ``test_train`` runs 1 and 5 epochs: every call corrupts and blurs each
 training image once, so the difference of the two, divided by 4, is the
 cost of one epoch alone.  Run from the repository root::
@@ -45,50 +47,49 @@ def setting():
     return images, sched, model, x0, x_t, t
 
 
-def _held(model, x0, x_t, p):
+def _held(model, x0, x_t):
     # what train holds per image: its kernel responses and its loss target
     return (model.kernel_responses(x_t.pixels),
-            iqa.loss_target(x0, p, BinaryMask(x0.fg_bits())))
+            iqa.loss_target(x0, SsimParams(), BinaryMask(x0.fg_bits())))
 
 
 def test_sample_gradients(benchmark, setting):
     _, _, model, x0, x_t, t = setting
-    p, f = SsimParams(), FusionParams()
-    resp, target = _held(model, x0, x_t, p)
-    benchmark(sample_gradients, model, x0, t, p, f, resp, target)
+    f = FusionParams()
+    resp, target = _held(model, x0, x_t)
+    benchmark(sample_gradients, model, t, f, resp, target)
 
 
 @pytest.mark.parametrize("size", [64, 128])
-def test_fusion_loss_and_grad(benchmark, size):
+def test_target_loss_and_grad(benchmark, size):
     # a perturbed prediction scored against its foreground's loss target, as
     # sample_gradients calls it; the first call builds the workspace outside
     # the timed rounds
     x0 = phantom.gen_dataset(0, size, phantom.PROFILES["flair_like"], 1, 1, 1
                              ).train_healthy[0].image
-    y = denoise._foreground_prediction(
+    fg = x0.fg_bits()
+    y = denoise._clamp(
         x0.pixels + 0.05 * np.sin(np.arange(x0.pixels.size)).reshape(x0.pixels.shape),
-        x0)
-    p, f = SsimParams(), FusionParams()
-    target = iqa.loss_target(x0, p, BinaryMask(x0.fg_bits()))
-    iqa.fusion_loss_and_grad(x0, y, p, f, target=target)
+        fg)
+    f = FusionParams()
+    target = iqa.loss_target(x0, SsimParams(), BinaryMask(fg))
+    target.loss_and_grad(y, f)
     rounds = 200
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    benchmark.pedantic(iqa.fusion_loss_and_grad, (x0, y, p, f),
-                       {"target": target}, rounds=rounds, iterations=1)
+    benchmark.pedantic(target.loss_and_grad, (y, f), rounds=rounds, iterations=1)
     after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     benchmark.extra_info["minor_faults_per_call"] = (after - before) / rounds
 
 
 def test_trial_loss(benchmark, setting):
-    # one backtracking trial: mix the held responses, score with fusion_loss
-    # against the held target
+    # one backtracking trial: mix the held responses, clamp them and score
+    # them against the held target
     _, _, model, x0, x_t, t = setting
-    p, f = SsimParams(), FusionParams()
-    resp, target = _held(model, x0, x_t, p)
+    f = FusionParams()
+    resp, target = _held(model, x0, x_t)
 
     def trial():
-        y = denoise._foreground_prediction(model.mix(resp, t), x0)
-        return iqa.fusion_loss(x0, y, p, f, target=target)
+        return target.loss(denoise._clamp(model.mix(resp, t), target.bits), f)
 
     benchmark(trial)
 

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import phantom
-from .denoise import TrainConfig
+from .denoise import TrainConfig, check_blur_sigma
 from .diffusion import NOISE_KINDS, PatchSpec, linear_schedule, placements
 from .iqa import FusionParams
 
@@ -142,8 +142,11 @@ class RunConfig:
             raise ValueError("erosion_iters must be >= 0")
         spec = self.patch()
         if self.dataset_kind == "phantom":
-            # a disk dataset's grid is checked against its rasters once read
+            # a disk dataset's grid and blur are checked against its rasters
+            # once read
             placements(spec.resolve(self.size, self.size), self.size, self.size)
+            if self.blur_sigma is not None:
+                check_blur_sigma(self.blur_sigma, self.size, self.size)
         return self
 
 

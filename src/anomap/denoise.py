@@ -32,10 +32,15 @@ from .imagecore import BinaryMask, Image2D
 from .iqa import FusionParams, SsimParams
 
 
-def _mask_background(pixels: np.ndarray, x_t: Image2D) -> Image2D:
-    """``pixels``, zeroed in place off x_t's foreground, as an image."""
-    pixels[~x_t.fg_bits()] = 0.0
-    return Image2D(pixels, x_t.foreground)
+def _mask_background(pixels: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """``pixels``, zeroed in place off the foreground ``bits``."""
+    pixels[~bits] = 0.0
+    return pixels
+
+
+def _clamp(pre: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """A prediction's pixels: ``pre`` clamped to [0, 1], zeroed off ``bits``."""
+    return _mask_background(np.clip(pre, 0.0, 1.0), bits)
 
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
@@ -46,6 +51,16 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-0.5 * (offsets / sigma) ** 2)
     return k / k.sum()
+
+
+def check_blur_sigma(sigma: float, height: int, width: int) -> None:
+    """Reject a blur whose kernel radius, ceil(3 * sigma), exceeds the
+    image's larger side (at sigma = 1e9 the kernel would take 48 GB)."""
+    side = max(height, width)
+    if 3.0 * sigma > side:
+        raise ValueError(f"blur_sigma = {sigma} gives a kernel radius of "
+                         f"{math.ceil(3.0 * sigma)} px, above the larger "
+                         f"image side, {side} px")
 
 
 def _separable_blur(a: np.ndarray, k1d: np.ndarray) -> np.ndarray:
@@ -62,7 +77,8 @@ class BlurDenoiser:
         self.receptive_radius = len(self._k1d) // 2
 
     def denoise(self, x_t: Image2D, t: int) -> Image2D:
-        return _mask_background(_separable_blur(x_t.pixels, self._k1d), x_t)
+        return Image2D(_mask_background(_separable_blur(x_t.pixels, self._k1d),
+                                        x_t.fg_bits()), x_t.foreground)
 
 
 def blur_denoiser(sigma: float) -> BlurDenoiser:
@@ -80,7 +96,8 @@ class OracleDenoiser:
     def denoise(self, x_t: Image2D, t: int) -> Image2D:
         if self.original.pixels.shape != x_t.pixels.shape:
             raise ValueError("oracle image dimensions do not match input")
-        return _mask_background(self.original.pixels.copy(), x_t)
+        return Image2D(_mask_background(self.original.pixels.copy(), x_t.fg_bits()),
+                       x_t.foreground)
 
 
 DEFAULT_KERNEL_SIGMAS = (0.5, 1.0, 2.0, 4.0)
@@ -146,7 +163,7 @@ class KernelMixtureModel:
 
     def denoise(self, x_t: Image2D, t: int) -> Image2D:
         pre = self.mix(self.kernel_responses(x_t.pixels), t)
-        return _foreground_prediction(pre, x_t)
+        return Image2D(_clamp(pre, x_t.fg_bits()), x_t.foreground)
 
 
 @dataclass(frozen=True)
@@ -169,25 +186,18 @@ class TrainConfig:
             raise ValueError(f"epochs = {self.epochs} must be >= 0")
 
 
-def _foreground_prediction(pre: np.ndarray, x0: Image2D) -> Image2D:
-    # the clamped prediction with x0's background zeroed, as denoise returns it
-    return _mask_background(np.clip(pre, 0.0, 1.0), x0)
-
-
-def sample_gradients(m: KernelMixtureModel, x0: Image2D, t: int,
-                     p: SsimParams, f: FusionParams,
+def sample_gradients(m: KernelMixtureModel, t: int, f: FusionParams,
                      resp: Sequence[np.ndarray], target: iqa.LossTarget):
     """Loss value and parameter gradients of L_FQ(x0, denoise(x_t, t)), from
     the caller's ``resp = m.kernel_responses(x_t.pixels)`` and ``target =
-    iqa.loss_target(x0, p, BinaryMask(x0.fg_bits()))``.  The clamp passes
-    through inside (0, 1) and has zero gradient outside, so the chain rule
-    is exact away from the clamp boundary.
+    iqa.loss_target(x0, p, BinaryMask(x0.fg_bits()))``, which holds x0's
+    pixels, the SSIM window and x0's foreground.  The clamp passes through
+    inside (0, 1) and has zero gradient outside, so the chain rule is exact
+    away from the clamp boundary.
     """
     b = m.bucket(t)
     pre = m.mix(resp, t)
-    y = _foreground_prediction(pre, x0)
-
-    loss, g = iqa.fusion_loss_and_grad(x0, y, p, f, target=target)
+    loss, g = target.loss_and_grad(_clamp(pre, target.bits), f)
     passthrough = (pre > 0.0) & (pre < 1.0) & target.bits
     g = np.where(passthrough, g, 0.0)
 
@@ -241,16 +251,16 @@ def train(m: KernelMixtureModel, data: Sequence[Image2D], sched: DiffusionSchedu
     and its kernel responses are kept read-only for the rest of the call:
     the prediction is linear in the parameters, so every gradient call and
     every backtracking trial only mixes them.  Beside them, each image's
-    :func:`iqa.loss_target` (its foreground and the box mean and variance
-    of x0) is built once and kept read-only, so no gradient or trial
-    filters x0 again.  Together they hold
-    ``len(data) * (len(m.sigmas) + 2) * H * W * 8`` bytes (the identity
-    response is x_t itself) until training returns: 4.5 MiB for 24 images
-    of 64 x 64 px with the default four Gaussians, 37.5 MiB for 200.  Each
+    :func:`iqa.loss_target` (a view of x0's pixels and foreground, and the
+    box mean and variance of x0) is built once and kept read-only, so no
+    gradient or trial filters x0 again.  Together they hold
+    ``len(data) * (len(m.sigmas) + 3) * H * W * 8`` bytes (the identity
+    response is x_t itself) until training returns: 5.25 MiB for 24 images
+    of 64 x 64 px with the default four Gaussians, 43.75 MiB for 200.  Each
     :func:`sample_gradients` call, given those, gets its loss and gradient
-    from one :func:`iqa.fusion_loss_and_grad`; each trial loss is one
-    :func:`iqa.fusion_loss`; both are given the image's target.  Both score
-    the very prediction ``m.denoise`` returns.  Every image needs the first
+    from one :meth:`iqa.LossTarget.loss_and_grad` of the image's target;
+    each trial loss is one :meth:`iqa.LossTarget.loss`.  Both score the
+    very prediction ``m.denoise`` returns.  Every image needs the first
     image's dimensions and a non-empty foreground (see
     :func:`check_training_image`).
     """
@@ -261,24 +271,21 @@ def train(m: KernelMixtureModel, data: Sequence[Image2D], sched: DiffusionSchedu
         check_training_image(data, i)
 
     rng = np.random.default_rng(cfg.seed)
-    corrupted = []
-    responses = []  # per image, m.kernel_responses(x_t.pixels), read-only
-    targets = []    # per image, the x0 half of its fusion loss, read-only
+    # per image: t, m.kernel_responses(x_t.pixels) and the x0 half of its
+    # fusion loss, all read-only
+    held = []
     for i, x0 in enumerate(data):
         t = int(rng.integers(1, sched.T + 1))
         noise = make_field(cfg.noise_kind, derive_seed(cfg.seed, i),
                            x0.width, x0.height)
-        corrupted.append((x0, t))
         resp = m.kernel_responses(forward_noise(x0, t, noise, sched).pixels)
         for rk in resp:
             rk.flags.writeable = False
-        responses.append(resp)
-        targets.append(iqa.loss_target(x0, p, BinaryMask(x0.fg_bits())))
+        held.append((t, resp, iqa.loss_target(x0, p, BinaryMask(x0.fg_bits()))))
 
     def sample_loss(i: int) -> float:
-        x0, t = corrupted[i]
-        y = _foreground_prediction(m.mix(responses[i], t), x0)
-        return iqa.fusion_loss(x0, y, p, f, target=targets[i])
+        t, resp, target = held[i]
+        return target.loss(_clamp(m.mix(resp, t), target.bits), f)
 
     lr = cfg.learning_rate
     trace: List[float] = []
@@ -294,8 +301,8 @@ def train(m: KernelMixtureModel, data: Sequence[Image2D], sched: DiffusionSchedu
             gb = np.zeros_like(m.biases)
             batch_pre = 0.0
             for i in batch:
-                li, gwi, gbi = sample_gradients(m, *corrupted[i], p, f,
-                                                responses[i], targets[i])
+                t, resp, target = held[i]
+                li, gwi, gbi = sample_gradients(m, t, f, resp, target)
                 gw += gwi
                 gb += gbi
                 batch_pre += li

@@ -16,19 +16,22 @@ weights by 0), so each masked mean is written once.
 ``fusion_loss_and_grad`` returns that scalar together with its exact
 derivative with respect to the reconstruction, including the contribution
 of replicated border pixels, from one computation of the window moments;
-training calls it once per sample gradient.  The gradient is taken on the
-edge-padded raster and folded back onto the image by one weighted
-``np.bincount``.
+training takes one per sample gradient, through the held target below.
+The gradient is taken on the edge-padded raster and folded back onto the
+image by one weighted ``np.bincount``.
 
 Both training losses compare a fixed image x with a reconstruction y.  The
 half that depends on x alone is a :class:`LossTarget` (:func:`loss_target`):
 x's pixels, the mask bits and their count K, the window size, and x's box
 mean ``mx`` and clamped box variance ``vx`` from one 2-slice filter of
-``(x, x*x)``; every array in it is read-only.  A caller that scores many
-reconstructions against one x (``denoise.train``) builds it once and
-passes it as ``target=``; without one, each call builds its own.  Each
-slice is box-filtered exactly as on its own, so the results are the same
-bits either way, and the same as :func:`ssim_map`'s single 5-slice filter.
+``(x, x*x)``; every array in it is read-only.  Its :meth:`LossTarget.loss`
+and :meth:`LossTarget.loss_and_grad` score a raw ``(H, W)`` prediction
+against it: :func:`fusion_loss` and :func:`fusion_loss_and_grad` build a
+target for their x and mask and call them, and a caller that scores many
+predictions against one x (``denoise.train``) builds it once and calls
+them directly.  Each slice is box-filtered exactly as on its own, so the
+results are the same bits either way, and the same as :func:`ssim_map`'s
+single 5-slice filter.
 
 The large buffers of a call are one workspace per thread, kept for the last
 image shape and window radius and overwritten by the next call: y's half of
@@ -143,19 +146,6 @@ def ssim_map(x: Image2D, y: Image2D, p: SsimParams = SsimParams()) -> np.ndarray
     return np.ascontiguousarray(num[:, :x.width])
 
 
-def _require_mask(x: Image2D, mask: BinaryMask | None) -> np.ndarray:
-    """The mask's bits, all-true when there is no mask; never empty."""
-    if mask is None:
-        bits = np.ones(x.pixels.shape, dtype=bool)
-    elif mask.bits.shape != x.pixels.shape:
-        raise ValueError("mask dimensions do not match image")
-    else:
-        bits = mask.bits
-    if not bits.any():
-        raise ValueError("no windows")
-    return bits
-
-
 def ssim_loss(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
               mask: BinaryMask | None = None) -> float:
     """(1 - mean SSIM over masked windows) / 2: fusion_loss at alpha = 1."""
@@ -165,50 +155,6 @@ def ssim_loss(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
 def l1_loss(x: Image2D, y: Image2D, mask: BinaryMask | None = None) -> float:
     """Masked mean absolute error: fusion_loss at alpha = 0."""
     return fusion_loss(x, y, SsimParams(), FusionParams(0.0), mask)
-
-
-@dataclass(frozen=True)
-class LossTarget:
-    """The half of the masked fusion loss that depends on x alone.
-
-    ``x`` is x's pixels, ``bits`` the mask and ``K`` its count, ``W`` the
-    window size, and ``mx`` / ``vx`` x's replicate-edge box mean and
-    variance (clamped at 0).  Every array is read-only; ``x`` and ``bits``
-    are views of the caller's arrays, not copies.  Build it with
-    :func:`loss_target`.
-    """
-
-    x: np.ndarray
-    bits: np.ndarray
-    K: int
-    W: int
-    mx: np.ndarray
-    vx: np.ndarray
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    view = a.view()
-    view.flags.writeable = False
-    return view
-
-
-def loss_target(x: Image2D, p: SsimParams = SsimParams(),
-                mask: BinaryMask | None = None) -> LossTarget:
-    """The x half of :func:`fusion_loss` and :func:`fusion_loss_and_grad`
-    for x, window ``p.W`` and ``mask`` (all pixels when None), for any y and
-    alpha: one 2-slice box filter of ``(x, x*x)``, ``2 * H * W * 8`` bytes."""
-    bits = _require_mask(x, mask)
-    xa = x.pixels
-    m = np.empty((2, *xa.shape))
-    m[0] = xa
-    np.multiply(xa, xa, out=m[1])
-    ndimage.uniform_filter(m, size=(1, p.W, p.W), output=m, mode="nearest")
-    mx, vx = m
-    vx -= mx * mx
-    np.maximum(vx, 0.0, out=vx)
-    m.flags.writeable = False
-    return LossTarget(_read_only(xa), _read_only(bits), int(bits.sum()), p.W,
-                      m[0], m[1])
 
 
 class _Workspace(NamedTuple):
@@ -247,65 +193,171 @@ def _edge_pad(a: np.ndarray, r: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _target_for(x: Image2D, y: Image2D, p: SsimParams,
-                mask: BinaryMask | None, target: LossTarget | None) -> LossTarget:
-    """``target``, checked against the call's images and window, or a new one."""
-    if target is None:
-        target = loss_target(x, p, mask)
-    elif mask is not None:
-        raise ValueError("pass a mask or a loss target, not both")
-    elif target.x.shape != x.pixels.shape or target.W != p.W:
-        (h, w), (H, Wd) = target.x.shape, x.pixels.shape
-        raise ValueError(f"loss target is for {w}x{h} px with window {target.W}, "
-                         f"not {Wd}x{H} px with window {p.W}")
-    if y.pixels.shape != target.x.shape:
-        raise ValueError("image dimensions do not match")
-    return target
+@dataclass(frozen=True)
+class LossTarget:
+    """The half of the masked fusion loss that depends on x alone.
+
+    ``x`` is x's pixels, ``bits`` the mask and ``K`` its count, ``W`` the
+    window size, and ``mx`` / ``vx`` x's replicate-edge box mean and
+    variance (clamped at 0).  Every array is read-only; ``x`` and ``bits``
+    are views of the caller's arrays, not copies.  Build it with
+    :func:`loss_target`.  :meth:`loss` and :meth:`loss_and_grad` score a
+    raw prediction y, an array of x's shape, against it.
+    """
+
+    x: np.ndarray
+    bits: np.ndarray
+    K: int
+    W: int
+    mx: np.ndarray
+    vx: np.ndarray
+
+    def _ssim_factors(self, y: np.ndarray):
+        """This thread's workspace, y's box mean and the four SSIM factors
+        of every window, from the target and one 3-slice filter of
+        ``(y, y*y, x*y)`` in the workspace: ``SSIM = A1 * A2 / (B1 * B2)``.
+        Rejects a y of another shape than x."""
+        if y.shape != self.x.shape:
+            raise ValueError("image dimensions do not match")
+        ws = _thread_workspace(*y.shape, self.W // 2)
+        moments = ws.moments
+        moments[0] = y
+        np.multiply(y, y, out=moments[1])
+        np.multiply(self.x, y, out=moments[2])
+        ndimage.uniform_filter(moments, size=(1, self.W, self.W),
+                               output=moments, mode="nearest")
+        my, vy, cov = moments
+        vy -= my * my
+        cov -= self.mx * my
+        np.maximum(vy, 0.0, out=vy)
+        A1 = 2.0 * self.mx * my + SsimParams.C1
+        A2 = 2.0 * cov + SsimParams.C2
+        B1 = self.mx * self.mx + my * my + SsimParams.C1
+        B2 = self.vx + vy + SsimParams.C2
+        return ws, my, A1, A2, B1, B2
+
+    def _masked_loss(self, y: np.ndarray, f: FusionParams,
+                     A1A2: np.ndarray, B1B2: np.ndarray) -> float:
+        # the SSIM map is dropped before the L1 term's two (H, W)
+        # temporaries exist
+        ssim = float((1.0 - (A1A2 / B1B2)[self.bits].mean()) / 2.0)
+        return (f.alpha * ssim
+                + (1.0 - f.alpha) * float(np.abs(self.x - y)[self.bits].mean()))
+
+    def loss(self, y: np.ndarray, f: FusionParams) -> float:
+        """alpha * ssim_loss + (1 - alpha) * masked mean absolute error of
+        the prediction ``y`` against x."""
+        _, _, A1, A2, B1, B2 = self._ssim_factors(y)
+        return self._masked_loss(y, f, A1 * A2, B1 * B2)
+
+    def loss_and_grad(self, y: np.ndarray, f: FusionParams
+                      ) -> tuple[float, np.ndarray]:
+        """:meth:`loss` and its exact gradient with respect to ``y``, per
+        pixel.
+
+        Both come from one computation of the window moments; the loss is
+        bit-identical to :meth:`loss`.  The SSIM part of the gradient
+        differentiates the two-factor formula through each window's
+        y-statistics (mean, variance, covariance) and accumulates over
+        every window containing the pixel.  Border pixels enter multiple
+        windows via replicate padding; one weighted ``np.bincount`` adds
+        every padded position, in row-major order, onto the pixel it
+        copies, so the result matches finite differences of the actual
+        loss.  The gradient of |t| at t = 0 is taken to be 0.  Returns
+        ``(loss, grad)`` with ``grad`` shaped like ``y``.
+
+        The intermediate stacks live in this thread's workspace for the
+        image shape and window (see the module docstring); ``loss`` is a
+        Python float and ``grad`` a fresh array, so neither changes when the
+        next call reuses the workspace.
+        """
+        ws, my, A1, A2, B1, B2 = self._ssim_factors(y)
+        xa, bits, mx = self.x, self.bits, self.mx
+        H, Wd = y.shape
+        W = self.W
+        r = W // 2
+        n = W * W
+
+        A1A2 = A1 * A2
+        B1B2 = B1 * B2
+        loss = self._masked_loss(y, f, A1A2, B1B2)
+
+        # dSSIM / d(window y-statistics), one value per window center; each
+        # (H, W) intermediate is dropped once used: the call's heap peak then
+        # stays under glibc's trim threshold, and the next call does not fault
+        # the freed pages in again
+        d_var = -A1A2 / (B1B2 * B2)
+        d_cov = 2.0 * A1 / B1B2
+        del A1A2, B1B2
+        d_mu = 2.0 * A2 * (mx * B1 - my * A1) / (B1 * B1 * B2)
+        del A1, A2, B1, B2
+
+        # chain through L_SSIM = (1 - mean_k SSIM_k) / 2 and the fusion blend
+        scale = -f.alpha / (2.0 * self.K)
+
+        # box-sum each center map over the windows containing every padded
+        # pixel: the five maps, zero off the mask and zero-embedded, filtered
+        # as one stack; the last call's filter left the border non-zero, so
+        # the whole stack is cleared
+        centers = ws.centers
+        centers.fill(0.0)
+        inner = centers[:, r:r + H, r:r + Wd]
+        np.multiply(scale, d_mu, out=inner[0], where=bits)
+        np.multiply(scale, d_var, out=inner[1], where=bits)
+        np.multiply(inner[1], my, out=inner[2])
+        np.multiply(scale, d_cov, out=inner[3], where=bits)
+        np.multiply(inner[3], mx, out=inner[4])
+        del d_mu, d_var, d_cov
+        # one size-(1, W, W) filter, not two uniform_filter1d passes: it skips
+        # a size-1 axis, where uniform_filter1d's running sum would change bits
+        ndimage.uniform_filter(centers, size=(1, W, W), output=centers,
+                               mode="constant")
+        centers *= n
+        s_mu, s_var, s_var_my, s_cov, s_cov_mx = centers
+
+        xp = _edge_pad(xa, r, ws.pads[0])
+        yp = _edge_pad(y, r, ws.pads[1])
+        g_pad = (s_mu + 2.0 * (yp * s_var - s_var_my) + (xp * s_cov - s_cov_mx)) / n
+        # bincount sums each bin in input order from 0.0: np.add.at's exact bits
+        grad = np.bincount(ws.fold, weights=g_pad.ravel()).reshape(H, Wd)
+
+        grad[bits] += (1.0 - f.alpha) * np.sign(y - xa)[bits] / self.K
+        return loss, grad
 
 
-def _ssim_factors(t: LossTarget, ya: np.ndarray, p: SsimParams,
-                  moments: np.ndarray):
-    """y's box mean and the four SSIM factors of every window, from the
-    target and one 3-slice filter of ``(y, y*y, x*y)`` in ``moments``:
-    ``SSIM = A1 * A2 / (B1 * B2)``."""
-    moments[0] = ya
-    np.multiply(ya, ya, out=moments[1])
-    np.multiply(t.x, ya, out=moments[2])
-    ndimage.uniform_filter(moments, size=(1, t.W, t.W), output=moments,
-                           mode="nearest")
-    my, vy, cov = moments
-    vy -= my * my
-    cov -= t.mx * my
-    np.maximum(vy, 0.0, out=vy)
-    A1 = 2.0 * t.mx * my + p.C1
-    A2 = 2.0 * cov + p.C2
-    B1 = t.mx * t.mx + my * my + p.C1
-    B2 = t.vx + vy + p.C2
-    return my, A1, A2, B1, B2
-
-
-def _masked_loss(t: LossTarget, ya: np.ndarray, f: FusionParams,
-                 A1A2: np.ndarray, B1B2: np.ndarray) -> float:
-    # the SSIM map is dropped before the L1 term's two (H, W) temporaries exist
-    ssim = float((1.0 - (A1A2 / B1B2)[t.bits].mean()) / 2.0)
-    return f.alpha * ssim + (1.0 - f.alpha) * float(np.abs(t.x - ya)[t.bits].mean())
+def loss_target(x: Image2D, p: SsimParams = SsimParams(),
+                mask: BinaryMask | None = None) -> LossTarget:
+    """The x half of :func:`fusion_loss` and :func:`fusion_loss_and_grad`
+    for x, window ``p.W`` and ``mask`` (all pixels when None), for any y and
+    alpha: one 2-slice box filter of ``(x, x*x)``, ``2 * H * W * 8`` bytes."""
+    xa = x.pixels
+    if mask is None:
+        bits = np.ones(xa.shape, dtype=bool)
+    elif mask.bits.shape != xa.shape:
+        raise ValueError("mask dimensions do not match image")
+    else:
+        bits = mask.bits
+    if not bits.any():
+        raise ValueError("no windows")
+    m = np.empty((2, *xa.shape))
+    m[0] = xa
+    np.multiply(xa, xa, out=m[1])
+    ndimage.uniform_filter(m, size=(1, p.W, p.W), output=m, mode="nearest")
+    mx, vx = m
+    vx -= mx * mx
+    np.maximum(vx, 0.0, out=vx)
+    xv, bv = xa.view(), bits.view()  # read-only views of the caller's arrays
+    for a in (xv, bv, m):
+        a.flags.writeable = False
+    return LossTarget(xv, bv, int(bits.sum()), p.W, m[0], m[1])
 
 
 def fusion_loss(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
                 f: FusionParams = FusionParams(),
-                mask: BinaryMask | None = None, *,
-                target: LossTarget | None = None) -> float:
-    """alpha * ssim_loss + (1 - alpha) * masked mean absolute error.
-
-    ``target`` may pass in ``loss_target(x, p, mask)``, built once for many
-    calls, in place of ``mask``; the result is the same bits.  A target of
-    another shape or window is rejected.
-    """
-    t = _target_for(x, y, p, mask, target)
-    ya = y.pixels
-    ws = _thread_workspace(*ya.shape, t.W // 2)
-    _, A1, A2, B1, B2 = _ssim_factors(t, ya, p, ws.moments)
-    return _masked_loss(t, ya, f, A1 * A2, B1 * B2)
+                mask: BinaryMask | None = None) -> float:
+    """alpha * ssim_loss + (1 - alpha) * masked mean absolute error:
+    :meth:`LossTarget.loss` against ``loss_target(x, p, mask)``."""
+    return loss_target(x, p, mask).loss(y.pixels, f)
 
 
 def fusion_anomaly_map(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
@@ -329,79 +381,9 @@ def fusion_loss_grad(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
 
 def fusion_loss_and_grad(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
                          f: FusionParams = FusionParams(),
-                         mask: BinaryMask | None = None, *,
-                         target: LossTarget | None = None
+                         mask: BinaryMask | None = None
                          ) -> tuple[float, np.ndarray]:
-    """:func:`fusion_loss` and its exact gradient with respect to y, per pixel.
-
-    Both come from one computation of the window moments; the loss is
-    bit-identical to :func:`fusion_loss`.  The SSIM part of the gradient
-    differentiates the two-factor formula through each window's
-    y-statistics (mean, variance, covariance) and accumulates over every
-    window containing the pixel.  Border pixels enter multiple windows via
-    replicate padding; one weighted ``np.bincount`` adds every padded
-    position, in row-major order, onto the pixel it copies, so the result
-    matches finite differences of the actual loss.
-    The gradient of |t| at t = 0 is taken to be 0.  Returns
-    ``(loss, grad)`` with ``grad`` shaped like the image.  ``target`` may
-    pass in ``loss_target(x, p, mask)`` as for :func:`fusion_loss`.
-
-    The intermediate stacks live in this thread's workspace for the image
-    shape and window (see the module docstring); ``loss`` is a Python float
-    and ``grad`` a fresh array, so neither changes when the next call reuses
-    the workspace.
-    """
-    t = _target_for(x, y, p, mask, target)
-    xa, ya, bits, mx = t.x, y.pixels, t.bits, t.mx
-    H, Wd = ya.shape
-    W = t.W
-    r = W // 2
-    n = W * W
-
-    ws = _thread_workspace(H, Wd, r)
-    my, A1, A2, B1, B2 = _ssim_factors(t, ya, p, ws.moments)
-    A1A2 = A1 * A2
-    B1B2 = B1 * B2
-    loss = _masked_loss(t, ya, f, A1A2, B1B2)
-
-    # dSSIM / d(window y-statistics), one value per window center; each
-    # (H, W) intermediate is dropped once used: the call's heap peak then
-    # stays under glibc's trim threshold, and the next call does not fault
-    # the freed pages in again
-    d_var = -A1A2 / (B1B2 * B2)
-    d_cov = 2.0 * A1 / B1B2
-    del A1A2, B1B2
-    d_mu = 2.0 * A2 * (mx * B1 - my * A1) / (B1 * B1 * B2)
-    del A1, A2, B1, B2
-
-    # chain through L_SSIM = (1 - mean_k SSIM_k) / 2 and the fusion blend
-    scale = -f.alpha / (2.0 * t.K)
-
-    # box-sum each center map over the windows containing every padded
-    # pixel: the five maps, zero off the mask and zero-embedded, filtered as
-    # one stack; the last call's filter left the border non-zero, so the
-    # whole stack is cleared
-    centers = ws.centers
-    centers.fill(0.0)
-    inner = centers[:, r:r + H, r:r + Wd]
-    np.multiply(scale, d_mu, out=inner[0], where=bits)
-    np.multiply(scale, d_var, out=inner[1], where=bits)
-    np.multiply(inner[1], my, out=inner[2])
-    np.multiply(scale, d_cov, out=inner[3], where=bits)
-    np.multiply(inner[3], mx, out=inner[4])
-    del d_mu, d_var, d_cov
-    # one size-(1, W, W) filter, not two uniform_filter1d passes: it skips a
-    # size-1 axis, where uniform_filter1d's running sum would change bits
-    ndimage.uniform_filter(centers, size=(1, W, W), output=centers,
-                           mode="constant")
-    centers *= n
-    s_mu, s_var, s_var_my, s_cov, s_cov_mx = centers
-
-    xp = _edge_pad(xa, r, ws.pads[0])
-    yp = _edge_pad(ya, r, ws.pads[1])
-    g_pad = (s_mu + 2.0 * (yp * s_var - s_var_my) + (xp * s_cov - s_cov_mx)) / n
-    # bincount sums each bin in input order from 0.0: np.add.at's exact bits
-    grad = np.bincount(ws.fold, weights=g_pad.ravel()).reshape(H, Wd)
-
-    grad[bits] += (1.0 - f.alpha) * np.sign(ya - xa)[bits] / t.K
-    return loss, grad
+    """:func:`fusion_loss` and its exact gradient with respect to y, per
+    pixel: :meth:`LossTarget.loss_and_grad` against ``loss_target(x, p,
+    mask)``."""
+    return loss_target(x, p, mask).loss_and_grad(y.pixels, f)

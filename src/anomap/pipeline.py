@@ -175,7 +175,8 @@ def prepare(cfgs: Sequence[RunConfig], ds: Dataset) -> FoldPlan:
     - an empty validation or test split, or, unless the config blurs (the
       blur baseline reads no training image), an empty training split;
     - a patch grid that does not fit or cover a scored image (the rasters
-      of a disk dataset need not be ``[dataset] size``);
+      of a disk dataset need not be ``[dataset] size``), or a blur kernel
+      wider than one;
     - a training image :func:`denoise.train` cannot use;
     - an ``erosion_iters`` that empties every test sample's region;
     - test samples none of which marks a lesion pixel inside its region;
@@ -198,6 +199,9 @@ def prepare(cfgs: Sequence[RunConfig], ds: Dataset) -> FoldPlan:
     patch = cfg.patch()
     _each(scored, lambda _, im: diffusion.placements(
         patch.resolve(im.height, im.width), im.height, im.width))
+    if cfg.blur_sigma is not None:
+        _each(scored, lambda _, im: denoise.check_blur_sigma(
+            cfg.blur_sigma, im.height, im.width))
     images = [s.image for s in train]
     _each(train, lambda i, _: denoise.check_training_image(images, i))
     regions = {s.id: evalkit.eval_region(s, eval_config(cfg)) for s in scored}

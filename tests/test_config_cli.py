@@ -142,6 +142,23 @@ def test_patch_grid_with_gaps_is_rejected_at_parse_time():
                      patch_h=16, stride_h=20).validate()
 
 
+@pytest.mark.parametrize("sigma, radius", [(21.4, 65), (1e9, 3000000000)])
+def test_validate_rejects_a_blur_kernel_wider_than_the_phantom(sigma, radius):
+    # ceil(3 * sigma) above the 64 px side; at 1e9 building the kernel
+    # would ask numpy for 48 GB
+    with pytest.raises(ValueError, match=(
+            f"^blur_sigma = {sigma} gives a kernel radius of {radius} px, "
+            "above the larger image side, 64 px$")):
+        config.RunConfig(size=64, blur_sigma=sigma).validate()
+    with pytest.raises(config.ConfigError, match=f"blur_sigma = {sigma}"):
+        config.parse(f"[dataset]\nsize = 64\n[eval]\nblur_sigma = {sigma}\n")
+    # a radius of exactly the side is accepted
+    config.RunConfig(size=64, blur_sigma=21.3).validate()
+    # a disk dataset's blur is checked once its rasters are read
+    config.RunConfig(dataset_kind="disk", dataset_path="ds", size=64,
+                     blur_sigma=sigma).validate()
+
+
 def test_stride_beyond_the_patch_that_still_covers_is_valid():
     # starts [0, 32]: the last placement closes what the stride skips
     cfg = config.parse("[dataset]\nsize = 64\n"

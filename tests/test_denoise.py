@@ -112,8 +112,7 @@ def test_sample_gradients_match_finite_differences():
     m = KernelMixtureModel(T=100)  # fresh model: pre-clamp output strictly interior
     p, f = SsimParams(), FusionParams()
     fg = BinaryMask(x0.fg_bits())
-    loss, gw, gb = sample_gradients(m, x0, 40, p, f,
-                                    m.kernel_responses(x_t.pixels),
+    loss, gw, gb = sample_gradients(m, 40, f, m.kernel_responses(x_t.pixels),
                                     iqa.loss_target(x0, p, fg))
     b = m.bucket(40)
     h = 1e-6
@@ -221,34 +220,49 @@ def test_train_blurs_each_image_once_and_keeps_the_responses_read_only(
     counts = {"blur": 0}
     held = []
     built = {}    # id(x0) -> the one target train built for that image
-    scored = []   # (x0, target) of every gradient and trial loss
+    owner = {}    # id of a response list or target -> its image's index
+    mixed = []    # the image index of every response list mixed
+    scored = []   # the target of every gradient and trial loss
     blur = KernelMixtureModel.kernel_responses
+    mix = KernelMixtureModel.mix
     gradients = denoise.sample_gradients
     make_target = iqa.loss_target
-    trial_loss = iqa.fusion_loss
+    trial_loss = iqa.LossTarget.loss
 
+    # train builds each image's responses, then its target, in image order
     def counted(self, pixels):
+        resp = blur(self, pixels)
+        owner[id(resp)] = counts["blur"]
         counts["blur"] += 1
-        return blur(self, pixels)
-
-    def recorded(m, x0, t, p, f, resp, target):
-        held.append(resp)
-        scored.append((x0, target))
-        return gradients(m, x0, t, p, f, resp, target)
+        return resp
 
     def targeted(x, p, mask=None):
         assert id(x) not in built
         built[id(x)] = make_target(x, p, mask)
+        owner[id(built[id(x)])] = [id(x0) for x0 in images].index(id(x))
         return built[id(x)]
 
-    def trial(x, y, p, f, mask=None, *, target=None):
-        scored.append((x, target))
-        return trial_loss(x, y, p, f, mask, target=target)
+    def mixing(self, resp, t):
+        mixed.append(owner[id(resp)])
+        return mix(self, resp, t)
+
+    def recorded(m, t, f, resp, target):
+        held.append(resp)
+        scored.append(target)
+        assert owner[id(resp)] == owner[id(target)]
+        return gradients(m, t, f, resp, target)
+
+    def trial(target, y, f):
+        # a trial scores the responses it has just mixed
+        scored.append(target)
+        assert mixed[-1] == owner[id(target)]
+        return trial_loss(target, y, f)
 
     monkeypatch.setattr(KernelMixtureModel, "kernel_responses", counted)
+    monkeypatch.setattr(KernelMixtureModel, "mix", mixing)
     monkeypatch.setattr(denoise, "sample_gradients", recorded)
     monkeypatch.setattr(iqa, "loss_target", targeted)
-    monkeypatch.setattr(iqa, "fusion_loss", trial)
+    monkeypatch.setattr(iqa.LossTarget, "loss", trial)
     sched = linear_schedule(100, 1e-3, 0.02)
     images = _phantom_images(5, 5, size=32)
     train(KernelMixtureModel(T=100), images, sched,
@@ -260,14 +274,15 @@ def test_train_blurs_each_image_once_and_keeps_the_responses_read_only(
         assert not any(rk.flags.writeable for rk in resp)
         with pytest.raises(ValueError, match="read-only"):
             resp[1][0, 0] = 1.0
-    # one target per image per call, each gradient and trial given its own
-    # image's, with the image's foreground as the mask
+    # one target per image per call, holding the image's own pixels and its
+    # foreground as the mask; every gradient and trial is given its own
+    # image's target (checked in recorded and trial)
     assert sorted(built) == sorted(id(x0) for x0 in images)
     assert len(scored) >= 5 * max(epochs, 1)
-    for x0, target in scored:
-        assert target is built[id(x0)]
+    assert {id(target) for target in scored} <= {id(t) for t in built.values()}
     for x0 in images:
         target = built[id(x0)]
+        assert np.shares_memory(target.x, x0.pixels)
         assert np.array_equal(target.bits, x0.fg_bits())
         for a in (target.x, target.bits, target.mx, target.vx):
             assert not a.flags.writeable

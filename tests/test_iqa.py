@@ -481,44 +481,59 @@ def _same_bits(got, ref):
 @settings(max_examples=150, deadline=None)
 @given(_workspace_calls())
 def test_loss_and_grad_equal_the_allocating_implementation(calls):
-    # one target per x and mask, reused by every call of its shape and
-    # window: a's serves a, a's x against the next case's y, and a again
-    # after b rebuilt the workspace
-    (x, _, p, _, mask), (_, y, _, f, _) = calls[:2]
-    calls = calls[:2] + [(x, y, p, f, mask)] + calls[2:]
-    targets = {}
     for x, y, p, f, mask in calls:
         ref = _allocating_loss_and_grad(x, y, p, f, mask)
         _same_bits(fusion_loss_and_grad(x, y, p, f, mask), ref)
         _same_bits((fusion_loss(x, y, p, f, mask), ref[1]), ref)
-        if (id(x), id(mask)) not in targets:
-            target = iqa.loss_target(x, p, mask)
-            kept = {k: np.copy(getattr(target, k)) for k in ("x", "bits", "mx", "vx")}
-            targets[id(x), id(mask)] = target, kept
-        target, _ = targets[id(x), id(mask)]
-        _same_bits(fusion_loss_and_grad(x, y, p, f, target=target), ref)
-        _same_bits((fusion_loss(x, y, p, f, target=target), ref[1]), ref)
-    for target, kept in targets.values():
-        for name, a in kept.items():
-            assert np.array_equal(getattr(target, name), a)
-            assert not getattr(target, name).flags.writeable
+
+
+@st.composite
+def _held_target_case(draw):
+    """x, two predictions of its shape, 1-40 px a side; no mask or a random
+    non-empty one; alpha 0, 1 or uniform in [0, 1]."""
+    H, Wd = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = Image2D(rng.uniform(0, 1, (H, Wd)))
+    ys = [Image2D(rng.uniform(0, 1, (H, Wd))) for _ in range(2)]
+    mask = None
+    if draw(st.booleans()):
+        bits = rng.uniform(size=(H, Wd)) < draw(st.floats(0.05, 1.0))
+        bits.flat[draw(st.integers(0, H * Wd - 1))] = True
+        mask = BinaryMask(bits)
+    alpha = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return (x, ys, SsimParams(W=draw(st.sampled_from([1, 3, 5, 7, 11]))),
+            FusionParams(alpha), mask)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_held_target_case(), _held_target_case())
+def test_the_image_losses_equal_their_held_target(case, other):
+    # one target scores both predictions, with another case's call between
+    # them, so that the workspace is rebuilt when the shapes differ
+    x, ys, p, f, mask = case
+    target = iqa.loss_target(x, p, mask)
+    kept = {k: np.copy(getattr(target, k)) for k in ("x", "bits", "mx", "vx")}
+    for y in ys:
+        held = target.loss_and_grad(y.pixels, f)
+        _same_bits(fusion_loss_and_grad(x, y, p, f, mask), held)
+        _same_bits((fusion_loss(x, y, p, f, mask), held[1]), held)
+        _same_bits((target.loss(y.pixels, f), held[1]), held)
+        ox, (oy, _), op, of, omask = other
+        fusion_loss_and_grad(ox, oy, op, of, omask)
+    for name, a in kept.items():
+        assert np.array_equal(getattr(target, name), a)
+        assert not getattr(target, name).flags.writeable
 
 
 def test_a_loss_target_must_match_the_call():
-    x, y = _rand_pair(20, (8, 8))
+    x, _ = _rand_pair(20, (8, 8))
     target = iqa.loss_target(x, SsimParams(W=5))
-    other = iqa.loss_target(Image2D(np.zeros((8, 9))), SsimParams(W=5))
-    with pytest.raises(ValueError, match="^loss target is for 9x8 px with "
-                                         "window 5, not 8x8 px with window 5$"):
-        fusion_loss_and_grad(x, y, target=other)
-    with pytest.raises(ValueError, match="^loss target is for 8x8 px with "
-                                         "window 5, not 8x8 px with window 3$"):
-        fusion_loss(x, y, SsimParams(W=3), target=target)
-    with pytest.raises(ValueError, match="^image dimensions do not match$"):
-        fusion_loss(x, Image2D(np.zeros((8, 9))), target=target)
-    with pytest.raises(ValueError, match="^pass a mask or a loss target, not both$"):
-        fusion_loss(x, y, mask=BinaryMask(np.ones((8, 8), dtype=bool)),
-                    target=target)
+    for shape in [(8, 9), (8, 1), (1, 8)]:
+        y = np.zeros(shape)
+        with pytest.raises(ValueError, match="^image dimensions do not match$"):
+            target.loss(y, FusionParams())
+        with pytest.raises(ValueError, match="^image dimensions do not match$"):
+            target.loss_and_grad(y, FusionParams())
 
 
 def test_returned_gradient_does_not_alias_the_workspace():

@@ -51,5 +51,6 @@ def test_traced_call_binds_every_wrapped_signature(tmp_path):
     names = {s["name"] for s in tracer.collect()}
     for name in ("phantom.gen_dataset", "simplex.octave_grid",
                  "diffusion.make_field", "denoise.denoise", "denoise.train",
-                 "airprep.decide", "airprep.apply"):
+                 "denoise.sample_gradients", "iqa.fusion_anomaly_map",
+                 "imagecore.median_filter", "airprep.decide", "airprep.apply"):
         assert name in names

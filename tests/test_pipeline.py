@@ -316,6 +316,19 @@ def test_patch_larger_than_the_image_gives_one_rule_text(tmp_path):
     assert str(exc.value) == f"{tmp_path / 'ds'}: sample val-000: {rule}"
 
 
+def test_disk_blur_wider_than_an_image_fails_before_any_fold(tmp_path,
+                                                             monkeypatch):
+    # size = 128 admits blur_sigma = 30, but the rasters are 64 px a side
+    cfg = _disk_config(tmp_path, size=128, blur_sigma=30.0)
+    folds = _counting(monkeypatch, pipeline, "run_fold")
+    with pytest.raises(ValueError) as exc:
+        pipeline.run(cfg)
+    assert str(exc.value) == (
+        f"{tmp_path / 'ds'}: sample val-000: blur_sigma = 30.0 gives a kernel "
+        "radius of 90 px, above the larger image side, 64 px")
+    assert not folds and not (tmp_path / "out").exists()
+
+
 def test_repeated_manifest_id_fails_before_any_fold(tmp_path, monkeypatch):
     cfg = _disk_config(tmp_path)
     manifest = tmp_path / "ds" / "dataset.tsv"
