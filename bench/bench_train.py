@@ -6,8 +6,9 @@ Sizes follow perfbench's ``train_km`` workload: 64 px flair-like phantoms,
 kernel responses and loss target that ``train`` holds per image;
 ``test_target_loss_and_grad`` times that target's ``loss_and_grad`` alone,
 also at 128 px, and records the minor page faults per call; it replaces
-``test_fusion_loss_and_grad``, which timed ``iqa.fusion_loss_and_grad``
-given the held target, so its history starts afresh.
+``test_fusion_loss_and_grad``, which timed the former
+``iqa.fusion_loss_and_grad`` given the held target, so its history starts
+afresh.
 ``test_train`` runs 1 and 5 epochs: every call corrupts and blurs each
 training image once, so the difference of the two, divided by 4, is the
 cost of one epoch alone.  Run from the repository root::

@@ -97,9 +97,11 @@ def cmd_iqa(args) -> int:
     x, y = Image2D(a), Image2D(b)
     p = iqa.SsimParams(W=args.window)
     f = iqa.FusionParams(alpha=args.alpha)
-    print(f"ssim_loss {iqa.ssim_loss(x, y, p):.6g}")
-    print(f"l1 {iqa.l1_loss(x, y):.6g}")
-    print(f"fusion_loss {iqa.fusion_loss(x, y, p, f):.6g}")
+    # the SSIM and L1 losses are the fusion loss at alpha = 1 and 0
+    target = iqa.loss_target(x, p)
+    print(f"ssim_loss {target.loss(y.pixels, iqa.FusionParams(1.0)):.6g}")
+    print(f"l1 {target.loss(y.pixels, iqa.FusionParams(0.0)):.6g}")
+    print(f"fusion_loss {target.loss(y.pixels, f):.6g}")
     if args.map:
         amap = iqa.fusion_anomaly_map(x, y, p, f)
         fileio.write_f32r(args.map, amap.scores)

@@ -12,7 +12,7 @@ conditioning context; a single patch covering the image reconstructs it whole.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -130,10 +130,10 @@ class PatchSpec:
     stride_w: Optional[int] = None
 
     def __post_init__(self):
-        for name in ("patch_h", "patch_w", "stride_h", "stride_w"):
-            v = getattr(self, name)
+        for fld in fields(self):
+            v = getattr(self, fld.name)
             if v is not None and v < 1:
-                raise ValueError(f"{name} = {v} must be >= 1")
+                raise ValueError(f"{fld.name} = {v} must be >= 1")
 
     @staticmethod
     def default_for(height: int, width: int) -> "PatchSpec":
@@ -166,7 +166,11 @@ def _axis_starts(dim: int, patch: int, stride: int, axis: str) -> List[int]:
 
 def placements(spec: PatchSpec, height: int, width: int) -> List[Tuple[int, int]]:
     """Top-left corners of all patch placements, row-major order; raises
-    unless the patches fit inside the image and together cover it."""
+    unless the spec is resolved and the patches fit inside the image and
+    together cover it."""
+    for fld in fields(spec):
+        if getattr(spec, fld.name) is None:
+            raise ValueError(f"{fld.name} is unset; resolve the spec first")
     return [(r, c)
             for r in _axis_starts(height, spec.patch_h, spec.stride_h, "height")
             for c in _axis_starts(width, spec.patch_w, spec.stride_w, "width")]
@@ -218,6 +222,14 @@ def reconstruct_from_fields(model, x: Image2D, t_test: int,
     predicts the patch exactly as it would on the whole image.
     """
     plist = placements(spec, x.height, x.width)
+    if len(noises) != len(plist):
+        raise ValueError(f"{len(noises)} noise fields for {len(plist)} "
+                         "patch placements")
+    patch = (spec.patch_h, spec.patch_w)
+    for k, noise in enumerate(noises):
+        if np.shape(noise) != patch:
+            raise ValueError(f"noise field {k} has shape {np.shape(noise)}, "
+                             f"not the patch's {patch}")
     fg = x.fg_bits()
     ab = sched.alpha_bar(t_test)
     halo = getattr(model, "receptive_radius", None)
@@ -226,7 +238,7 @@ def reconstruct_from_fields(model, x: Image2D, t_test: int,
 
     mean = np.zeros_like(x.pixels)
     count = np.zeros(x.pixels.shape, dtype=np.int64)
-    for (r0, c0), noise in zip(plist, noises, strict=True):
+    for (r0, c0), noise in zip(plist, noises):
         r1, c1 = r0 + spec.patch_h, c0 + spec.patch_w
         wr0, wc0 = max(r0 - halo, 0), max(c0 - halo, 0)
         wr1, wc1 = min(r1 + halo, x.height), min(c1 + halo, x.width)

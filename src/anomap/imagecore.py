@@ -106,13 +106,17 @@ def window_stats(x: Image2D, y: Image2D, center_row: int, center_col: int,
                  W: int) -> WindowStats:
     """Uniform means, population variances and covariance over one W x W window.
 
-    The window is centered at (center_row, center_col) with replicate-edge
-    padding, matching the convention of the sliding SSIM map.
+    The window is centered at (center_row, center_col), a pixel of the
+    image, with replicate-edge padding, matching the convention of the
+    sliding SSIM map.
     """
     if x.pixels.shape != y.pixels.shape:
         raise ValueError("image dimensions do not match")
-    if W % 2 != 1:
-        raise ValueError("window size must be odd")
+    if W < 1 or W % 2 != 1:
+        raise ValueError("window size must be odd and positive")
+    if not (0 <= center_row < x.height and 0 <= center_col < x.width):
+        raise ValueError(f"window center ({center_row}, {center_col}) lies "
+                         f"outside the {x.height} x {x.width} image")
     r = W // 2
     xp = np.pad(x.pixels, r, mode="edge")
     yp = np.pad(y.pixels, r, mode="edge")
@@ -138,8 +142,8 @@ def median_filter(amap: AnomalyMap, K: int, region: BinaryMask) -> AnomalyMap:
     phantoms).  Metrics read scores only inside the eroded brain mask, so
     the pixels outside it are never ranked.
     """
-    if K % 2 != 1:
-        raise ValueError("kernel size must be odd")
+    if K < 1 or K % 2 != 1:
+        raise ValueError("kernel size must be odd and positive")
     bits = region.bits
     if bits.shape != amap.scores.shape:
         raise ValueError("region dimensions do not match anomaly map")

@@ -1,4 +1,4 @@
-"""SSIM map, SSIM/L1 losses, the fusion quality loss, and its analytic gradient.
+"""SSIM map, the fusion quality loss, and its analytic gradient.
 
 The sliding SSIM value at pixel (i, j) is computed over the W x W window
 centered there, with uniform (box) weighting, population variances, and
@@ -10,15 +10,14 @@ replicate-edge padding, so the quality map has the same shape as the input::
 
 The scalar SSIM loss is (1 - mean SSIM over masked window centers) / 2 and
 the fusion loss blends it with the masked mean absolute error:
-``alpha * ssim_loss + (1 - alpha) * l1``; ``ssim_loss`` and ``l1_loss`` are
-``fusion_loss`` at alpha = 1 and 0 (the latter computes an SSIM term it
-weights by 0), so each masked mean is written once.
-``fusion_loss_and_grad`` returns that scalar together with its exact
-derivative with respect to the reconstruction, including the contribution
-of replicated border pixels, from one computation of the window moments;
-training takes one per sample gradient, through the held target below.
-The gradient is taken on the edge-padded raster and folded back onto the
-image by one weighted ``np.bincount``.
+``alpha * L_SSIM + (1 - alpha) * l1``.  L_SSIM and l1 are the fusion loss at
+alpha = 1 and 0 (the latter computes an SSIM term it weights by 0, so its
+value does not depend on the window), so each masked mean is written once.
+The loss comes with its exact derivative with respect to the
+reconstruction, including the contribution of replicated border pixels,
+from one computation of the window moments.  The gradient is taken on the
+edge-padded raster and folded back onto the image by one weighted
+``np.bincount``.
 
 Both training losses compare a fixed image x with a reconstruction y.  The
 half that depends on x alone is a :class:`LossTarget` (:func:`loss_target`):
@@ -26,11 +25,12 @@ x's pixels, the mask bits and their count K, the window size, and x's box
 mean ``mx`` and clamped box variance ``vx`` from one 2-slice filter of
 ``(x, x*x)``; every array in it is read-only.  Its :meth:`LossTarget.loss`
 and :meth:`LossTarget.loss_and_grad` score a raw ``(H, W)`` prediction
-against it: :func:`fusion_loss` and :func:`fusion_loss_and_grad` build a
-target for their x and mask and call them, and a caller that scores many
-predictions against one x (``denoise.train``) builds it once and calls
-them directly.  Each slice is box-filtered exactly as on its own, so the
-results are the same bits either way, and the same as :func:`ssim_map`'s
+against it: :func:`fusion_loss` and :func:`fusion_loss_grad` build a target
+for their x and mask and call them, and a caller that scores many
+predictions against one x (``denoise.train``, one gradient per sample;
+``anomap iqa``, the loss at three alphas) builds it once and calls them
+directly.  Each slice is box-filtered exactly as on its own, so the results
+are the same bits either way, and the same as :func:`ssim_map`'s
 single 5-slice filter.
 
 The large buffers of a call are one workspace per thread, kept for the last
@@ -73,9 +73,8 @@ from scipy import ndimage
 from .imagecore import AnomalyMap, BinaryMask, Image2D
 
 __all__ = [
-    "SsimParams", "FusionParams", "AnomalyMap", "LossTarget",
-    "ssim_map", "ssim_loss", "l1_loss", "loss_target", "fusion_loss",
-    "fusion_anomaly_map", "fusion_loss_and_grad", "fusion_loss_grad",
+    "SsimParams", "FusionParams", "LossTarget", "ssim_map", "loss_target",
+    "fusion_loss", "fusion_anomaly_map", "fusion_loss_grad",
 ]
 
 
@@ -144,17 +143,6 @@ def ssim_map(x: Image2D, y: Image2D, p: SsimParams = SsimParams()) -> np.ndarray
     # the math ran on whole rows; copy out all but an even width's spare
     # column (an odd width's rows are returned as they are)
     return np.ascontiguousarray(num[:, :x.width])
-
-
-def ssim_loss(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
-              mask: BinaryMask | None = None) -> float:
-    """(1 - mean SSIM over masked windows) / 2: fusion_loss at alpha = 1."""
-    return fusion_loss(x, y, p, FusionParams(1.0), mask)
-
-
-def l1_loss(x: Image2D, y: Image2D, mask: BinaryMask | None = None) -> float:
-    """Masked mean absolute error: fusion_loss at alpha = 0."""
-    return fusion_loss(x, y, SsimParams(), FusionParams(0.0), mask)
 
 
 class _Workspace(NamedTuple):
@@ -245,7 +233,7 @@ class LossTarget:
                 + (1.0 - f.alpha) * float(np.abs(self.x - y)[self.bits].mean()))
 
     def loss(self, y: np.ndarray, f: FusionParams) -> float:
-        """alpha * ssim_loss + (1 - alpha) * masked mean absolute error of
+        """alpha * L_SSIM + (1 - alpha) * masked mean absolute error of
         the prediction ``y`` against x."""
         _, _, A1, A2, B1, B2 = self._ssim_factors(y)
         return self._masked_loss(y, f, A1 * A2, B1 * B2)
@@ -327,8 +315,8 @@ class LossTarget:
 
 def loss_target(x: Image2D, p: SsimParams = SsimParams(),
                 mask: BinaryMask | None = None) -> LossTarget:
-    """The x half of :func:`fusion_loss` and :func:`fusion_loss_and_grad`
-    for x, window ``p.W`` and ``mask`` (all pixels when None), for any y and
+    """The x half of :func:`fusion_loss` and :func:`fusion_loss_grad` for
+    x, window ``p.W`` and ``mask`` (all pixels when None), for any y and
     alpha: one 2-slice box filter of ``(x, x*x)``, ``2 * H * W * 8`` bytes."""
     xa = x.pixels
     if mask is None:
@@ -355,7 +343,7 @@ def loss_target(x: Image2D, p: SsimParams = SsimParams(),
 def fusion_loss(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
                 f: FusionParams = FusionParams(),
                 mask: BinaryMask | None = None) -> float:
-    """alpha * ssim_loss + (1 - alpha) * masked mean absolute error:
+    """alpha * L_SSIM + (1 - alpha) * masked mean absolute error:
     :meth:`LossTarget.loss` against ``loss_target(x, p, mask)``."""
     return loss_target(x, p, mask).loss(y.pixels, f)
 
@@ -375,15 +363,6 @@ def fusion_anomaly_map(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
 def fusion_loss_grad(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
                      f: FusionParams = FusionParams(),
                      mask: BinaryMask | None = None) -> np.ndarray:
-    """Exact gradient of :func:`fusion_loss` with respect to y, per pixel."""
-    return fusion_loss_and_grad(x, y, p, f, mask)[1]
-
-
-def fusion_loss_and_grad(x: Image2D, y: Image2D, p: SsimParams = SsimParams(),
-                         f: FusionParams = FusionParams(),
-                         mask: BinaryMask | None = None
-                         ) -> tuple[float, np.ndarray]:
-    """:func:`fusion_loss` and its exact gradient with respect to y, per
-    pixel: :meth:`LossTarget.loss_and_grad` against ``loss_target(x, p,
-    mask)``."""
-    return loss_target(x, p, mask).loss_and_grad(y.pixels, f)
+    """Exact gradient of :func:`fusion_loss` with respect to y, per pixel:
+    :meth:`LossTarget.loss_and_grad` against ``loss_target(x, p, mask)``."""
+    return loss_target(x, p, mask).loss_and_grad(y.pixels, f)[1]

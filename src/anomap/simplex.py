@@ -13,9 +13,10 @@ A field is drawn in two steps:
   the skewed cell origin offset ``(x0, y0)``, whether the point lies in the
   lower triangle, each corner's falloff ``tt**4`` (zero where ``tt <= 0``),
   and each corner's index into the distinct lattice points the coordinates
-  touch.  :func:`octave_grids` keeps the geometry of its last pixel-grid
-  shape (width, height, octaves, base scale) in a one-entry memo of
-  read-only arrays, since a caller draws many fields of one shape in a row.
+  touch, which ``np.unique`` ranks in ascending key order.
+  :func:`octave_grids` keeps the geometry of its last pixel-grid shape
+  (width, height, octaves, base scale) in a one-entry memo of read-only
+  arrays, since a caller draws many fields of one shape in a row.
 * **Per seed**, each distinct lattice point is hashed once through the
   permutation table into gradient tables ``gx``, ``gy`` of shape
   ``(seeds, points)``; every corner then gathers its gradient from those
@@ -46,10 +47,6 @@ _GRAD = np.array([
 ], dtype=np.float64)
 _GX = _GRAD[:, 0].copy()
 _GY = _GRAD[:, 1].copy()
-
-
-# lattice point (i, j), i and j in [0, 256], is keyed 512 i + j
-_KEYS = 257 * 512
 
 
 def _perm_table(seed: int) -> np.ndarray:
@@ -89,16 +86,14 @@ def _geometry(xs: np.ndarray, ys: np.ndarray) -> _Geometry:
     i1 = lower.astype(np.int64)
     ii = i & 255
     jj = j & 255
+    # lattice point (i, j), i and j in [0, 256], is keyed 512 i + j
     keys = np.stack([ii * 512 + jj, (ii + i1) * 512 + (jj + 1 - i1),
                      (ii + 1) * 512 + (jj + 1)])
-    # the distinct keys, ascending, and each corner's rank among them (what
-    # np.unique returns, by marking the 257 x 512 key range instead of sorting)
-    used = np.zeros(_KEYS, dtype=bool)
-    used[keys] = True
-    points = np.flatnonzero(used)
-    rank = np.empty(_KEYS, dtype=np.min_scalar_type(max(points.size - 1, 0)))
-    rank[points] = np.arange(points.size)
-    inverse = rank[keys]
+    # the distinct keys, ascending, and each corner's rank among them, held
+    # in the smallest unsigned type (numpy 1.x returns the ranks flat)
+    points, inverse = np.unique(keys, return_inverse=True)
+    inverse = inverse.reshape(keys.shape).astype(
+        np.min_scalar_type(max(points.size - 1, 0)))
     falloff = []
     for cx, cy in _corner_offsets(x0, y0, lower):
         tt = 0.5 - cx * cx - cy * cy

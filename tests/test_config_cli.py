@@ -486,6 +486,20 @@ def test_cli_iqa_compares_rasters(tmp_path, capsys):
     assert fileio.read_f32r(mp).shape == (16, 16)
 
 
+def test_cli_iqa_prints_the_three_losses(tmp_path, capsys):
+    # a golden record of this seeded pair's three losses, labels and formats
+    rng = np.random.default_rng(0)
+    a = tmp_path / "a.f32r"
+    b = tmp_path / "b.f32r"
+    fileio.write_f32r(a, rng.uniform(0, 1, (16, 16)))
+    fileio.write_f32r(b, rng.uniform(0, 1, (16, 16)))
+    rc = cli.main(["iqa", str(a), str(b), "--window", "7", "--alpha", "0.3"])
+    assert rc == 0
+    assert capsys.readouterr().out == ("ssim_loss 0.443052\n"
+                                       "l1 0.30918\n"
+                                       "fusion_loss 0.349341\n")
+
+
 def test_cli_iqa_reports_a_missing_raster(tmp_path, capsys):
     a = tmp_path / "a.f32r"
     fileio.write_f32r(a, np.zeros((4, 4)))

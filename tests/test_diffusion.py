@@ -7,7 +7,8 @@ from anomap import phantom
 from anomap.denoise import KernelMixtureModel, OracleDenoiser, blur_denoiser
 from anomap.diffusion import (DiffusionSchedule, PatchSpec, derive_seed,
                               forward_noise, linear_schedule, make_field,
-                              make_fields, placements, reconstruct_patched,
+                              make_fields, placement_fields, placements,
+                              reconstruct_from_fields, reconstruct_patched,
                               standardize)
 from anomap.imagecore import BinaryMask, Image2D
 
@@ -121,6 +122,39 @@ def test_placements_tail_is_flush_with_the_edge():
 def test_patch_larger_than_image_rejected():
     with pytest.raises(ValueError):
         placements(PatchSpec(65, 32, 16, 16), 64, 64)
+
+
+@pytest.mark.parametrize("unset", ["patch_h", "patch_w", "stride_h", "stride_w"])
+def test_placements_reject_an_unresolved_spec(unset):
+    spec = PatchSpec(**{"patch_h": 32, "patch_w": 32, "stride_h": 16,
+                        "stride_w": 16, unset: None})
+    with pytest.raises(ValueError,
+                       match=f"^{unset} is unset; resolve the spec first$"):
+        placements(spec, 64, 64)
+
+
+def _fields_case():
+    x = phantom.gen_healthy(6, 32, phantom.PROFILES["flair_like"]).image
+    spec = PatchSpec(16, 8, 8, 8)
+    return x, spec, placement_fields(spec, 32, 32, 3)
+
+
+def test_reconstruct_from_fields_rejects_a_wrong_field_count():
+    x, spec, fields = _fields_case()
+    s = linear_schedule(100, 1e-3, 0.02)
+    for noises in (fields[:-1], fields + fields[:1]):
+        with pytest.raises(ValueError, match=f"^{len(noises)} noise fields "
+                           f"for {len(fields)} patch placements$"):
+            reconstruct_from_fields(blur_denoiser(1.0), x, 10, s, spec, noises)
+
+
+def test_reconstruct_from_fields_rejects_a_field_of_another_shape():
+    x, spec, fields = _fields_case()
+    s = linear_schedule(100, 1e-3, 0.02)
+    fields[4] = fields[4].T
+    with pytest.raises(ValueError, match=r"^noise field 4 has shape \(8, 16\), "
+                       r"not the patch's \(16, 8\)$"):
+        reconstruct_from_fields(blur_denoiser(1.0), x, 10, s, spec, fields)
 
 
 def test_patch_spec_validation():

@@ -52,6 +52,15 @@ def test_window_stats_requires_odd_window():
     x = Image2D(np.zeros((6, 6)))
     with pytest.raises(ValueError):
         window_stats(x, x, 0, 0, 4)
+    for W in (0, -1):
+        with pytest.raises(ValueError, match="^window size must be odd and positive$"):
+            window_stats(x, x, 0, 0, W)
+    # a centre off the image: row 8 of 8 used to give a 2-row window's
+    # stats, and rows -1 and 20 NaN
+    x = Image2D(np.arange(64.0).reshape(8, 8))
+    for row, col in [(8, 0), (-1, 0), (20, 3), (0, 8), (3, -1)]:
+        with pytest.raises(ValueError, match="outside the 8 x 8 image"):
+            window_stats(x, x, row, col, 3)
 
 
 def _everywhere(shape):
@@ -73,6 +82,9 @@ def test_median_filter_requires_odd_kernel():
         median_filter(AnomalyMap(np.zeros((4, 4))), 4, _everywhere((4, 4)))
     with pytest.raises(ValueError):
         median_filter(AnomalyMap(np.zeros((4, 4))), 2, _everywhere((4, 4)))
+    for K in (0, -1):
+        with pytest.raises(ValueError, match="^kernel size must be odd and positive$"):
+            median_filter(AnomalyMap(np.zeros((4, 4))), K, _everywhere((4, 4)))
 
 
 def test_median_filter_requires_region_of_map_shape():

@@ -8,18 +8,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+import anomap
 from anomap import iqa
 from anomap.imagecore import BinaryMask, Image2D, window_stats
 from anomap.iqa import (FusionParams, SsimParams, fusion_anomaly_map,
-                        fusion_loss, fusion_loss_and_grad, fusion_loss_grad,
-                        l1_loss, ssim_loss, ssim_map)
+                        fusion_loss, fusion_loss_grad, ssim_map)
 from anomap.simplex import octave_grid
+
+# the SSIM and L1 losses are the fusion loss at alpha = 1 and 0
+SSIM_ONLY, L1_ONLY = FusionParams(1.0), FusionParams(0.0)
+
+
+def _loss_and_grad(x, y, p=SsimParams(), f=FusionParams(), mask=None):
+    """The loss and gradient of y against a fresh target for x."""
+    return iqa.loss_target(x, p, mask).loss_and_grad(y.pixels, f)
 
 
 def _rand_pair(seed, shape=(12, 12)):
     rng = np.random.default_rng(seed)
     return (Image2D(rng.uniform(0, 1, shape)),
             Image2D(rng.uniform(0, 1, shape)))
+
+
+@pytest.mark.parametrize("module", [anomap, iqa], ids=["anomap", "iqa"])
+def test_exported_names_resolve(module):
+    for name in module.__all__:
+        assert hasattr(module, name), name
 
 
 def test_ssim_identity_is_exactly_one():
@@ -113,14 +127,15 @@ def test_shape_mismatch_rejected():
 @pytest.mark.parametrize("shape", [(4, 1), (2, 4)])
 def test_l1_loss_rejects_a_broadcastable_shape(shape):
     with pytest.raises(ValueError, match="^image dimensions do not match$"):
-        l1_loss(Image2D(np.zeros((4, 4))), Image2D(np.ones(shape)))
+        fusion_loss(Image2D(np.zeros((4, 4))), Image2D(np.ones(shape)),
+                    f=L1_ONLY)
 
 
 def test_l1_uniform_bias():
     x, _ = _rand_pair(11)
     for c in (0.01, 0.05, 0.1, 0.2):
         y = Image2D(x.pixels + c)
-        assert l1_loss(x, y) == pytest.approx(c, abs=1e-12)
+        assert fusion_loss(x, y, f=L1_ONLY) == pytest.approx(c, abs=1e-12)
 
 
 def test_losses_respect_mask():
@@ -128,27 +143,29 @@ def test_losses_respect_mask():
     bits = np.zeros((12, 12), dtype=bool)
     bits[2:6, 3:9] = True
     mask = BinaryMask(bits)
-    assert l1_loss(x, y, mask) == pytest.approx(
+    assert fusion_loss(x, y, f=L1_ONLY, mask=mask) == pytest.approx(
         np.abs(x.pixels - y.pixels)[bits].mean(), abs=1e-15)
-    assert ssim_loss(x, y, mask=mask) == pytest.approx(
+    assert fusion_loss(x, y, f=SSIM_ONLY, mask=mask) == pytest.approx(
         (1.0 - ssim_map(x, y)[bits].mean()) / 2.0, abs=1e-15)
 
 
 def test_empty_mask_rejected():
     x, y = _rand_pair(13)
-    with pytest.raises(ValueError):
-        l1_loss(x, y, BinaryMask(np.zeros((12, 12), dtype=bool)))
+    with pytest.raises(ValueError, match="^no windows$"):
+        fusion_loss(x, y, f=L1_ONLY,
+                    mask=BinaryMask(np.zeros((12, 12), dtype=bool)))
 
 
 def test_fusion_blend():
     x, y = _rand_pair(14)
     p, f = SsimParams(), FusionParams(alpha=0.84)
-    expect = 0.84 * ssim_loss(x, y, p) + 0.16 * l1_loss(x, y)
+    expect = (0.84 * fusion_loss(x, y, p, SSIM_ONLY)
+              + 0.16 * fusion_loss(x, y, p, L1_ONLY))
     assert fusion_loss(x, y, p, f) == pytest.approx(expect, abs=1e-15)
-    assert fusion_loss(x, y, p, FusionParams(alpha=0.0)) == pytest.approx(
-        l1_loss(x, y), abs=1e-15)
-    assert fusion_loss(x, y, p, FusionParams(alpha=1.0)) == pytest.approx(
-        ssim_loss(x, y, p), abs=1e-15)
+    assert fusion_loss(x, y, p, L1_ONLY) == pytest.approx(
+        np.abs(x.pixels - y.pixels).mean(), abs=1e-15)
+    assert fusion_loss(x, y, p, SSIM_ONLY) == pytest.approx(
+        (1.0 - ssim_map(x, y, p).mean()) / 2.0, abs=1e-15)
 
 
 def test_anomaly_map_is_per_pixel_blend():
@@ -284,7 +301,7 @@ def test_fold_on_thin_images_and_wide_windows(shape, W):
     y = Image2D(rng.uniform(0, 1, shape))
     p, f = SsimParams(W=W), FusionParams()
     bits = np.ones(shape, dtype=bool)
-    _, grad = fusion_loss_and_grad(x, y, p, f)
+    _, grad = _loss_and_grad(x, y, p, f)
     ref = _reference_grad(x, y, p, f, bits)
     assert np.array_equal(grad, ref)
     assert np.array_equal(np.signbit(grad), np.signbit(ref))
@@ -294,7 +311,7 @@ def test_fold_on_thin_images_and_wide_windows(shape, W):
 @given(_loss_inputs())
 def test_loss_and_grad_equal_the_separate_computations(args):
     x, y, p, f, mask = args
-    loss, grad = fusion_loss_and_grad(x, y, p, f, mask)
+    loss, grad = _loss_and_grad(x, y, p, f, mask)
     assert loss == fusion_loss(x, y, p, f, mask)
     assert np.array_equal(grad, _reference_grad(x, y, p, f, mask.bits))
     assert np.array_equal(fusion_loss_grad(x, y, p, f, mask), grad)
@@ -395,7 +412,7 @@ def test_window_moments_spare_column_is_zero():
 # --- the reused gradient workspace ----------------------------------------
 
 def _allocating_loss_and_grad(x, y, p, f, mask):
-    """fusion_loss_and_grad as it was before the workspace: every buffer
+    """The loss and gradient as they were before the workspace: every buffer
     allocated per call, np.where for the masked center maps, np.pad for the
     edge pads and an out-of-place filter."""
     bits = np.ones(x.pixels.shape, dtype=bool) if mask is None else mask.bits
@@ -483,7 +500,7 @@ def _same_bits(got, ref):
 def test_loss_and_grad_equal_the_allocating_implementation(calls):
     for x, y, p, f, mask in calls:
         ref = _allocating_loss_and_grad(x, y, p, f, mask)
-        _same_bits(fusion_loss_and_grad(x, y, p, f, mask), ref)
+        _same_bits(_loss_and_grad(x, y, p, f, mask), ref)
         _same_bits((fusion_loss(x, y, p, f, mask), ref[1]), ref)
 
 
@@ -515,14 +532,29 @@ def test_the_image_losses_equal_their_held_target(case, other):
     kept = {k: np.copy(getattr(target, k)) for k in ("x", "bits", "mx", "vx")}
     for y in ys:
         held = target.loss_and_grad(y.pixels, f)
-        _same_bits(fusion_loss_and_grad(x, y, p, f, mask), held)
+        _same_bits(_loss_and_grad(x, y, p, f, mask), held)
         _same_bits((fusion_loss(x, y, p, f, mask), held[1]), held)
         _same_bits((target.loss(y.pixels, f), held[1]), held)
+        _same_bits((held[0], fusion_loss_grad(x, y, p, f, mask)), held)
         ox, (oy, _), op, of, omask = other
-        fusion_loss_and_grad(ox, oy, op, of, omask)
+        _loss_and_grad(ox, oy, op, of, omask)
     for name, a in kept.items():
         assert np.array_equal(getattr(target, name), a)
         assert not getattr(target, name).flags.writeable
+
+
+@settings(max_examples=150, deadline=None)
+@given(_held_target_case())
+def test_the_l1_loss_does_not_depend_on_the_window(case):
+    # at alpha = 0 the SSIM term is weighted by 0.0, so every window gives
+    # the masked mean absolute error, bit for bit
+    x, (y, _), _, _, mask = case
+    bits = np.ones(x.pixels.shape, dtype=bool) if mask is None else mask.bits
+    expect = float(np.abs(x.pixels - y.pixels)[bits].mean())
+    for W in (1, 3, 5, 7, 11, 21):
+        got = iqa.loss_target(x, SsimParams(W=W), mask).loss(y.pixels, L1_ONLY)
+        assert got == expect
+        assert math.copysign(1.0, got) == math.copysign(1.0, expect)
 
 
 def test_a_loss_target_must_match_the_call():
@@ -539,9 +571,9 @@ def test_a_loss_target_must_match_the_call():
 def test_returned_gradient_does_not_alias_the_workspace():
     x, y = _rand_pair(18, (16, 16))
     u, v = _rand_pair(19, (16, 16))
-    loss, grad = fusion_loss_and_grad(x, y)
+    loss, grad = _loss_and_grad(x, y)
     kept = grad.copy()
-    fusion_loss_and_grad(u, v)
+    _loss_and_grad(u, v)
     assert np.array_equal(grad, kept)
     assert type(loss) is float
 
@@ -556,7 +588,7 @@ def test_threads_do_not_share_the_workspace():
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(fusion_loss_and_grad, *pairs[i % 8])
+            futures = [pool.submit(_loss_and_grad, *pairs[i % 8])
                        for i in range(64)]
             got = [fut.result(timeout=60) for fut in futures]
     finally:
