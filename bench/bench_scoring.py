@@ -1,7 +1,8 @@
 """Microbenchmarks of the scoring hot path: simplex noise (placement
 fields, plus the phantom texture and training field shapes), patched
 reconstruction, the SSIM window moments and fusion anomaly map, the region
-median filter and the pooled metrics.
+median filter, one
+pool scoring task and the pooled metrics.
 
 Sizes follow perfbench's ``ablate_flair`` workload (``configs/ablate_flair.cfg``):
 64 px flair-like phantoms, default half-size patches at quarter stride (nine
@@ -20,6 +21,7 @@ the test suite does not collect it.
 """
 
 import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -102,6 +104,18 @@ def test_reconstruct_patched(benchmark, setting):
 def test_score_sample(benchmark, setting):
     sample, sched, model, ecfg = setting
     benchmark(evalkit.score_sample, model, sample, ecfg, sched, 0)
+
+
+def test_scores_task_128(benchmark, setting128):
+    # one pool task of disk128_w2 (one group of one member), as
+    # pipeline.score sends it; extra_info holds the pickled size of the
+    # result, the message a worker sends back
+    sample, sched, model, ecfg = setting128
+    task = ([(model, sample, [ecfg])], sched, 0,
+            evalkit.eval_region(sample, ecfg))
+    benchmark.extra_info["result_pickle_bytes"] = len(
+        pickle.dumps(pipeline._scores(task)))
+    benchmark(pipeline._scores, task)
 
 
 def test_reconstruct_patched_128(benchmark, setting128):

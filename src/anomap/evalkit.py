@@ -21,9 +21,11 @@ The placement noise depends only on the sample's id and dimensions, so one
 draw serves every model and intensity transform of the sample; to score it
 under several fusion blends, call :func:`reconstruct` once per model and
 :func:`anomaly_map` once per blend, while the reconstruction is at hand.
-:func:`evaluate_fold` takes the finished in-region scores and the regions;
+:func:`evaluate_fold` takes the finished in-region scores, one per region
+pixel, and the regions; a scoring task need send back nothing else.
 :func:`default_grid`, :func:`pooled_dice_curve`, :func:`greedy_threshold`
-and :func:`auprc` compute the same metrics from whole maps.
+and :func:`auprc` compute the same metrics from whole maps.  Each rejects
+an empty split or an empty list of maps with an error that says so.
 """
 
 from __future__ import annotations
@@ -126,6 +128,8 @@ def _sorted_pool(scores: Sequence[np.ndarray], labels: Sequence[np.ndarray]):
     """One split's pooled in-region scores and its positive ones, each
     sorted ascending: the number of pixels (positives) scoring at least
     ``v`` is the count minus ``searchsorted(..., v, side="left")``."""
+    if not scores:
+        raise ValueError("no maps to pool")
     pool = np.concatenate(scores)
     positives = np.compress(np.concatenate(labels), pool)
     positives.sort()
@@ -188,6 +192,8 @@ def _grid(top: float, size: int) -> np.ndarray:
 
 def default_grid(maps: Sequence[AnomalyMap],
                  size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
+    if not maps:
+        raise ValueError("no maps to pool")
     return _grid(max(float(m.scores.max()) for m in maps), size)
 
 
@@ -219,21 +225,32 @@ def evaluate_fold(val: Sequence[LabeledSample], test: Sequence[LabeledSample],
                   scores: Mapping[str, np.ndarray],
                   regions: Mapping[str, BinaryMask],
                   n_thresholds: int = DEFAULT_GRID_SIZE) -> FoldResult:
-    """Threshold from validation, metrics on test; splits must not share ids.
+    """Threshold from validation, metrics on test; splits must be nonempty
+    and must not share ids.
 
     ``scores`` holds every sample's in-region scores by sample id: the
     scores of its anomaly map at its eroded region's pixels, in row-major
     order (``amap.scores[region.bits]``, see :func:`anomaly_map` and
-    :func:`eval_region`), and ``regions`` holds those regions.
+    :func:`eval_region`), one per region pixel, and ``regions`` holds those
+    regions.
     """
-    val_ids = {s.id for s in val}
-    test_ids = {s.id for s in test}
-    if val_ids & test_ids:
+    for name, samples in (("validation", val), ("test", test)):
+        if not samples:
+            raise ValueError(f"the {name} split is empty")
+    if {s.id for s in val} & {s.id for s in test}:
         raise ValueError("validation/test leakage")
 
     def split(samples):
-        return ([scores[s.id] for s in samples],
-                [s.anomaly_gt.bits[regions[s.id].bits] for s in samples])
+        kept, labels = [], []
+        for s in samples:
+            sc, lab = scores[s.id], s.anomaly_gt.bits[regions[s.id].bits]
+            if np.shape(sc) != lab.shape:
+                shape = "x".join(map(str, np.shape(sc)))
+                raise ValueError(f"sample {s.id}: {shape} scores for "
+                                 f"{lab.size} region pixels")
+            kept.append(sc)
+            labels.append(lab)
+        return kept, labels
 
     pool, pos = _sorted_pool(*split(val))
     # the largest in-region score; a map is +0.0 outside its region

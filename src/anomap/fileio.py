@@ -4,7 +4,8 @@ F32R is the repo-wide raster format: one ASCII header line
 ``F32R <width> <height>\\n`` followed by width*height little-endian 32-bit
 floats in row-major order, all finite.  Masks are binary PGM (P5, maxval 255)
 with 0 for background and 255 for foreground and no other byte.  Readers
-reject anything else with an error that names the file.
+reject anything else with an error that names the file, and writers refuse,
+before opening the file, to write what their reader would reject.
 """
 
 from __future__ import annotations
@@ -17,13 +18,21 @@ import numpy as np
 from .imagecore import BinaryMask
 
 
+def _check_dims(path, fmt: str, w: int, h: int) -> None:
+    if min(w, h) < 1:
+        raise ValueError(f"{path}: {fmt} raster is {w}x{h} px; "
+                         "width and height must be >= 1")
+
+
 def write_f32r(path, arr: np.ndarray) -> None:
-    """Write ``arr`` as float32; a value that is not finite as float32 (NaN,
-    infinite, or beyond float32's range) is rejected before the file is
-    opened."""
+    """Write ``arr`` as float32; an empty raster or a value that is not
+    finite as float32 (NaN, infinite, or beyond float32's range) is rejected
+    before the file is opened."""
     arr = np.asarray(arr)
     if arr.ndim != 2:
         raise ValueError("F32R stores 2-D rasters")
+    h, w = arr.shape
+    _check_dims(path, "F32R", w, h)
     with np.errstate(over="ignore"):
         f32 = arr.astype("<f4")
     finite = np.isfinite(f32)
@@ -31,7 +40,6 @@ def write_f32r(path, arr: np.ndarray) -> None:
         r, c = np.argwhere(~finite)[0]
         raise ValueError(f"{path}: pixel {arr[r, c]} at row {r}, column {c} "
                          "is not a finite float32")
-    h, w = arr.shape
     with open(path, "wb") as f:
         f.write(f"F32R {w} {h}\n".encode("ascii"))
         f.write(f32.tobytes(order="C"))
@@ -45,9 +53,7 @@ def _header_ints(path, fmt: str, tokens) -> list:
         text = b" ".join(tokens).decode("ascii", "replace")
         raise ValueError(f"{path}: {fmt} header fields {text!r} must be "
                          "integers") from None
-    if min(vals[:2]) < 1:
-        raise ValueError(f"{path}: {fmt} raster is {vals[0]}x{vals[1]} px; "
-                         "width and height must be >= 1")
+    _check_dims(path, fmt, *vals[:2])
     return vals
 
 
@@ -72,6 +78,8 @@ def read_f32r(path) -> np.ndarray:
 
 
 def write_pgm_mask(path, mask: BinaryMask) -> None:
+    """Write ``mask``; an empty one is rejected before the file is opened."""
+    _check_dims(path, "PGM", mask.width, mask.height)
     with open(path, "wb") as f:
         f.write(f"P5\n{mask.width} {mask.height}\n255\n".encode("ascii"))
         f.write((mask.bits.astype(np.uint8) * 255).tobytes(order="C"))

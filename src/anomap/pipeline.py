@@ -7,15 +7,16 @@ which takes every variant of the call at once in three stages:
 :func:`prepare` checks a dataset, groups the variants whose reconstructions
 cannot differ and gives each group its images, flipped once for AIR;
 :func:`train_group` builds one group's model; :func:`score` maps every
-scored sample for every group in one ordered pass, keeping of each map only
-its scores inside the sample's eroded region, then evaluates each variant
-from those, so a fold never holds its maps.  A phantom fold prepares its
-own dataset; a disk dataset does not depend on the fold, so a call reads,
-prepares and flips it once, before any fold.  With several workers a call
-scores every fold in one process pool, sending a fold's samples in chunks
-of :func:`chunk_size` (about ``CHUNKS_PER_WORKER`` messages per worker)
-rather than one message per sample; a pool that a dead worker broke fails
-only the fold that was using it, and the next fold gets a fresh one.
+scored sample for every group in one ordered pass, in tasks that send back
+of each map only its scores inside the sample's eroded region, then
+evaluates each variant from those, so no map leaves the task that made it.
+A phantom fold prepares its own dataset; a disk dataset does not depend on
+the fold, so a call reads, prepares and flips it once, before any fold.
+With several workers a call scores every fold in one process pool, sending
+a fold's samples in chunks of :func:`chunk_size` (about
+``CHUNKS_PER_WORKER`` messages per worker) rather than one message per
+sample; a pool that a dead worker broke fails only the fold that was using
+it, and the next fold gets a fresh one.
 """
 
 from __future__ import annotations
@@ -114,9 +115,11 @@ def chunk_size(n: int, workers: int) -> int:
     return -(-n // (CHUNKS_PER_WORKER * workers))
 
 
-def _maps(args):
-    """A sample's anomaly maps, one list per group with one map per member,
-    from one draw of its placement noise and one reconstruction per group.
+def _scores(args):
+    """A sample's in-region scores, ``anomaly_map(...).scores[region.bits]``,
+    one array per member in one flat list, group by group and in each group's
+    ``members`` order, from one draw of its placement noise and one
+    reconstruction per group.
 
     Each group is ``(model, sample, ecfgs)``: its model, its own version of
     the sample (flipped or not) and its members' eval configs.
@@ -124,12 +127,12 @@ def _maps(args):
     groups, sched, seed, region = args
     _, sample, ecfgs = groups[0]
     noises = evalkit.patch_noise(sample, ecfgs[0], seed)
-    maps = []
+    scores = []
     for model, sample, ecfgs in groups:
         recon = evalkit.reconstruct(model, sample, ecfgs[0], sched, noises)
-        maps.append([evalkit.anomaly_map(sample.image, recon, region, e)
-                     for e in ecfgs])
-    return maps
+        scores += [evalkit.anomaly_map(sample.image, recon, region,
+                                       e).scores[region.bits] for e in ecfgs]
+    return scores
 
 
 def _failed(fold: int, exc: Exception) -> FoldOutcome:
@@ -255,45 +258,41 @@ def score(plan: FoldPlan, fold: int, seed: int, live: Sequence[tuple],
     ``(group, model, loss_trace)`` triples; raises if the shared pass fails.
     Each task draws a sample's placement noise once, reconstructs it once
     per group and maps it for every member, so no reconstruction leaves the
-    process that made it.  ``mapper`` runs the tasks and returns their
-    results in order: the built-in ``map`` in this process, or a pool's
-    ``map``, which sends them in chunks (see :func:`chunk_size`).  As each
-    sample's maps arrive, every member keeps only the map's scores inside
-    the sample's region, which are all that evaluation reads, so a fold
-    never holds its maps; ``dump_maps`` rebuilds each test map from them."""
+    process that made it, and sends back of each map only its scores inside
+    the sample's region, which are all that evaluation reads, so no map
+    leaves it either.  ``mapper`` runs the tasks and returns their results
+    in order: the built-in ``map`` in this process, or a pool's ``map``,
+    which sends them in chunks (see :func:`chunk_size`).  ``dump_maps``
+    rebuilds each test map from its region's scores."""
     ds = plan.ds
+    members = [(i, g, loss_trace) for g, _, loss_trace in live
+               for i in g.members]
     ecfgs = [[eval_config(plan.cfgs[i]) for i in g.members] for g, _, _ in live]
     tasks = [([(model, g.scored[k], e) for (g, model, _), e in zip(live, ecfgs)],
               plan.sched, seed, plan.regions[s.id])
              for k, s in enumerate(plan.scored)]
-    # by group, by member: sample id -> in-region scores
-    kept = [[{} for _ in g.members] for g, _, _ in live]
     # in order either way, so the pool never changes the results
-    for s, maps in zip(plan.scored, mapper(_maps, tasks)):
-        bits = plan.regions[s.id].bits
-        for by_member, group_maps in zip(kept, maps):
-            for scores, amap in zip(by_member, group_maps):
-                scores[s.id] = amap.scores[bits]
+    results = list(mapper(_scores, tasks))
     outcomes = {}
-    for (g, _, loss_trace), by_member in zip(live, kept):
-        for i, scores in zip(g.members, by_member):
-            try:
-                # flipping changes no sample id and no ground truth
-                result = evalkit.evaluate_fold(ds.val_abnormal, ds.test_abnormal,
-                                               scores, plan.regions,
-                                               plan.cfgs[i].n_thresholds)
-                if dump_maps:
-                    d = fileio.ensure_dir(Path(plan.cfgs[i].out) / "maps"
-                                          / f"fold{fold}")
-                    for s in ds.test_abnormal:
-                        bits = plan.regions[s.id].bits
-                        raster = np.zeros(bits.shape)
-                        raster[bits] = scores[s.id]
-                        fileio.write_f32r(d / f"{s.id}.f32r", raster)
-                outcomes[i] = FoldOutcome(fold, result, None, g.flipped,
-                                          loss_trace)
-            except Exception as exc:
-                outcomes[i] = _failed(fold, exc)
+    for j, (i, g, loss_trace) in enumerate(members):
+        scores = {s.id: r[j] for s, r in zip(plan.scored, results)}
+        try:
+            # flipping changes no sample id and no ground truth
+            result = evalkit.evaluate_fold(ds.val_abnormal, ds.test_abnormal,
+                                           scores, plan.regions,
+                                           plan.cfgs[i].n_thresholds)
+            if dump_maps:
+                d = fileio.ensure_dir(Path(plan.cfgs[i].out) / "maps"
+                                      / f"fold{fold}")
+                for s in ds.test_abnormal:
+                    bits = plan.regions[s.id].bits
+                    raster = np.zeros(bits.shape)
+                    raster[bits] = scores[s.id]
+                    fileio.write_f32r(d / f"{s.id}.f32r", raster)
+            outcomes[i] = FoldOutcome(fold, result, None, g.flipped,
+                                      loss_trace)
+        except Exception as exc:
+            outcomes[i] = _failed(fold, exc)
     return outcomes
 
 

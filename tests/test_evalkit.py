@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -300,6 +302,51 @@ def test_evaluate_fold_rejects_split_leakage():
                                       sched, 0)
     with pytest.raises(ValueError):
         evaluate_fold([s], [s], _in_region(maps, regions), regions)
+
+
+def _random_fold(seed=0):
+    """A 32 px fold's splits, regions and random in-region scores."""
+    ds = phantom.gen_dataset(seed, 32, phantom.PROFILES["flair_like"], 1, 2, 2)
+    cfg = EvalConfig(erosion_iters=1)
+    rng = np.random.default_rng(seed)
+    samples = [*ds.val_abnormal, *ds.test_abnormal]
+    regions = {s.id: eval_region(s, cfg) for s in samples}
+    scores = {k: rng.random(r.count()) for k, r in regions.items()}
+    return ds.val_abnormal, ds.test_abnormal, scores, regions
+
+
+@pytest.mark.parametrize("split", ["val", "test"])
+@pytest.mark.parametrize("given", ["short", "raster"])
+def test_evaluate_fold_rejects_scores_not_one_per_region_pixel(split, given):
+    val, test, scores, regions = _random_fold()
+    s = (val if split == "val" else test)[1]
+    region = regions[s.id]
+    n = region.count()
+    if given == "short":
+        scores[s.id], shown = scores[s.id][:-1], str(n - 1)
+    else:  # the whole map, as evaluation took it before in-region scores
+        scores[s.id] = np.zeros(region.bits.shape)
+        shown = "x".join(map(str, region.bits.shape))
+    with pytest.raises(ValueError, match=re.escape(
+            f"sample {s.id}: {shown} scores for {n} region pixels")):
+        evaluate_fold(val, test, scores, regions)
+
+
+GRID = np.linspace(0.0, 1.0, 5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda f: evaluate_fold([], *f[1:]), "the validation split is empty"),
+    (lambda f: evaluate_fold(f[0], [], *f[2:]), "the test split is empty"),
+    (lambda f: auprc([], [], []), "no maps to pool"),
+    (lambda f: pooled_dice_curve([], [], [], GRID), "no maps to pool"),
+    (lambda f: greedy_threshold([], [], [], GRID), "no maps to pool"),
+    (lambda f: default_grid([]), "no maps to pool"),
+], ids=["evaluate_fold_val", "evaluate_fold_test", "auprc",
+        "pooled_dice_curve", "greedy_threshold", "default_grid"])
+def test_pooled_metrics_reject_empty_input(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(_random_fold())
 
 
 def test_evaluate_fold_end_to_end():

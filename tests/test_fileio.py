@@ -72,6 +72,23 @@ def test_f32r_rejects_non_2d():
         fileio.write_f32r("/dev/null", np.zeros(8))
 
 
+@pytest.mark.parametrize("write, name, shown", [
+    (lambda path: fileio.write_f32r(path, np.zeros((0, 5))), "e.f32r",
+     "F32R raster is 5x0 px"),
+    (lambda path: fileio.write_f32r(path, np.zeros((3, 0))), "e.f32r",
+     "F32R raster is 0x3 px"),
+    (lambda path: fileio.write_pgm_mask(path, BinaryMask(np.zeros((3, 0)))),
+     "e.pgm", "PGM raster is 0x3 px"),
+], ids=["f32r_no_rows", "f32r_no_columns", "pgm_no_columns"])
+def test_writers_reject_empty_rasters_their_readers_reject(tmp_path, write,
+                                                           name, shown):
+    path = tmp_path / name
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {shown}')}; "
+                       "width and height must be >= 1$"):
+        write(path)
+    assert not path.exists()
+
+
 def test_pgm_mask_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     mask = BinaryMask(rng.uniform(size=(11, 7)) > 0.5)

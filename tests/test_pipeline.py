@@ -112,6 +112,52 @@ def test_patch_noise_is_drawn_once_per_sample_and_fold(monkeypatch, tmp_path,
         0 if cfg.blur_sigma else 4 * cfg.folds * cfg.n_train)
 
 
+def _recording(monkeypatch, owner, name):
+    """Each call's arguments and result."""
+    calls = []
+    orig = getattr(owner, name)
+
+    def recorded(*args):
+        calls.append((args, orig(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("cfg, call, groups", [
+    (BLUR, pipeline.ablate, 2),  # {l1, ssim, fq} and the flipped fq_air
+    (TRAINED, pipeline.run, 1),  # one trained member
+], ids=["blur_ablate", "trained_run"])
+def test_scores_task_returns_one_region_score_array_per_member(
+        tmp_path, monkeypatch, cfg, call, groups):
+    cfg = replace(cfg, profile="flair_like", out=str(tmp_path / "a")).validate()
+    plans = _recording(monkeypatch, pipeline, "prepare")
+    tasks = _recording(monkeypatch, pipeline, "_scores")
+    call(cfg)
+    assert len(plans) == cfg.folds
+    n = cfg.n_val + cfg.n_test
+    assert len(tasks) == cfg.folds * n
+    for f, (_, plan) in enumerate(plans):
+        assert len(plan.groups) == groups
+        order = [pipeline.eval_config(plan.cfgs[i])
+                 for g in plan.groups for i in g.members]
+        for s, ((args,), scores) in zip(plan.scored, tasks[f * n:(f + 1) * n]):
+            model_groups, sched, seed, region = args
+            assert region is plan.regions[s.id]
+            assert isinstance(scores, list) and len(scores) == len(order)
+            # (group, member) order, each the one-sample reference chain's
+            # scores inside the region
+            expect = [evalkit.score_sample(model, sample, e, sched, seed)
+                      .scores[region.bits]
+                      for model, sample, ecfgs in model_groups for e in ecfgs]
+            assert [e for _, _, ecfgs in model_groups for e in ecfgs] == order
+            for got, want in zip(scores, expect):
+                assert got.dtype == np.float64 and got.ndim == 1
+                assert got.size == plan.regions[s.id].count()
+                assert got.tobytes() == want.tobytes()
+
+
 def test_flipped_group_error_fails_every_variant_of_its_fold(monkeypatch,
                                                             tmp_path):
     cfg = replace(BLUR, out=str(tmp_path / "a")).validate()
